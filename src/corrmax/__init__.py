@@ -67,6 +67,7 @@ from .montecarlo import (
     rep_rng,
     sample_ar1_chain,
     sample_max_distribution,
+    sample_max_sweep,
     sample_multivariate_max,
 )
 from .timing_graph import (

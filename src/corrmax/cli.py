@@ -48,6 +48,7 @@ from .montecarlo import (
     NonIidConfig,
     non_iid_experiment,
     sample_max_distribution,
+    sample_max_sweep,
     stats_dict,
     write_samples_csv,
 )
@@ -223,12 +224,10 @@ def _cmd_mc(args) -> int:
                 return _EXIT_USAGE
         prefix = args.out or f"mc_n{args.n}_sweep"
         csv_path = outdir / f"{prefix}.csv"
+        results = sample_max_sweep(args.n, rhos, cfg, args.sigma)
         with open(csv_path, "w") as fh:
             fh.write("rho,mean,std,stderr\n")
-            for rho in rhos:
-                res = sample_max_distribution(
-                    Ar1Model(n=args.n, rho=rho, sigma=args.sigma), cfg
-                )
+            for rho, res in zip(rhos, results):
                 fh.write(
                     f"{_fmt(rho)},{_fmt(res.mean)},{_fmt(res.std)},"
                     f"{_fmt(res.stderr)}\n"

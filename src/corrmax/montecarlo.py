@@ -2,14 +2,21 @@
 
 Reproducibility contract: repetition r draws from a Philox counter-based
 stream that is a pure function of (seed, r), so results are bitwise
-identical for any worker count or chunking.  Normal variates are produced
-by inverse-CDF transform of open-interval uniforms through
-``std_normal_quantile``, so the sampler and the analytic layer share one
-definition of the Gaussian CDF.
+identical for any worker count or chunking.  ``rep_rng`` and
+``_open_uniform`` are the reference definition of that stream.  The
+samplers read it through ``_chunk_uniforms``, which builds one Philox per
+chunk of repetitions and ``advance``s its counter from one repetition's
+block to the next; its output is bitwise equal to the per-repetition
+definition.  Normal variates are produced by inverse-CDF transform of
+open-interval uniforms through ``std_normal_quantile``, so the sampler and
+the analytic layer share one definition of the Gaussian CDF.  A rho-sweep
+uses common random numbers: each chunk's normals are drawn once and every
+rho runs its recurrence on them.
 """
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,6 +33,7 @@ __all__ = [
     "rep_rng",
     "sample_ar1_chain",
     "sample_max_distribution",
+    "sample_max_sweep",
     "sample_multivariate_max",
     "empirical_stats",
     "non_iid_experiment",
@@ -39,6 +47,10 @@ __all__ = [
 _CHUNK_REPS = 1024
 
 _PSD_TOL = 1e-10
+
+# Above this many Freedman-Diaconis bins (a near-constant sample beside one
+# outlier asks for tens of millions) the default histogram uses Sturges.
+_MAX_BINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -148,27 +160,53 @@ def _open_uniform(rng: np.random.Generator, size) -> np.ndarray:
     return (rng.integers(0, 2**53, size=size, dtype=np.uint64) + 0.5) * 2.0**-53
 
 
-def _run_chunked(reps: int, workers: int, fill) -> np.ndarray:
-    """Fill a samples array chunk by chunk, optionally on a thread pool.
+def _chunk_uniforms(seed: int, start: int, stop: int, width: int,
+                    stream: int = 0) -> np.ndarray:
+    """Open uniforms of repetitions [start, stop), one row each.
 
-    ``fill(start, stop, out)`` must write samples for repetitions
-    [start, stop) into ``out[start:stop]`` using only per-repetition
-    streams, which keeps the result independent of the execution order.
+    Row r - start equals ``_open_uniform(rep_rng(seed, r, stream), width)``
+    bit for bit.  Repetition r's stream starts at counter
+    ``(stream << 192) | (r << 128)`` and uses ceil(width/4) four-word
+    blocks, so one Philox serves the chunk: after each row its counter is
+    advanced to the next repetition's start.
     """
-    out = np.empty(reps, dtype=float)
-    starts = range(0, reps, _CHUNK_REPS)
-    if workers == 1 or len(starts) == 1:
-        for a in starts:
-            fill(a, min(a + _CHUNK_REPS, reps), out)
+    blocks = -(-width // 4)
+    bitgen = np.random.Philox(
+        key=int(seed), counter=(int(stream) << 192) | (int(start) << 128)
+    )
+    u = np.empty((stop - start, width), dtype=float)
+    for row in u:
+        # integers(0, 2**53) on a 64-bit word is the word's top 53 bits.
+        raw = bitgen.random_raw(4 * blocks)
+        raw >>= 11
+        row[:] = raw[:width]
+        bitgen.advance(2**128 - blocks)
+    u += 0.5
+    u *= 2.0**-53
+    return u
+
+
+def _thread_count(workers: int, chunks: int) -> int:
+    """Threads worth starting: no more than requested, CPUs, or chunks."""
+    return max(1, min(workers, os.cpu_count() or 1, chunks))
+
+
+def _run_chunked(reps: int, workers: int, fill) -> None:
+    """Call ``fill(start, stop)`` for every chunk of repetitions.
+
+    ``fill`` must write the results of repetitions [start, stop) into its
+    caller's arrays using only per-repetition streams, which keeps them
+    independent of the execution order and of the thread count.
+    """
+    chunks = [(a, min(a + _CHUNK_REPS, reps)) for a in range(0, reps, _CHUNK_REPS)]
+    threads = _thread_count(workers, len(chunks))
+    if threads == 1:
+        for a, b in chunks:
+            fill(a, b)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fill, a, min(a + _CHUNK_REPS, reps), out)
-                for a in starts
-            ]
-            for f in futures:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for f in [pool.submit(fill, a, b) for a, b in chunks]:
                 f.result()
-    return out
 
 
 def sample_ar1_chain(model: Ar1Model, rng: np.random.Generator) -> np.ndarray:
@@ -187,25 +225,38 @@ def sample_ar1_chain(model: Ar1Model, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
+def sample_max_sweep(n: int, rhos, cfg: McConfig, sigma: float = 1.0) -> list[McResult]:
+    """Maxima of ``cfg.reps`` AR(1) chains for every rho in ``rhos``.
+
+    All points share the seed, so they share their normals (common random
+    numbers): each chunk's normals are drawn once and every rho runs the
+    recurrence on them.  Entry k equals
+    ``sample_max_distribution(Ar1Model(n, rhos[k], sigma), cfg)``.
+    """
+    models = [Ar1Model(n=n, rho=rho, sigma=sigma) for rho in rhos]
+    maxima = np.empty((len(models), cfg.reps), dtype=float)
+
+    def fill(start, stop):
+        # Row i of z holds step i of every repetition's chain.
+        z = std_normal_quantile(_chunk_uniforms(cfg.seed, start, stop, n)).T
+        for k, model in enumerate(models):
+            rho = model.rho
+            c = sigma * np.sqrt(1.0 - rho * rho)
+            x = sigma * z[0]
+            running_max = x.copy()
+            for zi in z[1:]:
+                x *= rho
+                x += c * zi
+                np.maximum(running_max, x, out=running_max)
+            maxima[k, start:stop] = running_max
+
+    _run_chunked(cfg.reps, cfg.workers, fill)
+    return [empirical_stats(row) for row in maxima]
+
+
 def sample_max_distribution(model: Ar1Model, cfg: McConfig) -> McResult:
     """Maxima of ``cfg.reps`` independent AR(1) chains."""
-    rho, sigma, n = model.rho, model.sigma, model.n
-    c = sigma * np.sqrt(1.0 - rho * rho)
-
-    def fill(start, stop, out):
-        u = np.empty((stop - start, n), dtype=float)
-        for r in range(start, stop):
-            u[r - start] = _open_uniform(rep_rng(cfg.seed, r), n)
-        z = std_normal_quantile(u)
-        x = sigma * z[:, 0]
-        running_max = x.copy()
-        for i in range(1, n):
-            x = rho * x + c * z[:, i]
-            np.maximum(running_max, x, out=running_max)
-        out[start:stop] = running_max
-
-    samples = _run_chunked(cfg.reps, cfg.workers, fill)
-    return empirical_stats(samples)
+    return sample_max_sweep(model.n, [model.rho], cfg, model.sigma)[0]
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -238,15 +289,14 @@ def sample_multivariate_max(cov, cfg: McConfig, mean=None) -> McResult:
         raise DomainError(f"mean must have shape ({n},) (got {m.shape})")
     factor_t = _psd_sqrt((c + c.T) / 2.0).T
 
-    def fill(start, stop, out):
-        u = np.empty((stop - start, n), dtype=float)
-        for r in range(start, stop):
-            u[r - start] = _open_uniform(rep_rng(cfg.seed, r), n)
-        z = std_normal_quantile(u)
-        x = z @ factor_t + m
-        out[start:stop] = x.max(axis=1)
+    samples = np.empty(cfg.reps, dtype=float)
 
-    samples = _run_chunked(cfg.reps, cfg.workers, fill)
+    def fill(start, stop):
+        z = std_normal_quantile(_chunk_uniforms(cfg.seed, start, stop, n))
+        x = z @ factor_t + m
+        samples[start:stop] = x.max(axis=1)
+
+    _run_chunked(cfg.reps, cfg.workers, fill)
     return empirical_stats(samples)
 
 
@@ -254,7 +304,8 @@ def empirical_stats(samples, bins: int | None = None) -> McResult:
     """Summary statistics: mean, unbiased std, sorted ECDF, histogram.
 
     ``bins`` is the number of equal-width bins over [min, max]; when
-    omitted, the Freedman-Diaconis rule decides.
+    omitted, the Freedman-Diaconis rule decides, or Sturges' rule when
+    Freedman-Diaconis asks for more than ``_MAX_BINS`` bins.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -263,7 +314,11 @@ def empirical_stats(samples, bins: int | None = None) -> McResult:
         raise DomainError(f"bins must be >= 1 (got {bins})")
     mean = float(np.mean(arr))
     std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-    counts, edges = np.histogram(arr, bins=bins if bins is not None else "fd")
+    if bins is None:
+        iqr = np.subtract(*np.percentile(arr, [75, 25]))
+        fd_width = 2.0 * iqr * arr.size ** (-1.0 / 3.0)
+        bins = "sturges" if fd_width and np.ptp(arr) / fd_width > _MAX_BINS else "fd"
+    counts, edges = np.histogram(arr, bins=bins)
     return McResult(
         samples=arr,
         mean=mean,
@@ -285,33 +340,23 @@ def non_iid_experiment(cfg: NonIidConfig) -> list[tuple[int, float, float]]:
         # reserved for its frozen deviations, so the spaces never collide.
         rep_stream = 2 * n_index
         if cfg.freeze_deviations:
-            fr = rep_rng(cfg.seed, 0, stream=rep_stream + 1)
-            xi_mu = 2.0 * _open_uniform(fr, n) - 1.0
-            xi_sigma = 2.0 * _open_uniform(fr, n) - 1.0
-            mu_frozen = cfg.mu + cfg.delta_mu * xi_mu
-            sigma_frozen = cfg.sigma + cfg.delta_sigma * xi_sigma
+            xi = 2.0 * _chunk_uniforms(cfg.seed, 0, 1, 2 * n, rep_stream + 1)[0] - 1.0
+            mu_frozen = cfg.mu + cfg.delta_mu * xi[:n]
+            sigma_frozen = cfg.sigma + cfg.delta_sigma * xi[n:]
+        samples = np.empty(cfg.reps, dtype=float)
 
-        def fill(start, stop, out, n=n, rep_stream=rep_stream):
-            rows_ = stop - start
+        def fill(start, stop, n=n, rep_stream=rep_stream):
             if cfg.freeze_deviations:
-                u = np.empty((rows_, n), dtype=float)
-                for r in range(start, stop):
-                    u[r - start] = _open_uniform(
-                        rep_rng(cfg.seed, r, stream=rep_stream), n
-                    )
+                u = _chunk_uniforms(cfg.seed, start, stop, n, rep_stream)
                 x = mu_frozen + sigma_frozen * std_normal_quantile(u)
             else:
-                u = np.empty((rows_, 3 * n), dtype=float)
-                for r in range(start, stop):
-                    u[r - start] = _open_uniform(
-                        rep_rng(cfg.seed, r, stream=rep_stream), 3 * n
-                    )
+                u = _chunk_uniforms(cfg.seed, start, stop, 3 * n, rep_stream)
                 mu_i = cfg.mu + cfg.delta_mu * (2.0 * u[:, :n] - 1.0)
                 sigma_i = cfg.sigma + cfg.delta_sigma * (2.0 * u[:, n : 2 * n] - 1.0)
                 x = mu_i + sigma_i * std_normal_quantile(u[:, 2 * n :])
-            out[start:stop] = x.max(axis=1)
+            samples[start:stop] = x.max(axis=1)
 
-        samples = _run_chunked(cfg.reps, cfg.workers, fill)
+        _run_chunked(cfg.reps, cfg.workers, fill)
         stats = empirical_stats(samples)
         rows.append((n, stats.mean, stats.std))
     return rows

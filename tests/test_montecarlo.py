@@ -1,6 +1,8 @@
 """Tests for the seeded Monte Carlo layer."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,18 @@ from corrmax import (
     rep_rng,
     sample_ar1_chain,
     sample_max_distribution,
+    sample_max_sweep,
     sample_multivariate_max,
+    std_normal_quantile,
 )
-from corrmax.montecarlo import stats_dict, write_samples_csv
+from corrmax.montecarlo import (
+    _MAX_BINS,
+    _chunk_uniforms,
+    _open_uniform,
+    _thread_count,
+    stats_dict,
+    write_samples_csv,
+)
 from conftest import exact_iid_max_moments
 
 
@@ -53,6 +64,29 @@ class TestRepRng:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+
+class TestChunkUniforms:
+    @pytest.mark.parametrize("seed", [42, 2**64 - 5])
+    @pytest.mark.parametrize("start", [0, 2**20])
+    @pytest.mark.parametrize("stream", [0, 4])
+    def test_rows_equal_per_repetition_streams(self, seed, start, stream):
+        for width in (1, 7, 201, 3003):
+            u = _chunk_uniforms(seed, start, start + 3, width, stream)
+            assert u.shape == (3, width)
+            for i, row in enumerate(u):
+                ref = _open_uniform(rep_rng(seed, start + i, stream), width)
+                np.testing.assert_array_equal(row, ref)
+
+
+class TestThreadCount:
+    def test_never_more_than_cpus_or_chunks(self):
+        cpus = os.cpu_count() or 1
+        # --reps 10000000 is 9766 chunks of 1024 repetitions.
+        assert _thread_count(100_000, 9766) == min(cpus, 9766)
+        assert _thread_count(100_000, 1) == 1
+        assert _thread_count(1, 9766) == 1
+        assert _thread_count(2, 3) == min(2, cpus)
 
 
 class TestSampleAr1Chain:
@@ -130,6 +164,30 @@ class TestSampleMaxDistribution:
         assert sup < dkw_band_halfwidth(cfg.reps, 0.99)
 
 
+class TestSampleMaxSweep:
+    def test_matches_per_chain_sampler_for_every_rho(self):
+        rhos, sigma, n, seed = [0.0, 0.35, 0.9, 1.0], 1.3, 17, 2**63 + 12345
+        results = sample_max_sweep(n, rhos, McConfig(seed=seed, reps=50), sigma)
+        assert len(results) == len(rhos)
+        for rho, res in zip(rhos, results):
+            model = Ar1Model(n=n, rho=rho, sigma=sigma)
+            direct = np.array(
+                [sample_ar1_chain(model, rep_rng(seed, r)).max() for r in range(50)]
+            )
+            np.testing.assert_array_equal(res.samples, direct)
+
+    def test_worker_count_does_not_change_samples(self):
+        rhos = [0.1, 0.5, 0.9]
+        r1 = sample_max_sweep(40, rhos, McConfig(seed=8, reps=2500, workers=1))
+        r2 = sample_max_sweep(40, rhos, McConfig(seed=8, reps=2500, workers=2))
+        for a, b in zip(r1, r2):
+            np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_rejects_bad_rho(self):
+        with pytest.raises(DomainError):
+            sample_max_sweep(10, [0.5, 1.5], McConfig(seed=1, reps=10))
+
+
 class TestSampleMultivariateMax:
     def test_identity_cov_matches_exact_law_mean(self):
         cfg = McConfig(seed=21, reps=10_000)
@@ -193,8 +251,6 @@ class TestEmpiricalStats:
     def test_large_normal_sample(self):
         u = (rep_rng(99, 0).integers(0, 2**53, size=100_000, dtype=np.uint64)
              + 0.5) * 2.0**-53
-        from corrmax import std_normal_quantile
-
         res = empirical_stats(std_normal_quantile(u))
         assert abs(res.mean) < 0.01
         assert abs(res.std - 1.0) < 0.01
@@ -207,6 +263,25 @@ class TestEmpiricalStats:
             float(np.sum(samples)) / samples.size, abs=1e-12
         )
         np.testing.assert_array_equal(res.ecdf, np.sort(samples))
+
+    def test_default_bins_are_freedman_diaconis(self):
+        samples = np.random.default_rng(4).gumbel(size=10_000)
+        counts, edges = np.histogram(samples, bins="fd")
+        res = empirical_stats(samples)
+        np.testing.assert_array_equal(res.histogram[0], edges)
+        np.testing.assert_array_equal(res.histogram[1], counts)
+
+    def test_near_constant_sample_with_outlier_falls_back_to_sturges(self):
+        rng = np.random.default_rng(0)
+        samples = np.append(1.0 + 1e-7 * rng.standard_normal(10_000), 2.0)
+        iqr = np.subtract(*np.percentile(samples, [75, 25]))
+        fd_bins = np.ceil(np.ptp(samples) / (2.0 * iqr * samples.size ** (-1 / 3)))
+        assert fd_bins > 1000 * _MAX_BINS
+        edges, counts = empirical_stats(samples).histogram
+        sturges = int(np.ceil(np.log2(samples.size))) + 1
+        assert len(counts) == sturges
+        assert counts.sum() == samples.size
+        assert edges[0] == samples.min() and edges[-1] == 2.0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
@@ -264,6 +339,20 @@ class TestNonIidExperiment:
         assert len(rows) == 1 and rows[0][0] == 20
         again = non_iid_experiment(cfg)
         assert rows == again
+
+    def test_frozen_deviations_match_per_repetition_streams(self):
+        n, seed = 7, 2**64 - 9
+        cfg = NonIidConfig(n_grid=(n,), delta_mu=0.3, delta_sigma=0.2,
+                           reps=40, seed=seed, freeze_deviations=True)
+        frozen = rep_rng(seed, 0, stream=1)
+        mu = 0.0 + 0.3 * (2.0 * _open_uniform(frozen, n) - 1.0)
+        sigma = 1.0 + 0.2 * (2.0 * _open_uniform(frozen, n) - 1.0)
+        maxima = [
+            np.max(mu + sigma * std_normal_quantile(_open_uniform(rep_rng(seed, r), n)))
+            for r in range(40)
+        ]
+        ref = empirical_stats(maxima)
+        assert non_iid_experiment(cfg) == [(n, ref.mean, ref.std)]
 
     def test_workers_do_not_change_results(self):
         base = non_iid_experiment(
