@@ -20,7 +20,6 @@ from .errors import (
     DuplicateEdgeError,
     EmptyInput,
     GraphError,
-    NotPsdError,
     ParseError,
     PathExplosionError,
 )
@@ -66,9 +65,9 @@ from .montecarlo import (
     non_iid_experiment,
     rep_rng,
     sample_ar1_chain,
+    sample_dag_max,
     sample_max_distribution,
     sample_max_sweep,
-    sample_multivariate_max,
 )
 from .timing_graph import (
     Edge,

@@ -69,6 +69,8 @@ _EXIT_USAGE = 2
 _EXIT_PARSE = 3
 _EXIT_CAP = 4
 
+_MAX_SWEEP_POINTS = 10_000
+
 
 def _fmt(x: float) -> str:
     """17-significant-digit decimal; round-trips to the same float."""
@@ -200,6 +202,8 @@ def _parse_sweep(spec: str) -> list[float]:
         raise DomainError("--rho-sweep must look like LO:HI:STEP")
     if step <= 0 or hi < lo:
         raise DomainError("--rho-sweep requires STEP > 0 and HI >= LO")
+    if not (hi - lo) / step < _MAX_SWEEP_POINTS:  # also rejects inf and nan
+        raise DomainError(f"--rho-sweep allows at most {_MAX_SWEEP_POINTS} points")
     values = []
     k = 0
     while True:
@@ -297,10 +301,9 @@ def _cmd_graph(args) -> int:
     doc = {
         "n_paths": analysis.n_paths,
         "lengths": list(analysis.lengths),
-        "path_means": [float(v) for v in analysis.path_means],
-        "path_stds": [float(v) for v in analysis.path_stds],
-        "covariance": [[float(v) for v in row]
-                       for row in analysis.covariance.matrix],
+        "path_means": analysis.path_means.tolist(),
+        "path_stds": analysis.path_stds.tolist(),
+        "covariance": analysis.covariance.matrix.tolist(),
         "s": analysis.s,
         "order": analysis.order,
         "nominal_mean": analysis.nominal_mean,
@@ -310,9 +313,9 @@ def _cmd_graph(args) -> int:
             "alpha": analysis.gumbel.alpha,
             "beta": analysis.gumbel.beta,
         },
-        "z": [float(v) for v in analysis.z_grid],
-        "cdf": [float(v) for v in analysis.cdf],
-        "pdf": [float(v) for v in analysis.pdf],
+        "z": analysis.z_grid.tolist(),
+        "cdf": analysis.cdf.tolist(),
+        "pdf": analysis.pdf.tolist(),
         "validity": None if analysis.validity is None
         else _validity_dict(analysis.validity),
         "analytic_mean": analysis.analytic_mean,

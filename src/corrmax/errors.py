@@ -18,10 +18,6 @@ class EmptyInput(CorrmaxError, ValueError):
     """A nonempty sequence was required."""
 
 
-class NotPsdError(CorrmaxError, ValueError):
-    """A covariance matrix failed positive-semidefinite factorization."""
-
-
 class GraphError(CorrmaxError):
     """Base class for timing-graph construction and analysis errors."""
 

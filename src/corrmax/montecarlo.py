@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyInput, NotPsdError
+from .errors import DomainError, EmptyInput
 from .normal import std_normal_quantile
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "sample_ar1_chain",
     "sample_max_distribution",
     "sample_max_sweep",
-    "sample_multivariate_max",
+    "sample_dag_max",
     "empirical_stats",
     "non_iid_experiment",
     "dkw_band_halfwidth",
@@ -45,8 +45,6 @@ __all__ = [
 
 # Fixed work-unit size so chunking never depends on the worker count.
 _CHUNK_REPS = 1024
-
-_PSD_TOL = 1e-10
 
 # Above this many Freedman-Diaconis bins (a near-constant sample beside one
 # outlier asks for tens of millions) the default histogram uses Sturges.
@@ -259,42 +257,34 @@ def sample_max_distribution(model: Ar1Model, cfg: McConfig) -> McResult:
     return sample_max_sweep(model.n, [model.rho], cfg, model.sigma)[0]
 
 
-def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square-root factor L with L @ L.T = cov (PSD tolerant)."""
-    vals, vecs = np.linalg.eigh(cov)
-    scale = max(1.0, float(vals[-1]))
-    if vals[0] < -_PSD_TOL * scale:
-        raise NotPsdError(
-            f"covariance is not positive semidefinite "
-            f"(min eigenvalue {vals[0]:.3e})"
-        )
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+def sample_dag_max(mu, sigma, src, dst, cfg: McConfig) -> McResult:
+    """Longest source-to-sink path delays of a DAG with independent normal
+    edge delays.
 
-
-def sample_multivariate_max(cov, cfg: McConfig, mean=None) -> McResult:
-    """Maxima of correlated Gaussian vectors with the given covariance.
-
-    Components have the given ``mean`` (default zero) and covariance
-    ``cov``; sampling goes through a PSD-tolerant matrix square root of
-    IID standard normals.
+    Edge k runs from node ``src[k]`` to node ``dst[k]`` with delay
+    N(mu[k], sigma[k]^2).  Nodes are numbered in a topological order of a
+    graph with one source and one sink, so ``src[k] < dst[k]``, node 0 is
+    the source and the highest-numbered node is the sink.  Column k of
+    ``_chunk_uniforms`` feeds edge k.  Arrival times start at 0 at the
+    source, and edges are relaxed in order of their source node, which
+    costs O(reps * edges) and needs no path enumeration.
     """
-    c = np.asarray(cov, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DomainError(f"cov must be a square matrix (got shape {c.shape})")
-    if not np.allclose(c, c.T, rtol=0.0, atol=_PSD_TOL * max(1.0, np.abs(c).max())):
-        raise DomainError("cov must be symmetric")
-    n = c.shape[0]
-    m = np.zeros(n) if mean is None else np.asarray(mean, dtype=float)
-    if m.shape != (n,):
-        raise DomainError(f"mean must have shape ({n},) (got {m.shape})")
-    factor_t = _psd_sqrt((c + c.T) / 2.0).T
-
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
+    if not np.all(src < dst):
+        raise DomainError("nodes must be numbered so that src < dst on every edge")
+    order = [(k, int(src[k]), int(dst[k])) for k in np.argsort(src, kind="stable")]
     samples = np.empty(cfg.reps, dtype=float)
 
     def fill(start, stop):
-        z = std_normal_quantile(_chunk_uniforms(cfg.seed, start, stop, n))
-        x = z @ factor_t + m
-        samples[start:stop] = x.max(axis=1)
+        u = _chunk_uniforms(cfg.seed, start, stop, len(mu))
+        d = (mu + sigma * std_normal_quantile(u)).T
+        arrival = np.full((int(dst.max()) + 1, stop - start), -np.inf)
+        arrival[0] = 0.0
+        for k, a, b in order:
+            np.maximum(arrival[b], arrival[a] + d[k], out=arrival[b])
+        samples[start:stop] = arrival[-1]
 
     _run_chunked(cfg.reps, cfg.workers, fill)
     return empirical_stats(samples)

@@ -135,6 +135,18 @@ class TestMc:
         assert run(["mc", "--n", "10", "--rho-sweep", "0.5:0.1:0.1",
                     "--seed", "1"] + base) == 2
 
+    @pytest.mark.parametrize("spec", [
+        "0:10000:1",   # 10,001 points, one past the bound
+        "0:1:1e-9",
+        "0:inf:0.1",
+        "nan:1:0.1",
+        "0:1:nan",
+    ])
+    def test_sweep_point_bound(self, tmp_path, spec):
+        # Every spec here is rejected before any list is built.
+        assert run(["mc", "--n", "10", "--rho-sweep", spec, "--seed", "1",
+                    "--outdir", str(tmp_path)]) == 2
+
 
 class TestGraph:
     def test_paths_listing(self, tmp_path, graphs_dir, capsys):

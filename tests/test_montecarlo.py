@@ -12,8 +12,6 @@ from corrmax import (
     EmptyInput,
     McConfig,
     NonIidConfig,
-    NotPsdError,
-    ar1_epsilon,
     dkw_band_halfwidth,
     ecdf_values,
     empirical_stats,
@@ -21,9 +19,9 @@ from corrmax import (
     non_iid_experiment,
     rep_rng,
     sample_ar1_chain,
+    sample_dag_max,
     sample_max_distribution,
     sample_max_sweep,
-    sample_multivariate_max,
     std_normal_quantile,
 )
 from corrmax.montecarlo import (
@@ -188,52 +186,35 @@ class TestSampleMaxSweep:
             sample_max_sweep(10, [0.5, 1.5], McConfig(seed=1, reps=10))
 
 
-class TestSampleMultivariateMax:
-    def test_identity_cov_matches_exact_law_mean(self):
-        cfg = McConfig(seed=21, reps=10_000)
-        res = sample_multivariate_max(np.eye(25), cfg)
-        mean, _ = exact_iid_max_moments(25)
-        assert abs(res.mean - mean) < 3.0 * res.stderr
+def _complete_dag(n_nodes: int):
+    """Every edge i -> j with i < j, nodes numbered topologically."""
+    pairs = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
+    src = [i for i, _ in pairs]
+    dst = [j for _, j in pairs]
+    mu = [1.0 + 0.1 * (k % 3) for k in range(len(pairs))]
+    sigma = [0.05 + 0.02 * (k % 5) for k in range(len(pairs))]
+    return mu, sigma, src, dst
 
-    def test_rank_one_cov_gives_standard_normal_maxima(self):
-        cfg = McConfig(seed=22, reps=10_000)
-        res = sample_multivariate_max(np.ones((8, 8)), cfg)
-        assert abs(res.mean) < 3.0 * res.stderr
-        assert res.std == pytest.approx(1.0, abs=0.05)
 
-    def test_agrees_with_ar1_sampler(self):
-        """Two independent samplers of the same law: KS distance within a
-        99% two-sample band."""
-        n, rho, reps = 50, 0.5, 10_000
-        cov = ar1_epsilon(n, rho).entries + np.eye(n)
-        r1 = sample_multivariate_max(cov, McConfig(seed=31, reps=reps))
-        r2 = sample_max_distribution(
-            Ar1Model(n=n, rho=rho), McConfig(seed=77, reps=reps)
+class TestSampleDagMax:
+    def test_workers_do_not_change_samples(self):
+        mu, sigma, src, dst = _complete_dag(6)
+        r1 = sample_dag_max(mu, sigma, src, dst, McConfig(seed=9, reps=2500, workers=1))
+        r2 = sample_dag_max(mu, sigma, src, dst, McConfig(seed=9, reps=2500, workers=2))
+        np.testing.assert_array_equal(r1.samples, r2.samples)
+
+    def test_zero_sigma_gives_longest_mean(self):
+        # paths 0-1-2-3 (mean 4.5), 0-2-3 (4.0), 0-3 (4.25)
+        res = sample_dag_max(
+            [1.0, 2.0, 1.5, 2.5, 4.25], [0.0] * 5,
+            [0, 1, 2, 0, 0], [1, 2, 3, 2, 3], McConfig(seed=3, reps=1500),
         )
-        grid = np.sort(np.concatenate([r1.ecdf, r2.ecdf]))
-        d = np.max(
-            np.abs(ecdf_values(r1.ecdf, grid) - ecdf_values(r2.ecdf, grid))
-        )
-        assert d < 1.628 * np.sqrt(2.0 / reps)
+        np.testing.assert_array_equal(res.samples, np.full(1500, 4.5))
 
-    def test_mean_parameter_shifts_samples(self):
-        cfg = McConfig(seed=5, reps=500)
-        base = sample_multivariate_max(np.eye(3), cfg)
-        shifted = sample_multivariate_max(np.eye(3), cfg, mean=[10.0, 0.0, 0.0])
-        assert shifted.mean > base.mean + 5.0
-
-    def test_rejects_non_psd(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(NotPsdError):
-            sample_multivariate_max(bad, McConfig(seed=1, reps=10))
-
-    def test_rejects_bad_shapes(self):
+    def test_rejects_non_topological_numbering(self):
         with pytest.raises(DomainError):
-            sample_multivariate_max(np.zeros((2, 3)), McConfig(seed=1, reps=10))
-        with pytest.raises(DomainError):
-            sample_multivariate_max(
-                np.eye(2), McConfig(seed=1, reps=10), mean=[0.0]
-            )
+            sample_dag_max([1.0, 1.0], [0.1, 0.1], [0, 2], [2, 1],
+                           McConfig(seed=1, reps=10))
 
 
 class TestEmpiricalStats:

@@ -22,7 +22,9 @@ from corrmax import (
     normalize_source_sink,
     parse_graph,
     path_covariance,
+    std_normal_quantile,
 )
+from corrmax.montecarlo import _chunk_uniforms
 from conftest import cascade64_text
 
 # Unit-diagonal covariance of the four paths of the shared-edge example
@@ -322,3 +324,66 @@ class TestGraphDelayAnalysis:
         g = parse_graph(cascade64_text())
         with pytest.raises(PathExplosionError):
             graph_delay_analysis(g, McConfig(seed=1, reps=10), cap=8)
+
+
+def _edge_params(g: TimingGraph) -> tuple[np.ndarray, np.ndarray]:
+    mu = np.array([e.mu for e in g.edges])
+    sigma = np.array([e.sigma for e in g.edges])
+    return mu, sigma
+
+
+def _enumerated_max(g: TimingGraph, seed: int, reps: int) -> np.ndarray:
+    """Max over enumerated paths of the left-to-right sums of the edge delays
+    that the stream gives the normalized graph's edges (column k, edge k)."""
+    norm = normalize_source_sink(g)
+    mu, sigma = _edge_params(norm)
+    d = mu + sigma * std_normal_quantile(_chunk_uniforms(seed, 0, reps, len(mu)))
+    sums = [np.add.accumulate(d[:, list(p)], axis=1)[:, -1]
+            for p in enumerate_paths(norm).paths]
+    return np.max(sums, axis=0)
+
+
+class TestGraphMonteCarlo:
+    @pytest.mark.parametrize("name", [
+        "shared_nodes_7", "diamond", "block8", "cascade64",
+    ])
+    def test_equals_max_over_enumerated_paths(self, graphs_dir, name):
+        g = load_graph(graphs_dir / f"{name}.txt")
+        mc = graph_delay_analysis(g, McConfig(seed=13, reps=2500)).mc
+        np.testing.assert_array_equal(mc.samples, _enumerated_max(g, 13, 2500))
+
+    @pytest.mark.parametrize("text", [
+        "a t 1 0.1\nb t 1 0.1\n",
+        "a c 1 0.1\nb c 1.2 0.2\nc d 0.5 0.1\nc e 0.7 0.3\n",
+    ])
+    def test_virtual_edges_take_their_stream_columns(self, text):
+        g = parse_graph(text)
+        assert len(normalize_source_sink(g).edges) > len(g.edges)
+        mc = graph_delay_analysis(g, McConfig(seed=17, reps=1500)).mc
+        np.testing.assert_array_equal(mc.samples, _enumerated_max(g, 17, 1500))
+
+    def test_workers_do_not_change_samples(self):
+        g = parse_graph(cascade64_text())
+        r1 = graph_delay_analysis(g, McConfig(seed=19, reps=2500, workers=1)).mc
+        r2 = graph_delay_analysis(g, McConfig(seed=19, reps=2500, workers=2)).mc
+        np.testing.assert_array_equal(r1.samples, r2.samples)
+
+    def test_law_matches_independent_path_sampler(self):
+        """Edge normals from another generator, summed per enumerated path
+        by a matrix product: two-sample KS distance within the 99% band."""
+        reps = 10_000
+        g = parse_graph(cascade64_text())
+        mc = graph_delay_analysis(g, McConfig(seed=23, reps=reps)).mc
+        mu, sigma = _edge_params(g)
+        incidence = np.zeros((64, len(mu)))
+        for i, path in enumerate(enumerate_paths(g).paths):
+            incidence[i, list(path)] = 1.0
+        rng = np.random.default_rng(29)
+        d = mu + sigma * rng.standard_normal((reps, len(mu)))
+        ref = np.sort((d @ incidence.T).max(axis=1))
+        grid = np.concatenate([mc.ecdf, ref])
+        ks = np.max(np.abs(
+            np.searchsorted(mc.ecdf, grid, side="right") / reps
+            - np.searchsorted(ref, grid, side="right") / reps
+        ))
+        assert ks < 1.628 * np.sqrt(2.0 / reps)
