@@ -24,8 +24,6 @@ from .errors import (
     PathExplosionError,
 )
 from .normal import (
-    erf,
-    iid_normal_pdf,
     phi_kernel,
     std_normal_cdf,
     std_normal_pdf,

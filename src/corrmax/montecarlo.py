@@ -7,11 +7,10 @@ identical for any worker count or chunking.  ``rep_rng`` and
 samplers read it through ``_chunk_uniforms``, which builds one Philox per
 chunk of repetitions and ``advance``s its counter from one repetition's
 block to the next; its output is bitwise equal to the per-repetition
-definition.  Normal variates are produced by inverse-CDF transform of
-open-interval uniforms through ``std_normal_quantile``, so the sampler and
-the analytic layer share one definition of the Gaussian CDF.  A rho-sweep
-uses common random numbers: each chunk's normals are drawn once and every
-rho runs its recurrence on them.
+definition.  Normal variates are ``std_normal_quantile`` (``ndtri``) of
+open-interval uniforms, the same inverse CDF the analytic layer uses for
+its scaling constants.  A rho-sweep uses common random numbers: each
+chunk's normals are drawn once and every rho runs its recurrence on them.
 """
 from __future__ import annotations
 
@@ -94,15 +93,18 @@ class McConfig:
 class McResult:
     """Maximum samples plus summary statistics.
 
-    ``ecdf`` is the sorted view of ``samples``; ``histogram`` is an
-    equal-width (bin_edges, counts) pair.
+    ``histogram`` is an equal-width (bin_edges, counts) pair.
     """
 
     samples: np.ndarray
     mean: float
     std: float
-    ecdf: np.ndarray
     histogram: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def ecdf(self) -> np.ndarray:
+        """``samples`` sorted ascending, computed on each access."""
+        return np.sort(self.samples)
 
     @property
     def stderr(self) -> float:
@@ -143,8 +145,8 @@ class NonIidConfig:
                 f"sigma - delta_sigma must stay positive "
                 f"(got {self.sigma} - {self.delta_sigma})"
             )
-        if self.reps < 1:
-            raise DomainError(f"reps must be >= 1 (got {self.reps})")
+        # seed, reps and workers obey the same rules as for every sampler.
+        McConfig(seed=self.seed, reps=self.reps, workers=self.workers)
 
 
 def rep_rng(seed: int, rep: int, stream: int = 0) -> np.random.Generator:
@@ -291,7 +293,7 @@ def sample_dag_max(mu, sigma, src, dst, cfg: McConfig) -> McResult:
 
 
 def empirical_stats(samples, bins: int | None = None) -> McResult:
-    """Summary statistics: mean, unbiased std, sorted ECDF, histogram.
+    """Summary statistics: mean, unbiased std, histogram.
 
     ``bins`` is the number of equal-width bins over [min, max]; when
     omitted, the Freedman-Diaconis rule decides, or Sturges' rule when
@@ -309,13 +311,7 @@ def empirical_stats(samples, bins: int | None = None) -> McResult:
         fd_width = 2.0 * iqr * arr.size ** (-1.0 / 3.0)
         bins = "sturges" if fd_width and np.ptp(arr) / fd_width > _MAX_BINS else "fd"
     counts, edges = np.histogram(arr, bins=bins)
-    return McResult(
-        samples=arr,
-        mean=mean,
-        std=std,
-        ecdf=np.sort(arr),
-        histogram=(edges, counts),
-    )
+    return McResult(samples=arr, mean=mean, std=std, histogram=(edges, counts))
 
 
 def non_iid_experiment(cfg: NonIidConfig) -> list[tuple[int, float, float]]:

@@ -1,28 +1,28 @@
-"""Standard-normal special functions.
+"""Standard-normal special functions: domain-checked calls into
+``scipy.special``.
 
 Everything downstream (extreme-value scaling constants, corrected
-distributions, the Monte Carlo sampler) is built on the functions in this
-module, so they all share one definition of the Gaussian CDF.
+distributions, the Monte Carlo sampler) calls the functions in this
+module, so they all share one definition of the Gaussian CDF and its
+inverse.
 
 Conventions: ``phi_kernel`` is the unnormalized kernel e^(-x^2/2); the
 normalized density is ``phi_kernel(x) / sqrt(2*pi)``.  The CDF is evaluated
 through the complementary error function, which stays accurate deep into
-the lower tail.
+the lower tail; the quantile is ``ndtri``.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy import special
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DomainError
 
 __all__ = [
     "phi_kernel",
-    "erf",
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
-    "iid_normal_pdf",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -45,13 +45,6 @@ def phi_kernel(x):
     return _match_input(np.exp(-0.5 * arr * arr), np.isscalar(x))
 
 
-def erf(x):
-    """Error function (2/sqrt(pi)) * integral of e^(-t^2) from 0 to x."""
-    arr = np.asarray(x, dtype=float)
-    _validate_finite(arr, "x")
-    return _match_input(special.erf(arr), np.isscalar(x))
-
-
 def std_normal_cdf(x):
     """Standard normal CDF Phi(x) = (1/2)[1 + erf(x/sqrt(2))].
 
@@ -72,11 +65,10 @@ def std_normal_pdf(x):
 
 
 def std_normal_quantile(p):
-    """Inverse of the standard normal CDF.
+    """Inverse of the standard normal CDF, ``scipy.special.ndtri``.
 
-    A library inverse provides the starting point; two Newton steps against
-    this module's own ``std_normal_cdf`` polish it so that
-    |Phi(result) - p| <= 1e-14.
+    On the open uniforms the samplers feed it, |Phi(result) - p| <= 1e-14
+    and the result is strictly increasing in p.
 
     Raises:
         DomainError: if any p is outside the open interval (0, 1).
@@ -84,36 +76,4 @@ def std_normal_quantile(p):
     arr = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("p must lie strictly inside (0, 1)")
-    x = special.ndtri(arr)
-    # Newton polish: x -= (Phi(x) - p)/pdf(x).  Skipped where the density
-    # underflows (|x| ~ 38.5); there ndtri already saturates float accuracy.
-    for _ in range(2):
-        dens = np.exp(-0.5 * x * x) / _SQRT2PI
-        step = np.where(dens > 0.0, (0.5 * special.erfc(-x / _SQRT2) - arr), 0.0)
-        x = x - np.clip(step / np.where(dens > 0.0, dens, 1.0), -1.0, 1.0)
-    return _match_input(x, np.isscalar(p))
-
-
-def iid_normal_pdf(r, mu, sigma) -> float:
-    """Joint density of independent normals: product of the marginals.
-
-    Parameters
-    ----------
-    r, mu, sigma : 1-D array_like of equal length
-        Evaluation point, means, and standard deviations (all > 0).
-    """
-    rv = np.atleast_1d(np.asarray(r, dtype=float))
-    mv = np.atleast_1d(np.asarray(mu, dtype=float))
-    sv = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if not (rv.shape == mv.shape == sv.shape) or rv.ndim != 1:
-        raise DimensionMismatch(
-            f"r, mu, sigma must be 1-D and equal length "
-            f"(got {rv.shape}, {mv.shape}, {sv.shape})"
-        )
-    _validate_finite(rv, "r")
-    _validate_finite(mv, "mu")
-    _validate_finite(sv, "sigma")
-    if np.any(sv <= 0.0):
-        raise DomainError("all sigma entries must be positive")
-    z = (rv - mv) / sv
-    return float(np.prod(np.exp(-0.5 * z * z) / (_SQRT2PI * sv)))
+    return _match_input(special.ndtri(arr), np.isscalar(p))

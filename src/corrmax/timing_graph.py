@@ -21,11 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrections import (
-    EpsilonMatrix,
     ValidityReport,
     corrected_cdf,
     corrected_pdf,
-    correlation_sum,
     validity_check,
 )
 from .errors import (
@@ -364,7 +362,6 @@ class GraphAnalysis:
     path_means: np.ndarray
     path_stds: np.ndarray
     covariance: PathCovariance
-    epsilon: EpsilonMatrix | None
     s: float
     order: str
     nominal_mean: float
@@ -439,7 +436,7 @@ def graph_delay_analysis(
             pdf = np.zeros_like(z)
         return GraphAnalysis(
             n_paths=1, lengths=ps.lengths, path_means=means, path_stds=stds,
-            covariance=pc, epsilon=None, s=0.0, order=order,
+            covariance=pc, s=0.0, order=order,
             nominal_mean=mu_star, nominal_std=sigma_star, gumbel=None,
             z_grid=z, cdf=cdf, pdf=pdf, validity=None,
             analytic_mean=mu_star, mc=mc,
@@ -448,8 +445,12 @@ def graph_delay_analysis(
     if sigma_star <= 0.0:
         raise DomainError("critical path has zero delay variance")
 
-    eps = EpsilonMatrix.from_covariance(pc.matrix)
-    s_val = correlation_sum(eps).s
+    # Summing a zero-diagonal copy, not sum(cov) - P, keeps S bit for bit
+    # equal to the sum over the epsilon matrix.
+    eps = pc.matrix.copy()
+    np.fill_diagonal(eps, 0.0)
+    s_val = float(np.sum(eps))
+    max_abs_eps = float(np.max(np.abs(eps)))
     params = scaling_constants(n_paths)
     moments = gumbel_moments(params)
     z_std = np.linspace(
@@ -457,13 +458,13 @@ def graph_delay_analysis(
     )
     cdf = corrected_cdf(z_std, params, s_val, order)
     pdf = corrected_pdf(z_std, params, s_val, order) / sigma_star
-    validity = validity_check(params, s_val, eps, z_std, order=order)
+    validity = validity_check(params, s_val, max_abs_eps, z_std, order=order)
     analytic_mean = mu_star + sigma_star * _analytic_mean_std_units(
         params, s_val, order
     )
     return GraphAnalysis(
         n_paths=n_paths, lengths=ps.lengths, path_means=means, path_stds=stds,
-        covariance=pc, epsilon=eps, s=s_val, order=order,
+        covariance=pc, s=s_val, order=order,
         nominal_mean=mu_star, nominal_std=sigma_star, gumbel=params,
         z_grid=mu_star + sigma_star * z_std, cdf=cdf, pdf=pdf,
         validity=validity, analytic_mean=analytic_mean, mc=mc,

@@ -19,7 +19,7 @@ def graphs_dir() -> Path:
 
 
 def bisect_quantile(p: float, tol: float = 1e-14) -> float:
-    """Bisection inverse of the normal CDF; independent of the Newton path."""
+    """Bisection inverse of the normal CDF; independent of ``ndtri``."""
     lo, hi = -40.0, 40.0
     while hi - lo > 1e-16 * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)

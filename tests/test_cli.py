@@ -185,6 +185,16 @@ class TestGraph:
         assert doc["mc"]["count"] == 1000
         assert "mc_mean_gap" in doc and "validity" in doc
 
+    def test_fully_correlated_paths_exit_2(self, tmp_path):
+        """Two paths that share their only random edge correlate with
+        |eps| = 1, outside the expansion's domain: no data file is written."""
+        g = tmp_path / "full.txt"
+        g.write_text("s m 1 0.5\nm a 1 0\nm b 1 0\na t 1 0\nb t 1 0\n")
+        out = tmp_path / "out"
+        assert run(["graph", "analyze", str(g), "--reps", "100",
+                    "--outdir", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
     def test_parse_errors_exit_3(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("a a 1 0.1\n")
@@ -221,6 +231,11 @@ class TestNonIid:
         assert run(["noniid", "--n-grid", "10", "--sigma", "0.5",
                     "--delta-sigma", "0.9", "--seed", "1"] + base) == 2
         assert run(["noniid", "--n-grid", "ten", "--seed", "1"] + base) == 2
+        assert run(["noniid", "--n-grid", "10", "--seed", "-1"] + base) == 2
+        assert run(["noniid", "--n-grid", "10", "--seed", "1",
+                    "--workers", "0"] + base) == 2
+        assert run(["noniid", "--n-grid", "10",
+                    "--seed", str(2**64)] + base) == 2
 
 
 class TestEnvironment:

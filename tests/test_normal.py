@@ -5,17 +5,15 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from corrmax import (
-    DimensionMismatch,
     DomainError,
-    erf,
-    iid_normal_pdf,
     phi_kernel,
     std_normal_cdf,
     std_normal_quantile,
 )
+from corrmax.montecarlo import _chunk_uniforms
 from conftest import bisect_quantile
 
 
@@ -49,36 +47,6 @@ class TestPhiKernel:
             phi_kernel(float("inf"))
 
 
-class TestErf:
-    def test_zero(self):
-        assert erf(0.0) == 0.0
-
-    def test_odd_function(self):
-        x = np.linspace(0.0, 6.0, 61)
-        np.testing.assert_allclose(erf(-x), -erf(x), rtol=0, atol=0)
-
-    def test_value_at_one_vs_quadrature(self):
-        # adaptive quadrature of the defining integral (2/sqrt(pi)) e^(-t^2)
-        oracle, err = integrate.quad(
-            lambda t: 2.0 / np.sqrt(np.pi) * np.exp(-t * t), 0.0, 1.0
-        )
-        assert err < 1e-12
-        assert erf(1.0) == pytest.approx(oracle, abs=1e-13)
-
-    def test_strictly_increasing_and_bounded(self):
-        """In float64, erf saturates to exactly +-1.0 beyond |x| ~ 5.86;
-        strict bounds and monotonicity are tested on the representable range.
-        """
-        x = np.linspace(-5.8, 5.8, 301)
-        y = erf(x)
-        assert np.all(np.diff(y) > 0.0)
-        assert np.all(np.abs(y) < 1.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(DomainError):
-            erf(float("nan"))
-
-
 class TestStdNormalCdf:
     def test_symmetry_point(self):
         assert std_normal_cdf(0.0) == 0.5
@@ -100,7 +68,7 @@ class TestStdNormalCdf:
     def test_erf_identity(self):
         x = np.linspace(-8.0, 8.0, 161)
         lhs = std_normal_cdf(x)
-        rhs = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        rhs = 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=5e-16)
 
     def test_rejects_nan(self):
@@ -131,6 +99,15 @@ class TestStdNormalQuantile:
         back = std_normal_cdf(std_normal_quantile(p))
         np.testing.assert_allclose(back, p, rtol=0, atol=1e-12)
 
+    def test_contract_on_sampler_uniforms(self):
+        """The documented accuracy and monotonicity on one chunk of the
+        samplers' own open uniforms (1024 repetitions x 1000 columns)."""
+        u = np.unique(_chunk_uniforms(42, 0, 1024, 1000))
+        assert u.size > 1_000_000
+        q = std_normal_quantile(u)
+        assert np.max(np.abs(std_normal_cdf(q) - u)) <= 1e-14
+        assert np.all(np.diff(q) > 0.0)
+
     def test_strictly_increasing(self):
         p = np.concatenate(
             [np.logspace(-12, -0.31, 150), 1.0 - np.logspace(-12, -0.31, 150)[::-1]]
@@ -142,44 +119,3 @@ class TestStdNormalQuantile:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             std_normal_quantile(bad)
-
-
-class TestIidNormalPdf:
-    def test_single_standard(self):
-        # 1/sqrt(2*pi) via high-precision constants
-        getcontext().prec = 40
-        pi = Decimal("3.141592653589793238462643383279502884197")
-        oracle = float(1 / (2 * pi).sqrt())
-        assert iid_normal_pdf([0.0], [0.0], [1.0]) == pytest.approx(
-            oracle, abs=1e-16
-        )
-
-    def test_product_of_two(self):
-        one = iid_normal_pdf([0.0], [0.0], [1.0])
-        two = iid_normal_pdf([0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
-        assert two == pytest.approx(one * one, rel=1e-15)
-
-    def test_nonpositive_sigma(self):
-        with pytest.raises(DomainError):
-            iid_normal_pdf([0.0, 1.0], [0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(DomainError):
-            iid_normal_pdf([0.0], [0.0], [-1.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            iid_normal_pdf([0.0, 1.0], [0.0], [1.0])
-
-    def test_integrates_to_one_1d(self):
-        val, err = integrate.quad(
-            lambda x: iid_normal_pdf([x], [0.3], [1.7]), -10.0 * 1.7, 10.0 * 1.7,
-            limit=200,
-        )
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_shifted_scaled(self):
-        # against the explicit formula at a generic point
-        x, mu, sig = 1.3, -0.4, 2.1
-        expect = np.exp(-0.5 * ((x - mu) / sig) ** 2) / (
-            np.sqrt(2 * np.pi) * sig
-        )
-        assert iid_normal_pdf([x], [mu], [sig]) == pytest.approx(expect, rel=1e-14)
