@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -86,9 +87,46 @@ def _outdir(args) -> Path:
     return out
 
 
+def _dump_json(obj, fh, indent: str = "") -> None:
+    """Write to ``fh`` the bytes json writes with ``indent=2, sort_keys=True``.
+
+    Keys must be ``str``.  NumPy arrays are written as nested lists, one
+    row at a time.  A row of finite Python floats is formatted in a single
+    join of ``float.__repr__``, json's own format for finite floats;
+    everything else goes through ``json.dumps`` or the recursion.
+    """
+    if isinstance(obj, np.ndarray) and obj.ndim == 1:
+        obj = obj.tolist()
+    if not isinstance(obj, (dict, list, tuple, np.ndarray)):
+        fh.write(json.dumps(obj))
+        return
+    if len(obj) == 0:
+        fh.write("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("JSON object keys must be str")
+        brackets, items = "{}", [(json.dumps(k) + ": ", obj[k]) for k in sorted(obj)]
+    # A finite sum proves every item finite; an overflowing one only sends
+    # the row down the slower, equally exact path.
+    elif set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+        rows = sep.join(map(float.__repr__, obj))
+        fh.write("[\n" + inner + rows + "\n" + indent + "]")
+        return
+    else:
+        brackets, items = "[]", [("", item) for item in obj]
+    fh.write(brackets[0] + "\n" + inner)
+    for i, (key, item) in enumerate(items):
+        fh.write((sep if i else "") + key)
+        _dump_json(item, fh, inner)
+    fh.write("\n" + indent + brackets[1])
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        _dump_json(obj, fh)
         fh.write("\n")
 
 
@@ -301,9 +339,9 @@ def _cmd_graph(args) -> int:
     doc = {
         "n_paths": analysis.n_paths,
         "lengths": list(analysis.lengths),
-        "path_means": analysis.path_means.tolist(),
-        "path_stds": analysis.path_stds.tolist(),
-        "covariance": analysis.covariance.matrix.tolist(),
+        "path_means": analysis.path_means,
+        "path_stds": analysis.path_stds,
+        "covariance": analysis.covariance.matrix,
         "s": analysis.s,
         "order": analysis.order,
         "nominal_mean": analysis.nominal_mean,
@@ -313,9 +351,9 @@ def _cmd_graph(args) -> int:
             "alpha": analysis.gumbel.alpha,
             "beta": analysis.gumbel.beta,
         },
-        "z": analysis.z_grid.tolist(),
-        "cdf": analysis.cdf.tolist(),
-        "pdf": analysis.pdf.tolist(),
+        "z": analysis.z_grid,
+        "cdf": analysis.cdf,
+        "pdf": analysis.pdf,
         "validity": None if analysis.validity is None
         else _validity_dict(analysis.validity),
         "analytic_mean": analysis.analytic_mean,

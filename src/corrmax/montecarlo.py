@@ -5,12 +5,12 @@ stream that is a pure function of (seed, r), so results are bitwise
 identical for any worker count or chunking.  ``rep_rng`` and
 ``_open_uniform`` are the reference definition of that stream.  The
 samplers read it through ``_chunk_uniforms``, which builds one Philox per
-chunk of repetitions and ``advance``s its counter from one repetition's
-block to the next; its output is bitwise equal to the per-repetition
-definition.  Normal variates are ``std_normal_quantile`` (``ndtri``) of
-open-interval uniforms, the same inverse CDF the analytic layer uses for
-its scaling constants.  A rho-sweep uses common random numbers: each
-chunk's normals are drawn once and every rho runs its recurrence on them.
+chunk of repetitions and sets its counter to each repetition's start in
+turn; its output is bitwise equal to the per-repetition definition.
+Normal variates are ``std_normal_quantile`` (``ndtri``) of open-interval
+uniforms, the same inverse CDF the analytic layer uses for its scaling
+constants.  A rho-sweep uses common random numbers: each chunk's normals
+are drawn once and every rho runs its recurrence on them.
 """
 from __future__ import annotations
 
@@ -167,20 +167,21 @@ def _chunk_uniforms(seed: int, start: int, stop: int, width: int,
     Row r - start equals ``_open_uniform(rep_rng(seed, r, stream), width)``
     bit for bit.  Repetition r's stream starts at counter
     ``(stream << 192) | (r << 128)`` and uses ceil(width/4) four-word
-    blocks, so one Philox serves the chunk: after each row its counter is
-    advanced to the next repetition's start.
+    blocks, so one Philox serves the chunk: before each row its state is
+    reset to a fresh Philox's, empty buffer included, with the counter's
+    third word set to r.
     """
     blocks = -(-width // 4)
-    bitgen = np.random.Philox(
-        key=int(seed), counter=(int(stream) << 192) | (int(start) << 128)
-    )
+    bitgen = np.random.Philox(key=int(seed), counter=int(stream) << 192)
+    state = bitgen.state
     u = np.empty((stop - start, width), dtype=float)
-    for row in u:
+    for r, row in enumerate(u, start):
+        state["state"]["counter"][2] = r
+        bitgen.state = state
         # integers(0, 2**53) on a 64-bit word is the word's top 53 bits.
         raw = bitgen.random_raw(4 * blocks)
         raw >>= 11
         row[:] = raw[:width]
-        bitgen.advance(2**128 - blocks)
     u += 0.5
     u *= 2.0**-53
     return u

@@ -416,14 +416,6 @@ def graph_delay_analysis(
     mu_star = float(means[nominal_idx])
     sigma_star = float(stds[nominal_idx])
 
-    # Stream column k feeds edge k of the normalized graph.
-    position = {v: i for i, v in enumerate(norm._topological_order())}
-    mc = sample_dag_max(
-        [e.mu for e in norm.edges], [e.sigma for e in norm.edges],
-        [position[e.src] for e in norm.edges], [position[e.dst] for e in norm.edges],
-        cfg,
-    )
-
     if n_paths == 1:
         z = np.linspace(mu_star - 8.0 * sigma_star, mu_star + 8.0 * sigma_star, z_steps) \
             if sigma_star > 0 else np.linspace(mu_star - 1.0, mu_star + 1.0, z_steps)
@@ -434,38 +426,41 @@ def graph_delay_analysis(
         else:
             cdf = (z >= mu_star).astype(float)
             pdf = np.zeros_like(z)
-        return GraphAnalysis(
-            n_paths=1, lengths=ps.lengths, path_means=means, path_stds=stds,
-            covariance=pc, s=0.0, order=order,
-            nominal_mean=mu_star, nominal_std=sigma_star, gumbel=None,
-            z_grid=z, cdf=cdf, pdf=pdf, validity=None,
-            analytic_mean=mu_star, mc=mc,
+        s_val, params, validity, analytic_mean = 0.0, None, None, mu_star
+    else:
+        if sigma_star <= 0.0:
+            raise DomainError("critical path has zero delay variance")
+        # Summing a zero-diagonal copy, not sum(cov) - P, keeps S bit for bit
+        # equal to the sum over the epsilon matrix.
+        eps = pc.matrix.copy()
+        np.fill_diagonal(eps, 0.0)
+        s_val = float(np.sum(eps))
+        max_abs_eps = float(np.max(np.abs(eps)))
+        params = scaling_constants(n_paths)
+        moments = gumbel_moments(params)
+        z_std = np.linspace(
+            moments.mean - 6.0 * moments.std, moments.mean + 8.0 * moments.std, z_steps
         )
+        cdf = corrected_cdf(z_std, params, s_val, order)
+        pdf = corrected_pdf(z_std, params, s_val, order) / sigma_star
+        validity = validity_check(params, s_val, max_abs_eps, z_std, order=order)
+        analytic_mean = mu_star + sigma_star * _analytic_mean_std_units(
+            params, s_val, order
+        )
+        z = mu_star + sigma_star * z_std
 
-    if sigma_star <= 0.0:
-        raise DomainError("critical path has zero delay variance")
-
-    # Summing a zero-diagonal copy, not sum(cov) - P, keeps S bit for bit
-    # equal to the sum over the epsilon matrix.
-    eps = pc.matrix.copy()
-    np.fill_diagonal(eps, 0.0)
-    s_val = float(np.sum(eps))
-    max_abs_eps = float(np.max(np.abs(eps)))
-    params = scaling_constants(n_paths)
-    moments = gumbel_moments(params)
-    z_std = np.linspace(
-        moments.mean - 6.0 * moments.std, moments.mean + 8.0 * moments.std, z_steps
-    )
-    cdf = corrected_cdf(z_std, params, s_val, order)
-    pdf = corrected_pdf(z_std, params, s_val, order) / sigma_star
-    validity = validity_check(params, s_val, max_abs_eps, z_std, order=order)
-    analytic_mean = mu_star + sigma_star * _analytic_mean_std_units(
-        params, s_val, order
+    # Sample last, so that input the checks above reject costs no MC.
+    # Stream column k feeds edge k of the normalized graph.
+    position = {v: i for i, v in enumerate(norm._topological_order())}
+    mc = sample_dag_max(
+        [e.mu for e in norm.edges], [e.sigma for e in norm.edges],
+        [position[e.src] for e in norm.edges], [position[e.dst] for e in norm.edges],
+        cfg,
     )
     return GraphAnalysis(
         n_paths=n_paths, lengths=ps.lengths, path_means=means, path_stds=stds,
         covariance=pc, s=s_val, order=order,
         nominal_mean=mu_star, nominal_std=sigma_star, gumbel=params,
-        z_grid=mu_star + sigma_star * z_std, cdf=cdf, pdf=pdf,
+        z_grid=z, cdf=cdf, pdf=pdf,
         validity=validity, analytic_mean=analytic_mean, mc=mc,
     )

@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from corrmax.cli import main
+from corrmax.cli import _write_json, main
 from conftest import cascade64_text
 
 
@@ -250,3 +252,62 @@ class TestEnvironment:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) \
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308])
+_SCALARS = _FLOATS | st.integers() | st.booleans() | st.none() | st.text()
+_ARRAYS = arrays(
+    np.float64, st.one_of(st.tuples(st.integers(0, 6)),
+                          st.tuples(st.integers(0, 4), st.integers(0, 4))),
+    elements=_FLOATS,
+)
+_DOCS = st.recursive(
+    _SCALARS | _ARRAYS | st.lists(_FLOATS, min_size=1),
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+def _as_lists(doc):
+    """The document json itself accepts: every array as its ``tolist()``."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _as_lists(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(_as_lists(v) for v in doc)
+    return doc
+
+
+class TestJsonWriter:
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_DOCS)
+    def test_bytes_equal_stdlib_indented_dump(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        _write_json(path, doc)
+        expected = json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("doc", [{1: 2.0}, {"a": [{None: 1}]}])
+    def test_non_str_key_raises(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "doc.json", doc)
+
+    @pytest.mark.parametrize("args", [
+        ["graph", "analyze", "GRAPHS/cascade64.txt", "--reps", "1000"],
+        ["dist", "second", "--n", "100", "--rho", "0.3"],
+        ["mc", "--n", "50", "--rho", "0.35", "--seed", "3", "--reps", "2000"],
+    ])
+    def test_cli_files_equal_stdlib_format(self, tmp_path, graphs_dir, args):
+        """Every JSON file the CLI writes is json's own indented, key-sorted
+        rendering of what it parses to (floats round-trip through repr)."""
+        args = [a.replace("GRAPHS", str(graphs_dir)) for a in args]
+        assert run(args + ["--outdir", str(tmp_path)]) == 0
+        written = sorted(tmp_path.glob("*.json"))
+        assert len(written) == 2  # the data file and its manifest
+        for path in written:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

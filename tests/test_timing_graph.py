@@ -325,6 +325,18 @@ class TestGraphDelayAnalysis:
         with pytest.raises(PathExplosionError):
             graph_delay_analysis(g, McConfig(seed=1, reps=10), cap=8)
 
+    @pytest.mark.parametrize("text", [
+        "s m 1 0.5\nm a 1 0\nm b 1 0\na t 1 0\nb t 1 0\n",  # |eps| = 1
+        "s a 1 0\na t 1 0\ns b 1 0\nb t 1 0\n",  # zero variance
+    ])
+    def test_rejects_before_sampling(self, monkeypatch, text):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the input was checked")
+
+        monkeypatch.setattr("corrmax.timing_graph.sample_dag_max", no_sampling)
+        with pytest.raises(DomainError):
+            graph_delay_analysis(parse_graph(text), McConfig(seed=1, reps=400_000))
+
 
 def _edge_params(g: TimingGraph) -> tuple[np.ndarray, np.ndarray]:
     mu = np.array([e.mu for e in g.edges])
