@@ -36,20 +36,14 @@ from .gumbel import (
     gumbel_cdf,
     gumbel_moments,
     gumbel_pdf,
-    iid_max_cdf,
     scaling_constants,
 )
 from .corrections import (
-    CorrelationSum,
     EpsilonMatrix,
     ValidityReport,
     ar1_correlation_sum,
-    ar1_epsilon,
-    char_fn_identity_check,
     corrected_cdf,
     corrected_pdf,
-    correlation_sum,
-    correlated_pdf_first_order,
     validity_check,
 )
 from .montecarlo import (
@@ -57,12 +51,9 @@ from .montecarlo import (
     McConfig,
     McResult,
     NonIidConfig,
-    dkw_band_halfwidth,
-    ecdf_values,
     empirical_stats,
     non_iid_experiment,
     rep_rng,
-    sample_ar1_chain,
     sample_dag_max,
     sample_max_distribution,
     sample_max_sweep,
@@ -70,7 +61,6 @@ from .montecarlo import (
 from .timing_graph import (
     Edge,
     GraphAnalysis,
-    PathCovariance,
     PathSet,
     TimingGraph,
     accumulated_delay_params,

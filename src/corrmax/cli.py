@@ -27,19 +27,19 @@ import numpy as np
 
 from . import __version__
 from .corrections import (
-    CorrelationSum,
     EpsilonMatrix,
     ar1_correlation_sum,
     corrected_cdf,
     corrected_pdf,
-    correlation_sum,
     validity_check,
     ORDERS,
 )
 from .errors import (
     CorrmaxError,
+    DimensionMismatch,
     DomainError,
     GraphError,
+    ParseError,
     PathExplosionError,
 )
 from .gumbel import scaling_constants
@@ -159,7 +159,10 @@ def _validity_dict(report) -> dict:
 def _load_epsilon(path: str) -> EpsilonMatrix:
     """Load an explicit matrix: zero diagonal taken as-is, unit diagonal
     treated as a covariance whose diagonal is stripped."""
-    m = np.loadtxt(path, delimiter=None, ndmin=2)
+    try:
+        m = np.loadtxt(path, delimiter=None, ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"malformed --eps-file {path}: {exc}") from exc
     diag = np.diag(m)
     if np.all(diag == 0.0):
         return EpsilonMatrix(entries=m)
@@ -183,13 +186,17 @@ def _cmd_dist(args) -> int:
 
     params = scaling_constants(args.n)
     if args.kind == "gumbel":
-        s, max_abs_eps = CorrelationSum(0.0), 0.0
+        s, max_abs_eps = 0.0, 0.0
         order = "first"  # any order: with S = 0 they all reduce to Gumbel
     else:
         order = args.kind
         if args.eps_file is not None:
             eps = _load_epsilon(args.eps_file)
-            s, max_abs_eps = correlation_sum(eps), eps.max_abs()
+            if eps.n != args.n:
+                raise DimensionMismatch(
+                    f"--eps-file matrix is {eps.n}x{eps.n}, but --n is {args.n}"
+                )
+            s, max_abs_eps = float(np.sum(eps.entries)), eps.max_abs()
         else:
             if args.rho is None:
                 print(
@@ -223,7 +230,7 @@ def _cmd_dist(args) -> int:
         "n": params.n,
         "alpha": params.alpha,
         "beta": params.beta,
-        "s": s.s,
+        "s": s,
         "clamped": bool(args.clamp),
         "validity": _validity_dict(report),
     })
@@ -318,13 +325,13 @@ def _cmd_graph(args) -> int:
 
     if args.action == "cov":
         ps = enumerate_paths(norm, cap=args.cap)
-        pc = path_covariance(ps, norm)
+        cov = path_covariance(ps, norm)
         prefix = args.out or f"{stem}_cov"
         csv_path = outdir / f"{prefix}.csv"
-        n = pc.matrix.shape[0]
+        n = cov.shape[0]
         with open(csv_path, "w") as fh:
             fh.write(",".join(f"path_{j}" for j in range(n)) + "\n")
-            for row in pc.matrix:
+            for row in cov:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
         _write_manifest(outdir / f"{prefix}.manifest.json", "graph", args, None)
         print(f"wrote {csv_path}")
@@ -341,7 +348,7 @@ def _cmd_graph(args) -> int:
         "lengths": list(analysis.lengths),
         "path_means": analysis.path_means,
         "path_stds": analysis.path_stds,
-        "covariance": analysis.covariance.matrix,
+        "covariance": analysis.covariance,
         "s": analysis.s,
         "order": analysis.order,
         "nominal_mean": analysis.nominal_mean,

@@ -28,24 +28,15 @@ from .gumbel import GumbelParams, _reduced, _TAIL_CLIP
 
 __all__ = [
     "EpsilonMatrix",
-    "CorrelationSum",
     "ValidityReport",
-    "ar1_epsilon",
     "ar1_correlation_sum",
-    "correlation_sum",
     "corrected_cdf",
     "corrected_pdf",
     "validity_check",
-    "correlated_pdf_first_order",
-    "char_fn_identity_check",
     "ORDERS",
 ]
 
 ORDERS = ("first", "second", "complete")
-
-# Oracle-scale limit for the explicit multivariate expansion; it exists to
-# validate the theory, not to evaluate high-dimensional densities.
-_EXPANSION_MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -91,13 +82,6 @@ class EpsilonMatrix:
 
 
 @dataclass(frozen=True)
-class CorrelationSum:
-    """The double sum S = sum_{i != j} eps_ij driving all corrections."""
-
-    s: float
-
-
-@dataclass(frozen=True)
 class ValidityReport:
     """Diagnostics for a corrected distribution on a z grid."""
 
@@ -109,31 +93,14 @@ class ValidityReport:
     z_violations: tuple[float, ...]
 
 
-def ar1_epsilon(n: int, rho: float) -> EpsilonMatrix:
-    """Epsilon matrix of an AR(1) chain: eps_ij = rho^|i-j| for i != j."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1 (got {n!r})")
-    if not (0.0 <= rho < 1.0):
-        raise DomainError(f"rho must lie in [0, 1) (got {rho})")
-    idx = np.arange(int(n))
-    e = np.asarray(rho, dtype=float) ** np.abs(idx[:, None] - idx[None, :])
-    np.fill_diagonal(e, 0.0)
-    return EpsilonMatrix(entries=e)
-
-
-def correlation_sum(eps: EpsilonMatrix) -> CorrelationSum:
-    """Sum all off-diagonal entries (the diagonal is zero by construction)."""
-    return CorrelationSum(s=float(np.sum(eps.entries)))
-
-
-def ar1_correlation_sum(n: int, rho: float) -> CorrelationSum:
+def ar1_correlation_sum(n: int, rho: float) -> float:
     """Closed form of sum_{i != j} rho^|i-j| without building the matrix.
 
     With q = rho and partial geometric sums over lag d = 1..n-1:
 
         S = 2 * [ n*(q - q^n)/(1 - q) - q*(1 - n q^(n-1) + (n-1) q^n)/(1-q)^2 ]
 
-    Equals ``correlation_sum(ar1_epsilon(n, rho))`` up to roundoff but runs
+    Equals the sum over the explicit n x n matrix up to roundoff but runs
     in O(1) memory, which matters for large n.
     """
     if int(n) != n or n < 1:
@@ -141,16 +108,12 @@ def ar1_correlation_sum(n: int, rho: float) -> CorrelationSum:
     if not (0.0 <= rho < 1.0):
         raise DomainError(f"rho must lie in [0, 1) (got {rho})")
     if rho == 0.0 or n == 1:
-        return CorrelationSum(s=0.0)
+        return 0.0
     q = float(rho)
     qn = q**n
     geo = (q - qn) / (1.0 - q)
     weighted = q * (1.0 - n * qn / q + (n - 1) * qn) / (1.0 - q) ** 2
-    return CorrelationSum(s=float(2.0 * (n * geo - weighted)))
-
-
-def _s_value(s) -> float:
-    return float(s.s) if isinstance(s, CorrelationSum) else float(s)
+    return float(2.0 * (n * geo - weighted))
 
 
 def _check_order(order: str) -> None:
@@ -158,7 +121,7 @@ def _check_order(order: str) -> None:
         raise DomainError(f"order must be one of {ORDERS} (got {order!r})")
 
 
-def _pieces(z, p: GumbelParams, s):
+def _pieces(z, p: GumbelParams, s: float):
     """Shared terms: reduced exponent w, Psi_N, and the correction x(z)."""
     arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -166,11 +129,11 @@ def _pieces(z, p: GumbelParams, s):
     t = _reduced(arr, p)
     w = np.exp(-np.maximum(t, _TAIL_CLIP))
     psi_cdf = np.exp(-w)
-    x = np.exp(-arr * arr) * (_s_value(s) / (4.0 * np.pi))
+    x = np.exp(-arr * arr) * (float(s) / (4.0 * np.pi))
     return arr, w, psi_cdf, x
 
 
-def corrected_cdf(z, p: GumbelParams, s, order: str = "first"):
+def corrected_cdf(z, p: GumbelParams, s: float, order: str = "first"):
     """Corrected CDF of the chosen order; reduces to the Gumbel CDF at S=0.
 
     Values are intentionally not clamped to [0, 1]: excursions outside the
@@ -188,7 +151,7 @@ def corrected_cdf(z, p: GumbelParams, s, order: str = "first"):
     return float(out) if np.isscalar(z) else out
 
 
-def corrected_pdf(z, p: GumbelParams, s, order: str = "first"):
+def corrected_pdf(z, p: GumbelParams, s: float, order: str = "first"):
     """Exact z-derivative of ``corrected_cdf`` for the same order."""
     _check_order(order)
     arr, w, psi_cdf, x = _pieces(z, p, s)
@@ -204,8 +167,8 @@ def corrected_pdf(z, p: GumbelParams, s, order: str = "first"):
 
 def validity_check(
     p: GumbelParams,
-    s,
-    eps,
+    s: float,
+    max_abs_eps: float,
     z_grid,
     order: str = "second",
     smallness_threshold: float = 0.3,
@@ -218,9 +181,6 @@ def validity_check(
     points where any check fails.  ``smallness_ok`` is a configurable
     trust marker on max |eps_ij| (default threshold 0.3), independent of
     the grid checks.
-
-    ``eps`` is an EpsilonMatrix, or directly the scalar max |eps_ij| for
-    correlation models whose matrix is never materialized.
     """
     grid = np.asarray(z_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -237,7 +197,7 @@ def validity_check(
     negative_pdf = pdf < -atol
 
     flagged = out_of_bounds | decreasing | negative_pdf
-    max_abs = eps.max_abs() if isinstance(eps, EpsilonMatrix) else float(eps)
+    max_abs = float(max_abs_eps)
     if not (0.0 <= max_abs < 1.0):
         raise DomainError(
             f"max |eps| must lie in [0, 1) (got {max_abs})"
@@ -250,61 +210,3 @@ def validity_check(
         pdf_nonnegative=not bool(np.any(negative_pdf)),
         z_violations=tuple(float(v) for v in grid[flagged]),
     )
-
-
-def correlated_pdf_first_order(r, eps: EpsilonMatrix) -> float:
-    """First-order joint density of weakly correlated standard normals.
-
-    Evaluates omega_0(r) * (1 + (1/2) * r^T eps r) with
-    omega_0(r) = (2*pi)^(-n/2) exp(-|r|^2/2).  Restricted to small
-    dimension: this is a test oracle for the expansion, not a production
-    density evaluator.
-    """
-    rv = np.atleast_1d(np.asarray(r, dtype=float))
-    if rv.ndim != 1 or rv.shape[0] != eps.n:
-        raise DimensionMismatch(
-            f"r must be a 1-D vector of length {eps.n} (got shape {rv.shape})"
-        )
-    if eps.n > _EXPANSION_MAX_DIM:
-        raise DomainError(
-            f"expansion oracle is limited to n <= {_EXPANSION_MAX_DIM} "
-            f"(got n = {eps.n})"
-        )
-    if not np.all(np.isfinite(rv)):
-        raise DomainError("r must be finite")
-    omega0 = (2.0 * np.pi) ** (-eps.n / 2.0) * np.exp(-0.5 * float(rv @ rv))
-    return float(omega0 * (1.0 + 0.5 * float(rv @ eps.entries @ rv)))
-
-
-def char_fn_identity_check(k, mu, sigma, i: int, j: int, h: float) -> float:
-    """Numerically verify the perturbation identity of the Gaussian
-    characteristic function.
-
-    Compares the central finite difference of chi(k) with respect to
-    eps_ij at eps = 0 against the analytic value
-    (1/2) d^2 chi_0 / dmu_i dmu_j = -(1/2) k_i k_j chi_0(k), and returns
-    the absolute discrepancy, which is O(h^2).
-    """
-    kv = np.atleast_1d(np.asarray(k, dtype=float))
-    mv = np.atleast_1d(np.asarray(mu, dtype=float))
-    sv = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if not (kv.shape == mv.shape == sv.shape) or kv.ndim != 1:
-        raise DimensionMismatch(
-            f"k, mu, sigma must be 1-D and equal length "
-            f"(got {kv.shape}, {mv.shape}, {sv.shape})"
-        )
-    if i == j:
-        raise DomainError("indices i and j must differ (eps_ii is fixed at 0)")
-    dim = kv.shape[0]
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise DomainError(f"indices must lie in [0, {dim}) (got i={i}, j={j})")
-    if np.any(sv <= 0.0):
-        raise DomainError("all sigma entries must be positive")
-    if not (1e-6 < h < 1e-3):
-        raise DomainError(f"step h must lie in (1e-6, 1e-3) (got {h})")
-
-    chi0 = np.exp(1j * np.dot(mv, kv) - 0.5 * np.dot(sv * sv, kv * kv))
-    kk = kv[i] * kv[j]
-    finite_diff = chi0 * (np.exp(-0.5 * h * kk) - np.exp(0.5 * h * kk)) / (2.0 * h)
-    analytic = -0.5 * kk * chi0
-    return float(abs(finite_diff - analytic))

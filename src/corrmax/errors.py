@@ -23,7 +23,8 @@ class GraphError(CorrmaxError):
 
 
 class ParseError(GraphError, ValueError):
-    """A graph file line or document could not be parsed."""
+    """A graph file, its JSON document or an ``--eps-file`` matrix could
+    not be parsed."""
 
 
 class CycleError(GraphError, ValueError):

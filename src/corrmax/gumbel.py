@@ -7,9 +7,6 @@ The location/scale constants are
 and the CDF of the maximum converges to
 
     Psi_N(z) = exp(-e^(-(z - alpha)/beta)).
-
-``iid_max_cdf`` additionally exposes the exact pre-asymptotic law Phi(z)^N,
-which quantifies how far a finite N is from the limit.
 """
 from __future__ import annotations
 
@@ -18,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .normal import phi_kernel, std_normal_cdf, std_normal_quantile
+from .normal import phi_kernel, std_normal_quantile
 
 __all__ = [
     "EULER_MASCHERONI",
@@ -28,7 +25,6 @@ __all__ = [
     "gumbel_cdf",
     "gumbel_pdf",
     "gumbel_moments",
-    "iid_max_cdf",
 ]
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -107,10 +103,3 @@ def gumbel_moments(p: GumbelParams) -> GumbelMoments:
     std = np.pi / np.sqrt(6.0) * p.beta
     return GumbelMoments(mean=float(mean), std=float(std))
 
-
-def iid_max_cdf(z, n: int):
-    """Exact CDF Phi(z)^n of the maximum of n IID standard Gaussians."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1 (got {n!r})")
-    out = std_normal_cdf(z) ** int(n)
-    return float(out) if np.isscalar(z) else out

@@ -30,14 +30,11 @@ __all__ = [
     "McResult",
     "NonIidConfig",
     "rep_rng",
-    "sample_ar1_chain",
     "sample_max_distribution",
     "sample_max_sweep",
     "sample_dag_max",
     "empirical_stats",
     "non_iid_experiment",
-    "dkw_band_halfwidth",
-    "ecdf_values",
     "write_samples_csv",
     "stats_dict",
 ]
@@ -210,22 +207,6 @@ def _run_chunked(reps: int, workers: int, fill) -> None:
                 f.result()
 
 
-def sample_ar1_chain(model: Ar1Model, rng: np.random.Generator) -> np.ndarray:
-    """Draw one stationary AR(1) chain of length n from the given stream.
-
-    The first element is X_0 ~ N(0, sigma^2); each subsequent element
-    applies the recurrence with a fresh standard normal Y_i.
-    """
-    u = _open_uniform(rng, model.n)
-    z = std_normal_quantile(u)
-    x = np.empty(model.n, dtype=float)
-    x[0] = model.sigma * z[0]
-    c = model.sigma * np.sqrt(1.0 - model.rho * model.rho)
-    for i in range(1, model.n):
-        x[i] = model.rho * x[i - 1] + c * z[i]
-    return x
-
-
 def sample_max_sweep(n: int, rhos, cfg: McConfig, sigma: float = 1.0) -> list[McResult]:
     """Maxima of ``cfg.reps`` AR(1) chains for every rho in ``rhos``.
 
@@ -347,21 +328,6 @@ def non_iid_experiment(cfg: NonIidConfig) -> list[tuple[int, float, float]]:
         stats = empirical_stats(samples)
         rows.append((n, stats.mean, stats.std))
     return rows
-
-
-def dkw_band_halfwidth(n_samples: int, confidence: float = 0.99) -> float:
-    """Half-width of the Dvoretzky-Kiefer-Wolfowitz band around an ECDF."""
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    if not (0.0 < confidence < 1.0):
-        raise DomainError("confidence must lie in (0, 1)")
-    return float(np.sqrt(np.log(2.0 / (1.0 - confidence)) / (2.0 * n_samples)))
-
-
-def ecdf_values(sorted_samples: np.ndarray, z) -> np.ndarray:
-    """Evaluate the empirical CDF of pre-sorted samples at points z."""
-    arr = np.asarray(sorted_samples)
-    return np.searchsorted(arr, np.asarray(z), side="right") / arr.size
 
 
 def write_samples_csv(result: McResult, path) -> None:

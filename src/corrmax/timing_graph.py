@@ -41,7 +41,6 @@ __all__ = [
     "Edge",
     "TimingGraph",
     "PathSet",
-    "PathCovariance",
     "GraphAnalysis",
     "parse_graph",
     "load_graph",
@@ -153,19 +152,9 @@ class PathSet:
     def n_paths(self) -> int:
         return len(self.paths)
 
-    def edge_sets(self) -> list[frozenset[int]]:
-        return [frozenset(p) for p in self.paths]
-
     def node_sequence(self, i: int, graph: TimingGraph) -> list[str]:
         edges = [graph.edges[e] for e in self.paths[i]]
         return [edges[0].src] + [e.dst for e in edges]
-
-
-@dataclass(frozen=True)
-class PathCovariance:
-    """Unit-diagonal covariance of standardized path delays."""
-
-    matrix: np.ndarray
 
 
 def parse_graph(text: str) -> TimingGraph:
@@ -331,7 +320,7 @@ def accumulated_delay_params(g: TimingGraph, path) -> tuple[float, float]:
     return float(mean), float(np.sqrt(var))
 
 
-def path_covariance(ps: PathSet, g: TimingGraph) -> PathCovariance:
+def path_covariance(ps: PathSet, g: TimingGraph) -> np.ndarray:
     """Correlation matrix of standardized path delays via shared edges.
 
     Entry (i, j) is the shared edge variance over the product of path
@@ -347,10 +336,9 @@ def path_covariance(ps: PathSet, g: TimingGraph) -> PathCovariance:
     gram = weights @ weights.T
     stds = np.sqrt(np.diag(gram))
     denom = np.outer(stds, stds)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        matrix = np.where(denom > 0.0, gram / np.where(denom > 0, denom, 1.0), 0.0)
+    matrix = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0)
     np.fill_diagonal(matrix, 1.0)
-    return PathCovariance(matrix=matrix)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -361,7 +349,7 @@ class GraphAnalysis:
     lengths: tuple[int, ...]
     path_means: np.ndarray
     path_stds: np.ndarray
-    covariance: PathCovariance
+    covariance: np.ndarray
     s: float
     order: str
     nominal_mean: float
@@ -409,7 +397,7 @@ def graph_delay_analysis(
     stats = [accumulated_delay_params(norm, p) for p in ps.paths]
     means = np.array([m for m, _ in stats], dtype=float)
     stds = np.array([s_ for _, s_ in stats], dtype=float)
-    pc = path_covariance(ps, norm)
+    cov = path_covariance(ps, norm)
     n_paths = ps.n_paths
 
     nominal_idx = max(range(n_paths), key=lambda i: (means[i], stds[i]))
@@ -430,12 +418,13 @@ def graph_delay_analysis(
     else:
         if sigma_star <= 0.0:
             raise DomainError("critical path has zero delay variance")
-        # Summing a zero-diagonal copy, not sum(cov) - P, keeps S bit for bit
-        # equal to the sum over the epsilon matrix.
-        eps = pc.matrix.copy()
-        np.fill_diagonal(eps, 0.0)
-        s_val = float(np.sum(eps))
-        max_abs_eps = float(np.max(np.abs(eps)))
+        # Summing with the diagonal zeroed, not sum(cov) - P, keeps S bit for
+        # bit equal to the sum over the epsilon matrix.  The entries are
+        # >= 0, so the max is max |eps|.
+        np.fill_diagonal(cov, 0.0)
+        s_val = float(np.sum(cov))
+        max_abs_eps = float(np.max(cov))
+        np.fill_diagonal(cov, 1.0)
         params = scaling_constants(n_paths)
         moments = gumbel_moments(params)
         z_std = np.linspace(
@@ -459,7 +448,7 @@ def graph_delay_analysis(
     )
     return GraphAnalysis(
         n_paths=n_paths, lengths=ps.lengths, path_means=means, path_stds=stds,
-        covariance=pc, s=s_val, order=order,
+        covariance=cov, s=s_val, order=order,
         nominal_mean=mu_star, nominal_std=sigma_star, gumbel=params,
         z_grid=z, cdf=cdf, pdf=pdf,
         validity=validity, analytic_mean=analytic_mean, mc=mc,

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from corrmax import std_normal_cdf, std_normal_pdf
+from corrmax import (
+    Ar1Model,
+    DimensionMismatch,
+    DomainError,
+    EpsilonMatrix,
+    std_normal_cdf,
+    std_normal_pdf,
+    std_normal_quantile,
+)
+from corrmax.montecarlo import _open_uniform
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GRAPHS_DIR = REPO_ROOT / "graphs"
@@ -76,3 +85,124 @@ def block8_text(prefix: str = "", src: str = "s", dst: str = "t") -> str:
 def cascade64_text() -> str:
     """Two eight-path blocks in series: 64 source-to-sink paths."""
     return block8_text("u_", "s", "m") + block8_text("v_", "m", "t")
+
+
+# Test oracles of the theory.  The package computes S in closed form or from
+# the path covariance; these build the objects the paper reasons about.
+
+# Oracle-scale limit for the explicit multivariate expansion; it exists to
+# validate the theory, not to evaluate high-dimensional densities.
+_EXPANSION_MAX_DIM = 8
+
+
+def ar1_epsilon(n: int, rho: float) -> EpsilonMatrix:
+    """Epsilon matrix of an AR(1) chain: eps_ij = rho^|i-j| for i != j."""
+    if int(n) != n or n < 1:
+        raise DomainError(f"n must be an integer >= 1 (got {n!r})")
+    if not (0.0 <= rho < 1.0):
+        raise DomainError(f"rho must lie in [0, 1) (got {rho})")
+    idx = np.arange(int(n))
+    e = np.asarray(rho, dtype=float) ** np.abs(idx[:, None] - idx[None, :])
+    np.fill_diagonal(e, 0.0)
+    return EpsilonMatrix(entries=e)
+
+
+def correlation_sum(eps: EpsilonMatrix) -> float:
+    """S: the sum of all off-diagonal entries (the diagonal is zero)."""
+    return float(np.sum(eps.entries))
+
+
+def correlated_pdf_first_order(r, eps: EpsilonMatrix) -> float:
+    """First-order joint density of weakly correlated standard normals.
+
+    Evaluates omega_0(r) * (1 + (1/2) * r^T eps r) with
+    omega_0(r) = (2*pi)^(-n/2) exp(-|r|^2/2), in small dimension only.
+    """
+    rv = np.atleast_1d(np.asarray(r, dtype=float))
+    if rv.ndim != 1 or rv.shape[0] != eps.n:
+        raise DimensionMismatch(
+            f"r must be a 1-D vector of length {eps.n} (got shape {rv.shape})"
+        )
+    if eps.n > _EXPANSION_MAX_DIM:
+        raise DomainError(
+            f"expansion oracle is limited to n <= {_EXPANSION_MAX_DIM} "
+            f"(got n = {eps.n})"
+        )
+    if not np.all(np.isfinite(rv)):
+        raise DomainError("r must be finite")
+    omega0 = (2.0 * np.pi) ** (-eps.n / 2.0) * np.exp(-0.5 * float(rv @ rv))
+    return float(omega0 * (1.0 + 0.5 * float(rv @ eps.entries @ rv)))
+
+
+def char_fn_identity_check(k, mu, sigma, i: int, j: int, h: float) -> float:
+    """Numerically verify the perturbation identity of the Gaussian
+    characteristic function.
+
+    Compares the central finite difference of chi(k) with respect to
+    eps_ij at eps = 0 against the analytic value
+    (1/2) d^2 chi_0 / dmu_i dmu_j = -(1/2) k_i k_j chi_0(k), and returns
+    the absolute discrepancy, which is O(h^2).
+    """
+    kv = np.atleast_1d(np.asarray(k, dtype=float))
+    mv = np.atleast_1d(np.asarray(mu, dtype=float))
+    sv = np.atleast_1d(np.asarray(sigma, dtype=float))
+    if not (kv.shape == mv.shape == sv.shape) or kv.ndim != 1:
+        raise DimensionMismatch(
+            f"k, mu, sigma must be 1-D and equal length "
+            f"(got {kv.shape}, {mv.shape}, {sv.shape})"
+        )
+    if i == j:
+        raise DomainError("indices i and j must differ (eps_ii is fixed at 0)")
+    dim = kv.shape[0]
+    if not (0 <= i < dim and 0 <= j < dim):
+        raise DomainError(f"indices must lie in [0, {dim}) (got i={i}, j={j})")
+    if np.any(sv <= 0.0):
+        raise DomainError("all sigma entries must be positive")
+    if not (1e-6 < h < 1e-3):
+        raise DomainError(f"step h must lie in (1e-6, 1e-3) (got {h})")
+
+    chi0 = np.exp(1j * np.dot(mv, kv) - 0.5 * np.dot(sv * sv, kv * kv))
+    kk = kv[i] * kv[j]
+    finite_diff = chi0 * (np.exp(-0.5 * h * kk) - np.exp(0.5 * h * kk)) / (2.0 * h)
+    analytic = -0.5 * kk * chi0
+    return float(abs(finite_diff - analytic))
+
+
+def sample_ar1_chain(model: Ar1Model, rng: np.random.Generator) -> np.ndarray:
+    """Draw one stationary AR(1) chain of length n from the given stream.
+
+    The first element is X_0 ~ N(0, sigma^2); each subsequent element
+    applies the recurrence with a fresh standard normal Y_i.  The samplers
+    must equal this chain by chain.
+    """
+    u = _open_uniform(rng, model.n)
+    z = std_normal_quantile(u)
+    x = np.empty(model.n, dtype=float)
+    x[0] = model.sigma * z[0]
+    c = model.sigma * np.sqrt(1.0 - model.rho * model.rho)
+    for i in range(1, model.n):
+        x[i] = model.rho * x[i - 1] + c * z[i]
+    return x
+
+
+def ecdf_values(sorted_samples: np.ndarray, z) -> np.ndarray:
+    """Evaluate the empirical CDF of pre-sorted samples at points z."""
+    arr = np.asarray(sorted_samples)
+    return np.searchsorted(arr, np.asarray(z), side="right") / arr.size
+
+
+def iid_max_cdf(z, n: int):
+    """Exact CDF Phi(z)^n of the maximum of n IID standard Gaussians."""
+    if int(n) != n or n < 1:
+        raise DomainError(f"n must be an integer >= 1 (got {n!r})")
+    out = std_normal_cdf(z) ** int(n)
+    return float(out) if np.isscalar(z) else out
+
+
+def dkw_band_halfwidth(n_samples: int, confidence: float = 0.99) -> float:
+    """Half-width of the Dvoretzky-Kiefer-Wolfowitz band around an ECDF."""
+    if n_samples < 1:
+        raise DomainError("n_samples must be >= 1")
+    if not (0.0 < confidence < 1.0):
+        raise DomainError("confidence must lie in (0, 1)")
+    return float(np.sqrt(np.log(2.0 / (1.0 - confidence)) / (2.0 * n_samples)))

@@ -15,12 +15,8 @@ from corrmax import (
     Ar1Model,
     McConfig,
     NonIidConfig,
-    ar1_epsilon,
-    char_fn_identity_check,
     corrected_cdf,
     corrected_pdf,
-    correlation_sum,
-    correlated_pdf_first_order,
     EpsilonMatrix,
     enumerate_paths,
     gumbel_cdf,
@@ -37,8 +33,12 @@ from corrmax import (
 from corrmax.cli import main as cli_main
 from conftest import (
     GRAPHS_DIR,
+    ar1_epsilon,
     cascade64_text,
     central_diff,
+    char_fn_identity_check,
+    correlated_pdf_first_order,
+    correlation_sum,
     hist_l1_distance,
 )
 
@@ -72,7 +72,7 @@ def test_criterion_01_covariance_golden():
     pc = path_covariance(ps, g)
     seqs = [ps.node_sequence(i, g) for i in range(ps.n_paths)]
     perm = [seqs.index(ref) for ref in REFERENCE_NODE_SEQS]
-    got = pc.matrix[np.ix_(perm, perm)]
+    got = pc[np.ix_(perm, perm)]
     err = float(np.max(np.abs(got - REFERENCE_COV)))
     report(1, "reference-graph covariance matrix exact to 1e-12",
            err <= 1e-12, f"max err {err:.2e}")
@@ -149,7 +149,7 @@ def test_criterion_06_breakdown_reproduction():
     z100 = np.linspace(p100.alpha - 12 * p100.beta,
                        p100.alpha + 40 * p100.beta, 2000)
     rep100 = validity_check(
-        p100, correlation_sum(eps100), eps100, z100, order="second"
+        p100, correlation_sum(eps100), eps100.max_abs(), z100, order="second"
     )
     flagged100 = (not rep100.cdf_bounded) or (not rep100.cdf_monotone)
 
@@ -158,7 +158,7 @@ def test_criterion_06_breakdown_reproduction():
     z250 = np.linspace(p250.alpha - 12 * p250.beta,
                        p250.alpha + 40 * p250.beta, 2000)
     rep250 = validity_check(
-        p250, correlation_sum(eps250), eps250, z250, order="complete"
+        p250, correlation_sum(eps250), eps250.max_abs(), z250, order="complete"
     )
     fewer = len(rep250.z_violations) < len(rep100.z_violations)
 
@@ -255,7 +255,7 @@ def test_criterion_10_brute_force_covariance():
         xi = rng.standard_normal((100_000, len(g.edges)))
         eps_draws = xi @ weights.T
         estimate = eps_draws.T @ eps_draws / xi.shape[0]
-        worst_overall.append(float(np.max(np.abs(estimate - pc.matrix))))
+        worst_overall.append(float(np.max(np.abs(estimate - pc))))
     ok = all(w <= 0.01 for w in worst_overall)
     report(10, "analytic covariance within 0.01 of edge-noise MC estimates",
            ok, f"max devs {[round(w, 5) for w in worst_overall]}")

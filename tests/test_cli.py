@@ -88,6 +88,32 @@ class TestDist:
             "--outdir", str(tmp_path),
         ]) == 2
 
+    def test_eps_file_of_wrong_size_exit_2(self, tmp_path, capsys):
+        cov = np.full((5, 5), 0.1)
+        np.fill_diagonal(cov, 1.0)
+        np.savetxt(tmp_path / "cov5.txt", cov)
+        out = tmp_path / "out"
+        assert run([
+            "dist", "first", "--n", "3", "--eps-file", str(tmp_path / "cov5.txt"),
+            "--outdir", str(out),
+        ]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text", [
+        "0 0.2\n0.2 x\n",  # non-numeric token
+        "0 0.2 0.1\n0.2 0\n0.1 0.3 0\n",  # ragged rows
+    ])
+    def test_malformed_eps_file_exit_3(self, tmp_path, capsys, text):
+        (tmp_path / "bad.txt").write_text(text)
+        out = tmp_path / "out"
+        assert run([
+            "dist", "first", "--n", "3", "--eps-file", str(tmp_path / "bad.txt"),
+            "--outdir", str(out),
+        ]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_validation_exit_codes(self, tmp_path):
         base = ["--outdir", str(tmp_path)]
         assert run(["dist", "first", "--n", "100", "--rho", "1.5"] + base) == 2

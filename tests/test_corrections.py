@@ -11,20 +11,23 @@ from corrmax import (
     DomainError,
     EpsilonMatrix,
     McConfig,
-    ar1_epsilon,
-    char_fn_identity_check,
     corrected_cdf,
     corrected_pdf,
-    correlated_pdf_first_order,
-    correlation_sum,
-    ecdf_values,
     gumbel_cdf,
     gumbel_pdf,
     sample_max_distribution,
     scaling_constants,
     validity_check,
 )
-from conftest import central_diff, hist_l1_distance
+from conftest import (
+    ar1_epsilon,
+    central_diff,
+    char_fn_identity_check,
+    correlated_pdf_first_order,
+    correlation_sum,
+    ecdf_values,
+    hist_l1_distance,
+)
 
 
 def brute_force_sum(entries: np.ndarray) -> float:
@@ -75,25 +78,25 @@ class TestEpsilonMatrix:
 
 class TestCorrelationSum:
     def test_zero_matrix(self):
-        assert correlation_sum(EpsilonMatrix(entries=np.zeros((4, 4)))).s == 0.0
+        assert correlation_sum(EpsilonMatrix(entries=np.zeros((4, 4)))) == 0.0
 
     def test_ar1_n3(self):
         eps = ar1_epsilon(3, 0.5)
         s = correlation_sum(eps)
-        assert s.s == pytest.approx(2.5, abs=1e-14)
-        assert s.s == pytest.approx(brute_force_sum(eps.entries), abs=1e-12)
+        assert s == pytest.approx(2.5, abs=1e-14)
+        assert s == pytest.approx(brute_force_sum(eps.entries), abs=1e-12)
 
     def test_ar1_n100_closed_form(self):
         rho = 0.35
         eps = ar1_epsilon(100, rho)
         closed = 2.0 * sum((100 - d) * rho**d for d in range(1, 100))
-        assert correlation_sum(eps).s == pytest.approx(closed, abs=1e-10)
+        assert correlation_sum(eps) == pytest.approx(closed, abs=1e-10)
 
     @pytest.mark.parametrize("n,rho", [(2, 0.5), (17, 0.9), (100, 0.35),
                                        (250, 0.825), (1000, 0.01), (5, 0.0)])
     def test_ar1_closed_form_matches_matrix_route(self, n, rho):
-        direct = correlation_sum(ar1_epsilon(n, rho)).s
-        assert ar1_correlation_sum(n, rho).s == pytest.approx(
+        direct = correlation_sum(ar1_epsilon(n, rho))
+        assert ar1_correlation_sum(n, rho) == pytest.approx(
             direct, rel=1e-12, abs=1e-12
         )
 
@@ -109,7 +112,7 @@ class TestCorrelationSum:
         a = (a + a.T) / 2.0
         np.fill_diagonal(a, 0.0)
         eps = EpsilonMatrix(entries=a)
-        assert correlation_sum(eps).s == pytest.approx(
+        assert correlation_sum(eps) == pytest.approx(
             brute_force_sum(a), abs=1e-12
         )
 
@@ -123,13 +126,6 @@ class TestCorrectedCdf:
         np.testing.assert_allclose(
             corrected_cdf(z, p, 0.0, order), gumbel_cdf(z, p),
             rtol=0, atol=1e-15,
-        )
-
-    def test_accepts_correlation_sum_object(self):
-        p = scaling_constants(100)
-        s = correlation_sum(ar1_epsilon(100, 0.35))
-        assert corrected_cdf(2.5, p, s, "first") == corrected_cdf(
-            2.5, p, s.s, "first"
         )
 
     @pytest.mark.parametrize("order", ["first", "second", "complete"])
@@ -245,7 +241,7 @@ class TestValidityCheck:
         p = scaling_constants(100)
         eps = ar1_epsilon(100, 0.0)
         z = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 500)
-        rep = validity_check(p, 0.0, eps, z, order="second")
+        rep = validity_check(p, 0.0, eps.max_abs(), z, order="second")
         assert rep.smallness_ok
         assert rep.cdf_monotone and rep.cdf_bounded and rep.pdf_nonnegative
         assert rep.z_violations == ()
@@ -259,7 +255,7 @@ class TestValidityCheck:
         eps = ar1_epsilon(100, 0.9)
         s = correlation_sum(eps)
         z = np.linspace(p.alpha - 12 * p.beta, p.alpha + 40 * p.beta, 3000)
-        rep = validity_check(p, s, eps, z, order="complete")
+        rep = validity_check(p, s, eps.max_abs(), z, order="complete")
         assert not rep.smallness_ok
         assert not rep.cdf_bounded
         assert not rep.cdf_monotone
@@ -269,18 +265,20 @@ class TestValidityCheck:
         p = scaling_constants(50)
         eps = ar1_epsilon(50, 0.25)
         z = np.linspace(p.alpha - 1.0, p.alpha + 1.0, 50)
-        assert validity_check(p, correlation_sum(eps), eps, z).smallness_ok
+        assert validity_check(
+            p, correlation_sum(eps), eps.max_abs(), z
+        ).smallness_ok
         assert not validity_check(
-            p, correlation_sum(eps), eps, z, smallness_threshold=0.2
+            p, correlation_sum(eps), eps.max_abs(), z, smallness_threshold=0.2
         ).smallness_ok
 
     def test_grid_validation(self):
         p = scaling_constants(10)
         eps = ar1_epsilon(10, 0.1)
         with pytest.raises(DomainError):
-            validity_check(p, 0.0, eps, np.array([1.0, 0.5]))
+            validity_check(p, 0.0, eps.max_abs(), np.array([1.0, 0.5]))
         with pytest.raises(DomainError):
-            validity_check(p, 0.0, eps, np.array([1.0]))
+            validity_check(p, 0.0, eps.max_abs(), np.array([1.0]))
 
 
 class TestCorrelatedPdfFirstOrder:

@@ -12,10 +12,9 @@ from corrmax import (
     gumbel_cdf,
     gumbel_moments,
     gumbel_pdf,
-    iid_max_cdf,
     scaling_constants,
 )
-from conftest import bisect_quantile, central_diff
+from conftest import bisect_quantile, central_diff, iid_max_cdf
 
 
 class TestScalingConstants:

@@ -12,13 +12,9 @@ from corrmax import (
     EmptyInput,
     McConfig,
     NonIidConfig,
-    dkw_band_halfwidth,
-    ecdf_values,
     empirical_stats,
-    iid_max_cdf,
     non_iid_experiment,
     rep_rng,
-    sample_ar1_chain,
     sample_dag_max,
     sample_max_distribution,
     sample_max_sweep,
@@ -32,7 +28,13 @@ from corrmax.montecarlo import (
     stats_dict,
     write_samples_csv,
 )
-from conftest import exact_iid_max_moments
+from conftest import (
+    dkw_band_halfwidth,
+    ecdf_values,
+    exact_iid_max_moments,
+    iid_max_cdf,
+    sample_ar1_chain,
+)
 
 
 class TestModels:

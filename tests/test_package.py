@@ -1,0 +1,61 @@
+"""Guards on the package surface and on the README's Python example."""
+from __future__ import annotations
+
+import ast
+import os
+import re
+import subprocess
+import sys
+
+from conftest import REPO_ROOT
+
+PACKAGE_DIR = REPO_ROOT / "src" / "corrmax"
+
+# Public without a caller in the package: the reference definition of the
+# Monte Carlo stream and the paper's limit law.
+NO_CALLER_NEEDED = {"rep_rng", "gumbel_cdf", "gumbel_pdf"}
+
+
+def _exported_names() -> set[str]:
+    """Names that ``corrmax/__init__.py`` imports from its submodules."""
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    return {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if not alias.name.startswith("_")
+    }
+
+
+def _referenced_names() -> set[str]:
+    """Every ``Name`` and ``Attribute`` in the package's other modules."""
+    used = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_name_is_used_in_the_package():
+    exported = _exported_names()
+    assert NO_CALLER_NEEDED <= exported
+    assert exported - _referenced_names() - NO_CALLER_NEEDED == set()
+
+
+def test_readme_quick_start_runs():
+    readme = (REPO_ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, "-c", blocks[0]], cwd=REPO_ROOT, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

@@ -214,27 +214,27 @@ class TestPathCovariance:
         ps = enumerate_paths(g)
         pc = path_covariance(ps, g)
         perm = reference_permutation(ps, g)
-        got = pc.matrix[np.ix_(perm, perm)]
+        got = pc[np.ix_(perm, perm)]
         np.testing.assert_allclose(got, REFERENCE_COV, rtol=0, atol=1e-12)
 
     def test_edge_disjoint_identity(self, graphs_dir):
         g = load_graph(graphs_dir / "diamond.txt")
         pc = path_covariance(enumerate_paths(g), g)
-        np.testing.assert_array_equal(pc.matrix, np.eye(2))
+        np.testing.assert_array_equal(pc, np.eye(2))
 
     def test_duplicated_path_full_correlation(self):
         g = parse_graph("a b 1 0.1\nb c 1 0.1\n")
         ps = PathSet(paths=((0, 1), (0, 1)), lengths=(2, 2))
         pc = path_covariance(ps, g)
-        assert pc.matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert pc[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_entries_in_unit_interval_and_psd(self, graphs_dir):
         for name in ("shared_nodes_7.txt", "block8.txt", "cascade64.txt"):
             g = load_graph(graphs_dir / name)
             pc = path_covariance(enumerate_paths(g), g)
-            assert np.all(pc.matrix >= 0.0) and np.all(pc.matrix <= 1.0)
-            np.testing.assert_array_equal(np.diag(pc.matrix), 1.0)
-            assert np.linalg.eigvalsh(pc.matrix)[0] > -1e-10
+            assert np.all(pc >= 0.0) and np.all(pc <= 1.0)
+            np.testing.assert_array_equal(np.diag(pc), 1.0)
+            assert np.linalg.eigvalsh(pc)[0] > -1e-10
 
     def test_heterogeneous_shared_edge(self):
         g = parse_graph(
@@ -246,14 +246,14 @@ class TestPathCovariance:
         var1 = 0.3**2 + 0.4**2 + 0.1**2
         var2 = 0.3**2 + 0.2**2 + 0.5**2
         expected = 0.3**2 / np.sqrt(var1 * var2)
-        assert pc.matrix[0, 1] == pytest.approx(expected, rel=1e-12)
+        assert pc[0, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_variance_path_uncorrelated(self):
         g = parse_graph("s a 1 0\na t 1 0\ns b 1 0.1\nb t 1 0.1\n")
         ps = enumerate_paths(g)
         pc = path_covariance(ps, g)
-        np.testing.assert_array_equal(np.diag(pc.matrix), 1.0)
-        assert pc.matrix[0, 1] == 0.0
+        np.testing.assert_array_equal(np.diag(pc), 1.0)
+        assert pc[0, 1] == 0.0
 
     def test_brute_force_edge_noise_oracle(self, graphs_dir):
         """Analytic entries match the covariance of simulated standardized
@@ -272,7 +272,7 @@ class TestPathCovariance:
         xi = rng.standard_normal((50_000, len(g.edges)))
         eps_draws = xi @ weights.T
         estimate = eps_draws.T @ eps_draws / xi.shape[0]
-        assert np.max(np.abs(estimate - pc.matrix)) < 0.02
+        assert np.max(np.abs(estimate - pc)) < 0.02
 
 
 class TestGraphDelayAnalysis:
@@ -286,7 +286,7 @@ class TestGraphDelayAnalysis:
         assert analysis.nominal_mean == 6.0
         assert analysis.nominal_std == pytest.approx(np.sqrt(6) * 0.1, rel=1e-12)
         assert analysis.s == pytest.approx(
-            float(np.sum(analysis.covariance.matrix) - 4.0), abs=1e-12
+            float(np.sum(analysis.covariance) - 4.0), abs=1e-12
         )
         # MC truth: the longest path dominates, so the mean sits near 6
         assert 5.9 < analysis.mc.mean < 6.3
@@ -313,7 +313,7 @@ class TestGraphDelayAnalysis:
         assert analysis.n_paths == 64
         assert analysis.lengths == (8,) * 64
         ps = enumerate_paths(g)
-        m = analysis.covariance.matrix
+        m = analysis.covariance
         # homogeneous length-8 paths: every entry is |shared edges| / 8
         for i in range(0, 64, 9):
             for j in range(0, 64, 7):
@@ -324,6 +324,38 @@ class TestGraphDelayAnalysis:
         g = parse_graph(cascade64_text())
         with pytest.raises(PathExplosionError):
             graph_delay_analysis(g, McConfig(seed=1, reps=10), cap=8)
+
+    @pytest.mark.parametrize("text", [
+        cascade64_text(),
+        # s-a-t has zero variance; s-b-t and s-b-c-t share the edge s->b.
+        "s a 1 0\na t 1 0\ns b 1 0.1\nb t 1 0.1\nb c 1 0.1\nc t 0.5 0.1\n",
+    ])
+    def test_s_and_max_eps_equal_zero_diagonal_copy(self, text):
+        """The covariance equals the masked-quotient formula, and S and
+        max |eps| equal, bit for bit, the sum and the max of |.| over a
+        zero-diagonal copy of it."""
+        g = parse_graph(text)
+        analysis = graph_delay_analysis(g, McConfig(seed=3, reps=10))
+        cov = analysis.covariance
+        np.testing.assert_array_equal(np.diag(cov), 1.0)
+
+        ps = enumerate_paths(g)
+        sigmas = np.array([e.sigma for e in g.edges])
+        weights = np.zeros((ps.n_paths, len(g.edges)))
+        for i, path in enumerate(ps.paths):
+            weights[i, list(path)] = sigmas[list(path)]
+        gram = weights @ weights.T
+        denom = np.outer(np.sqrt(np.diag(gram)), np.sqrt(np.diag(gram)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ref = np.where(denom > 0.0, gram / np.where(denom > 0, denom, 1.0), 0.0)
+        np.fill_diagonal(ref, 1.0)
+        np.testing.assert_array_equal(cov, ref)
+
+        eps = cov.copy()
+        np.fill_diagonal(eps, 0.0)
+        assert analysis.s == float(np.sum(eps))
+        assert analysis.validity.max_abs_eps == float(np.max(np.abs(eps)))
+        assert analysis.s > 0.0
 
     @pytest.mark.parametrize("text", [
         "s m 1 0.5\nm a 1 0\nm b 1 0\na t 1 0\nb t 1 0\n",  # |eps| = 1
