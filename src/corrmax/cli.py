@@ -16,6 +16,7 @@ any worker count.  Exit codes: 0 success, 2 argument/validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -50,8 +51,6 @@ from .montecarlo import (
     non_iid_experiment,
     sample_max_distribution,
     sample_max_sweep,
-    stats_dict,
-    write_samples_csv,
 )
 from .timing_graph import (
     DEFAULT_PATH_CAP,
@@ -130,6 +129,13 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """Write the header, then each row as ``_fmt`` values joined by commas."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
 def _write_manifest(path: Path, command: str, args, seed) -> None:
     params = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -145,14 +151,16 @@ def _write_manifest(path: Path, command: str, args, seed) -> None:
     })
 
 
-def _validity_dict(report) -> dict:
+def _stats_dict(result) -> dict:
+    """JSON layout of a Monte Carlo summary: mean, std, stderr, count,
+    histogram."""
+    edges, counts = result.histogram
     return {
-        "smallness_ok": report.smallness_ok,
-        "max_abs_eps": report.max_abs_eps,
-        "cdf_monotone": report.cdf_monotone,
-        "cdf_bounded": report.cdf_bounded,
-        "pdf_nonnegative": report.pdf_nonnegative,
-        "z_violations": list(report.z_violations),
+        "mean": result.mean,
+        "std": result.std,
+        "stderr": result.stderr,
+        "count": len(result.samples),
+        "histogram": {"bin_edges": edges.tolist(), "counts": counts.tolist()},
     }
 
 
@@ -178,11 +186,9 @@ def _cmd_dist(args) -> int:
     outdir = _outdir(args)
     prefix = args.out or f"dist_{args.kind}_n{args.n}"
     if args.z_max <= args.z_min:
-        print("error: --z-max must exceed --z-min", file=sys.stderr)
-        return _EXIT_USAGE
+        raise DomainError("--z-max must exceed --z-min")
     if args.steps < 2:
-        print("error: --steps must be >= 2", file=sys.stderr)
-        return _EXIT_USAGE
+        raise DomainError("--steps must be >= 2")
 
     params = scaling_constants(args.n)
     if args.kind == "gumbel":
@@ -199,14 +205,11 @@ def _cmd_dist(args) -> int:
             s, max_abs_eps = float(np.sum(eps.entries)), eps.max_abs()
         else:
             if args.rho is None:
-                print(
-                    "error: --rho or --eps-file required for corrected "
-                    "distributions", file=sys.stderr,
+                raise DomainError(
+                    "--rho or --eps-file required for corrected distributions"
                 )
-                return _EXIT_USAGE
             if not (0.0 <= args.rho < 1.0):
-                print("error: --rho must lie in [0, 1)", file=sys.stderr)
-                return _EXIT_USAGE
+                raise DomainError("--rho must lie in [0, 1)")
             # closed form: no n x n matrix for the AR(1) route
             s = ar1_correlation_sum(args.n, args.rho)
             max_abs_eps = args.rho
@@ -220,10 +223,7 @@ def _cmd_dist(args) -> int:
         pdf = np.clip(pdf, 0.0, None)
 
     csv_path = outdir / f"{prefix}.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("z,cdf,pdf\n")
-        for zi, ci, pi in zip(z, cdf, pdf):
-            fh.write(f"{_fmt(zi)},{_fmt(ci)},{_fmt(pi)}\n")
+    _write_csv(csv_path, ("z", "cdf", "pdf"), zip(z, cdf, pdf))
     _write_json(outdir / f"{prefix}.json", {
         "kind": args.kind,
         "order": order,
@@ -232,7 +232,7 @@ def _cmd_dist(args) -> int:
         "beta": params.beta,
         "s": s,
         "clamped": bool(args.clamp),
-        "validity": _validity_dict(report),
+        "validity": dataclasses.asdict(report),
     })
     _write_manifest(outdir / f"{prefix}.manifest.json", "dist", args, None)
     print(f"wrote {csv_path}")
@@ -266,38 +266,29 @@ def _cmd_mc(args) -> int:
 
     if args.rho_sweep is not None:
         rhos = _parse_sweep(args.rho_sweep)
-        for rho in rhos:
-            if not (0.0 <= rho <= 1.0):
-                print("error: --rho-sweep values must lie in [0, 1]",
-                      file=sys.stderr)
-                return _EXIT_USAGE
+        if not all(0.0 <= rho <= 1.0 for rho in rhos):
+            raise DomainError("--rho-sweep values must lie in [0, 1]")
         prefix = args.out or f"mc_n{args.n}_sweep"
         csv_path = outdir / f"{prefix}.csv"
         results = sample_max_sweep(args.n, rhos, cfg, args.sigma)
-        with open(csv_path, "w") as fh:
-            fh.write("rho,mean,std,stderr\n")
-            for rho, res in zip(rhos, results):
-                fh.write(
-                    f"{_fmt(rho)},{_fmt(res.mean)},{_fmt(res.std)},"
-                    f"{_fmt(res.stderr)}\n"
-                )
+        _write_csv(csv_path, ("rho", "mean", "std", "stderr"), (
+            (rho, res.mean, res.std, res.stderr) for rho, res in zip(rhos, results)
+        ))
         _write_manifest(outdir / f"{prefix}.manifest.json", "mc", args, args.seed)
         print(f"wrote {csv_path}")
         return _EXIT_OK
 
     if args.rho is None:
-        print("error: --rho or --rho-sweep is required", file=sys.stderr)
-        return _EXIT_USAGE
+        raise DomainError("--rho or --rho-sweep is required")
     if not (0.0 <= args.rho <= 1.0):
-        print("error: --rho must lie in [0, 1]", file=sys.stderr)
-        return _EXIT_USAGE
+        raise DomainError("--rho must lie in [0, 1]")
     prefix = args.out or f"mc_n{args.n}_rho{args.rho}"
     result = sample_max_distribution(
         Ar1Model(n=args.n, rho=args.rho, sigma=args.sigma), cfg
     )
     samples_path = outdir / f"{prefix}_samples.csv"
-    write_samples_csv(result, samples_path)
-    stats = stats_dict(result)
+    _write_csv(samples_path, ("sample",), zip(result.samples))
+    stats = _stats_dict(result)
     stats.update({"n": args.n, "rho": args.rho, "sigma": args.sigma,
                   "seed": args.seed})
     _write_json(outdir / f"{prefix}_stats.json", stats)
@@ -328,11 +319,7 @@ def _cmd_graph(args) -> int:
         cov = path_covariance(ps, norm)
         prefix = args.out or f"{stem}_cov"
         csv_path = outdir / f"{prefix}.csv"
-        n = cov.shape[0]
-        with open(csv_path, "w") as fh:
-            fh.write(",".join(f"path_{j}" for j in range(n)) + "\n")
-            for row in cov:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_csv(csv_path, [f"path_{j}" for j in range(len(cov))], cov)
         _write_manifest(outdir / f"{prefix}.manifest.json", "graph", args, None)
         print(f"wrote {csv_path}")
         return _EXIT_OK
@@ -340,7 +327,7 @@ def _cmd_graph(args) -> int:
     # analyze
     cfg = McConfig(seed=args.seed, reps=args.reps, workers=args.workers)
     analysis = graph_delay_analysis(
-        graph, cfg, order=args.order, cap=args.cap, z_steps=args.z_steps
+        norm, cfg, order=args.order, cap=args.cap, z_steps=args.z_steps
     )
     prefix = args.out or f"{stem}_analysis"
     doc = {
@@ -353,18 +340,15 @@ def _cmd_graph(args) -> int:
         "order": analysis.order,
         "nominal_mean": analysis.nominal_mean,
         "nominal_std": analysis.nominal_std,
-        "gumbel": None if analysis.gumbel is None else {
-            "n": analysis.gumbel.n,
-            "alpha": analysis.gumbel.alpha,
-            "beta": analysis.gumbel.beta,
-        },
+        "gumbel": None if analysis.gumbel is None
+        else dataclasses.asdict(analysis.gumbel),
         "z": analysis.z_grid,
         "cdf": analysis.cdf,
         "pdf": analysis.pdf,
         "validity": None if analysis.validity is None
-        else _validity_dict(analysis.validity),
+        else dataclasses.asdict(analysis.validity),
         "analytic_mean": analysis.analytic_mean,
-        "mc": stats_dict(analysis.mc),
+        "mc": _stats_dict(analysis.mc),
         "mc_mean_gap": analysis.mc_mean_gap,
     }
     json_path = outdir / f"{prefix}.json"
@@ -379,9 +363,7 @@ def _cmd_noniid(args) -> int:
     try:
         n_grid = tuple(int(tok) for tok in args.n_grid.split(","))
     except ValueError:
-        print("error: --n-grid must be a comma-separated integer list",
-              file=sys.stderr)
-        return _EXIT_USAGE
+        raise DomainError("--n-grid must be a comma-separated integer list")
     cfg = NonIidConfig(
         n_grid=n_grid, mu=args.mu, sigma=args.sigma,
         delta_mu=args.delta_mu, delta_sigma=args.delta_sigma,
@@ -391,13 +373,9 @@ def _cmd_noniid(args) -> int:
     rows = non_iid_experiment(cfg)
     prefix = args.out or "noniid"
     csv_path = outdir / f"{prefix}.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("n,mean,std,stderr\n")
-        for n, mean, std in rows:
-            fh.write(
-                f"{n},{_fmt(mean)},{_fmt(std)},"
-                f"{_fmt(std / np.sqrt(cfg.reps))}\n"
-            )
+    _write_csv(csv_path, ("n", "mean", "std", "stderr"), (
+        (n, mean, std, std / np.sqrt(cfg.reps)) for n, mean, std in rows
+    ))
     _write_manifest(outdir / f"{prefix}.manifest.json", "noniid", args, args.seed)
     print(f"wrote {csv_path}")
     return _EXIT_OK
@@ -479,17 +457,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PathExplosionError as exc:
+    except (CorrmaxError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CAP
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_PARSE
-    except (DomainError, CorrmaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, PathExplosionError):
+            return _EXIT_CAP
+        if isinstance(exc, (GraphError, FileNotFoundError)):
+            return _EXIT_PARSE
         return _EXIT_USAGE
 
 

@@ -38,6 +38,10 @@ __all__ = [
 
 ORDERS = ("first", "second", "complete")
 
+# validity_check's trust bound on max |eps_ij| and slack on the grid checks.
+_SMALLNESS_THRESHOLD = 0.3
+_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class EpsilonMatrix:
@@ -171,16 +175,13 @@ def validity_check(
     max_abs_eps: float,
     z_grid,
     order: str = "second",
-    smallness_threshold: float = 0.3,
-    atol: float = 1e-9,
 ) -> ValidityReport:
     """Diagnose whether the corrected distribution behaves like one.
 
     Checks, on the given ascending grid: CDF within [0, 1], CDF monotone
     non-decreasing, PDF non-negative.  ``z_violations`` collects the grid
-    points where any check fails.  ``smallness_ok`` is a configurable
-    trust marker on max |eps_ij| (default threshold 0.3), independent of
-    the grid checks.
+    points where any check fails.  ``smallness_ok`` is a trust marker,
+    max |eps_ij| <= 0.3, independent of the grid checks.
     """
     grid = np.asarray(z_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -191,10 +192,10 @@ def validity_check(
     cdf = corrected_cdf(grid, p, s, order)
     pdf = corrected_pdf(grid, p, s, order)
 
-    out_of_bounds = (cdf < -atol) | (cdf > 1.0 + atol)
+    out_of_bounds = (cdf < -_ATOL) | (cdf > 1.0 + _ATOL)
     decreasing = np.zeros_like(grid, dtype=bool)
-    decreasing[1:] = np.diff(cdf) < -atol
-    negative_pdf = pdf < -atol
+    decreasing[1:] = np.diff(cdf) < -_ATOL
+    negative_pdf = pdf < -_ATOL
 
     flagged = out_of_bounds | decreasing | negative_pdf
     max_abs = float(max_abs_eps)
@@ -203,7 +204,7 @@ def validity_check(
             f"max |eps| must lie in [0, 1) (got {max_abs})"
         )
     return ValidityReport(
-        smallness_ok=max_abs <= smallness_threshold,
+        smallness_ok=max_abs <= _SMALLNESS_THRESHOLD,
         max_abs_eps=max_abs,
         cdf_monotone=not bool(np.any(decreasing)),
         cdf_bounded=not bool(np.any(out_of_bounds)),

@@ -14,7 +14,6 @@ are drawn once and every rho runs its recurrence on them.
 """
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,8 +34,6 @@ __all__ = [
     "sample_dag_max",
     "empirical_stats",
     "non_iid_experiment",
-    "write_samples_csv",
-    "stats_dict",
 ]
 
 # Fixed work-unit size so chunking never depends on the worker count.
@@ -97,11 +94,6 @@ class McResult:
     mean: float
     std: float
     histogram: tuple[np.ndarray, np.ndarray]
-
-    @property
-    def ecdf(self) -> np.ndarray:
-        """``samples`` sorted ascending, computed on each access."""
-        return np.sort(self.samples)
 
     @property
     def stderr(self) -> float:
@@ -274,24 +266,21 @@ def sample_dag_max(mu, sigma, src, dst, cfg: McConfig) -> McResult:
     return empirical_stats(samples)
 
 
-def empirical_stats(samples, bins: int | None = None) -> McResult:
+def empirical_stats(samples) -> McResult:
     """Summary statistics: mean, unbiased std, histogram.
 
-    ``bins`` is the number of equal-width bins over [min, max]; when
-    omitted, the Freedman-Diaconis rule decides, or Sturges' rule when
-    Freedman-Diaconis asks for more than ``_MAX_BINS`` bins.
+    The histogram has equal-width bins over [min, max], as many as the
+    Freedman-Diaconis rule asks for, or as Sturges' rule asks for when
+    Freedman-Diaconis asks for more than ``_MAX_BINS``.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyInput("samples must be a nonempty 1-D array")
-    if bins is not None and bins < 1:
-        raise DomainError(f"bins must be >= 1 (got {bins})")
     mean = float(np.mean(arr))
     std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-    if bins is None:
-        iqr = np.subtract(*np.percentile(arr, [75, 25]))
-        fd_width = 2.0 * iqr * arr.size ** (-1.0 / 3.0)
-        bins = "sturges" if fd_width and np.ptp(arr) / fd_width > _MAX_BINS else "fd"
+    iqr = np.subtract(*np.percentile(arr, [75, 25]))
+    fd_width = 2.0 * iqr * arr.size ** (-1.0 / 3.0)
+    bins = "sturges" if fd_width and np.ptp(arr) / fd_width > _MAX_BINS else "fd"
     counts, edges = np.histogram(arr, bins=bins)
     return McResult(samples=arr, mean=mean, std=std, histogram=(edges, counts))
 
@@ -328,27 +317,3 @@ def non_iid_experiment(cfg: NonIidConfig) -> list[tuple[int, float, float]]:
         stats = empirical_stats(samples)
         rows.append((n, stats.mean, stats.std))
     return rows
-
-
-def write_samples_csv(result: McResult, path) -> None:
-    """Write samples as a one-column CSV with header ``sample``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample"])
-        for v in result.samples:
-            writer.writerow([format(v, ".17g")])
-
-
-def stats_dict(result: McResult) -> dict:
-    """JSON-ready summary: mean, std, stderr, count, histogram."""
-    edges, counts = result.histogram
-    return {
-        "mean": result.mean,
-        "std": result.std,
-        "stderr": result.stderr,
-        "count": int(len(result.samples)),
-        "histogram": {
-            "bin_edges": [float(e) for e in edges],
-            "counts": [int(c) for c in counts],
-        },
-    }

@@ -164,54 +164,52 @@ def parse_graph(text: str) -> TimingGraph:
     ``FROM TO MU SIGMA`` with MU >= 0 and SIGMA >= 0.  JSON format:
     ``{"edges": [{"from":, "to":, "mu":, "sigma":}, ...]}``.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_graph_json(text)
-    edge_list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 4:
-            raise ParseError(
-                f"line {lineno}: expected 'FROM TO MU SIGMA', got {line!r}"
+    if text.lstrip().startswith("{"):
+        edge_list = _json_edge_list(text)
+    else:
+        edge_list = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) != 4:
+                raise ParseError(
+                    f"line {lineno}: expected 'FROM TO MU SIGMA', got {line!r}"
+                )
+            try:
+                mu, sigma = float(tokens[2]), float(tokens[3])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad number in {line!r}") from exc
+            edge_list.append(
+                _checked_edge(f"line {lineno}", tokens[0], tokens[1], mu, sigma)
             )
-        src, dst = tokens[0], tokens[1]
-        try:
-            mu, sigma = float(tokens[2]), float(tokens[3])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad number in {line!r}") from exc
-        if src == dst:
-            raise ParseError(f"line {lineno}: self-loop on node {src!r}")
-        if not (np.isfinite(mu) and np.isfinite(sigma)) or mu < 0 or sigma < 0:
-            raise ParseError(
-                f"line {lineno}: MU and SIGMA must be finite and >= 0"
-            )
-        edge_list.append((src, dst, mu, sigma))
     if not edge_list:
         raise ParseError("no edges found in graph input")
     return TimingGraph.from_edge_list(edge_list)
 
 
-def _parse_graph_json(text: str) -> TimingGraph:
+def _json_edge_list(text: str) -> list[tuple[str, str, float, float]]:
+    """Checked edges of a JSON graph document; edge K is ``edges[K]``."""
     try:
-        doc = json.loads(text)
-        raw_edges = doc["edges"]
         edge_list = [
             (str(e["from"]), str(e["to"]), float(e["mu"]), float(e["sigma"]))
-            for e in raw_edges
+            for e in json.loads(text)["edges"]
         ]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed JSON graph document: {exc}") from exc
-    if not edge_list:
-        raise ParseError("no edges found in graph input")
-    for src, dst, mu, sigma in edge_list:
-        if src == dst:
-            raise ParseError(f"self-loop on node {src!r}")
-        if not (np.isfinite(mu) and np.isfinite(sigma)) or mu < 0 or sigma < 0:
-            raise ParseError("mu and sigma must be finite and >= 0")
-    return TimingGraph.from_edge_list(edge_list)
+    return [_checked_edge(f"edge {k}", *e) for k, e in enumerate(edge_list)]
+
+
+def _checked_edge(
+    where: str, src: str, dst: str, mu: float, sigma: float
+) -> tuple[str, str, float, float]:
+    """The edge as a tuple, or ParseError prefixed with its location."""
+    if src == dst:
+        raise ParseError(f"{where}: self-loop on node {src!r}")
+    if not (np.isfinite(mu) and np.isfinite(sigma)) or mu < 0 or sigma < 0:
+        raise ParseError(f"{where}: MU and SIGMA must be finite and >= 0")
+    return src, dst, mu, sigma
 
 
 def load_graph(path) -> TimingGraph:

@@ -8,6 +8,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from corrmax import (
+    Ar1Model,
+    McConfig,
+    NonIidConfig,
+    enumerate_paths,
+    load_graph,
+    non_iid_experiment,
+    normalize_source_sink,
+    path_covariance,
+    sample_max_distribution,
+)
 from corrmax.cli import _write_json, main
 from conftest import cascade64_text
 
@@ -235,6 +246,21 @@ class TestGraph:
         assert run(["graph", "paths", str(tmp_path / "missing.txt"),
                     "--outdir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("edge, message", [
+        ({"from": "b", "to": "b", "mu": 1.0, "sigma": 0.1},
+         "self-loop on node 'b'"),
+        ({"from": "b", "to": "c", "mu": 1.0, "sigma": -0.1},
+         "MU and SIGMA must be finite and >= 0"),
+        ({"from": "b", "to": "c", "mu": float("inf"), "sigma": 0.1},
+         "MU and SIGMA must be finite and >= 0"),
+    ], ids=["self_loop", "negative_sigma", "infinite_mu"])
+    def test_json_edge_errors_exit_3(self, tmp_path, capsys, edge, message):
+        doc = {"edges": [{"from": "a", "to": "b", "mu": 1.0, "sigma": 0.1}, edge]}
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert run(["graph", "paths", str(f), "--outdir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"error: edge 1: {message}\n"
+
     def test_cap_exit_4(self, tmp_path):
         f = tmp_path / "cascade.txt"
         f.write_text(cascade64_text())
@@ -264,6 +290,72 @@ class TestNonIid:
                     "--workers", "0"] + base) == 2
         assert run(["noniid", "--n-grid", "10",
                     "--seed", str(2**64)] + base) == 2
+
+
+def _g17(*values) -> str:
+    return ",".join(format(v, ".17g") for v in values)
+
+
+def _mc_samples_lines(graphs_dir):
+    res = sample_max_distribution(Ar1Model(n=50, rho=0.35),
+                                  McConfig(seed=3, reps=300))
+    return ["sample"] + [_g17(v) for v in res.samples]
+
+
+def _graph_cov_lines(graphs_dir):
+    g = normalize_source_sink(load_graph(graphs_dir / "shared_nodes_7.txt"))
+    cov = path_covariance(enumerate_paths(g), g)
+    header = ",".join(f"path_{j}" for j in range(len(cov)))
+    return [header] + [_g17(*row) for row in cov]
+
+
+def _noniid_lines(graphs_dir):
+    cfg = NonIidConfig(n_grid=(5, 20), delta_mu=0.1, reps=500, seed=6)
+    return ["n,mean,std,stderr"] + [
+        f"{n}," + _g17(mean, std, std / np.sqrt(cfg.reps))
+        for n, mean, std in non_iid_experiment(cfg)
+    ]
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("args, message", [
+        (["dist", "first", "--n", "100", "--rho", "0.5", "--z-min", "5",
+          "--z-max", "1"], "--z-max must exceed --z-min"),
+        (["dist", "gumbel", "--n", "100", "--steps", "1"],
+         "--steps must be >= 2"),
+        (["dist", "first", "--n", "100"],
+         "--rho or --eps-file required for corrected distributions"),
+        (["dist", "first", "--n", "100", "--rho", "1.5"],
+         "--rho must lie in [0, 1)"),
+        (["mc", "--n", "10", "--rho-sweep", "0.5:1.5:0.5", "--seed", "1"],
+         "--rho-sweep values must lie in [0, 1]"),
+        (["mc", "--n", "10", "--seed", "1"], "--rho or --rho-sweep is required"),
+        (["mc", "--n", "10", "--rho", "1.5", "--seed", "1"],
+         "--rho must lie in [0, 1]"),
+        (["noniid", "--n-grid", "ten", "--seed", "1"],
+         "--n-grid must be a comma-separated integer list"),
+    ], ids=["dist_z_range", "dist_steps", "dist_no_rho", "dist_rho_range",
+            "mc_sweep_range", "mc_no_rho", "mc_rho_range", "noniid_grid"])
+    def test_usage_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        assert run(args + ["--outdir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("args, name, expected_lines", [
+        (["mc", "--n", "50", "--rho", "0.35", "--seed", "3", "--reps", "300"],
+         "x_samples.csv", _mc_samples_lines),
+        (["graph", "cov", "GRAPHS/shared_nodes_7.txt"], "x.csv", _graph_cov_lines),
+        (["noniid", "--n-grid", "5,20", "--delta-mu", "0.1", "--reps", "500",
+          "--seed", "6"], "x.csv", _noniid_lines),
+    ], ids=["mc_samples", "graph_cov", "noniid"])
+    def test_csv_bytes_equal_in_process_results(
+        self, tmp_path, graphs_dir, args, name, expected_lines
+    ):
+        args = [a.replace("GRAPHS", str(graphs_dir)) for a in args]
+        assert run(args + ["--out", "x", "--outdir", str(tmp_path)]) == 0
+        expected = "".join(line + "\n" for line in expected_lines(graphs_dir))
+        assert (tmp_path / name).read_bytes() == expected.encode()
 
 
 class TestEnvironment:

@@ -166,7 +166,7 @@ class TestCorrectedCdf:
             Ar1Model(n=100, rho=0.35), McConfig(seed=42, reps=10_000)
         )
         grid = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 400)
-        emp = ecdf_values(res.ecdf, grid)
+        emp = ecdf_values(np.sort(res.samples), grid)
         sup_first = np.max(np.abs(emp - corrected_cdf(grid, p, s, "first")))
         sup_gumbel = np.max(np.abs(emp - gumbel_cdf(grid, p)))
         assert sup_first < 0.04
@@ -267,9 +267,6 @@ class TestValidityCheck:
         z = np.linspace(p.alpha - 1.0, p.alpha + 1.0, 50)
         assert validity_check(
             p, correlation_sum(eps), eps.max_abs(), z
-        ).smallness_ok
-        assert not validity_check(
-            p, correlation_sum(eps), eps.max_abs(), z, smallness_threshold=0.2
         ).smallness_ok
 
     def test_grid_validation(self):

@@ -25,9 +25,8 @@ from corrmax.montecarlo import (
     _chunk_uniforms,
     _open_uniform,
     _thread_count,
-    stats_dict,
-    write_samples_csv,
 )
+from corrmax.cli import _stats_dict
 from conftest import (
     dkw_band_halfwidth,
     ecdf_values,
@@ -159,7 +158,7 @@ class TestSampleMaxDistribution:
         res = sample_max_distribution(Ar1Model(n=100, rho=0.0), cfg)
         grid = np.linspace(0.0, 5.0, 500)
         sup = np.max(
-            np.abs(ecdf_values(res.ecdf, grid) - iid_max_cdf(grid, 100))
+            np.abs(ecdf_values(np.sort(res.samples), grid) - iid_max_cdf(grid, 100))
         )
         assert sup < dkw_band_halfwidth(cfg.reps, 0.99)
 
@@ -226,7 +225,7 @@ class TestEmpiricalStats:
         assert res.std == 0.0
 
     def test_two_point_histogram(self):
-        res = empirical_stats([0.0, 1.0], bins=2)
+        res = empirical_stats([0.0, 1.0])
         edges, counts = res.histogram
         np.testing.assert_array_equal(counts, [1, 1])
         assert edges[0] == 0.0 and edges[-1] == 1.0
@@ -245,7 +244,6 @@ class TestEmpiricalStats:
         assert res.mean == pytest.approx(
             float(np.sum(samples)) / samples.size, abs=1e-12
         )
-        np.testing.assert_array_equal(res.ecdf, np.sort(samples))
 
     def test_default_bins_are_freedman_diaconis(self):
         samples = np.random.default_rng(4).gumbel(size=10_000)
@@ -269,10 +267,6 @@ class TestEmpiricalStats:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             empirical_stats([])
-
-    def test_bad_bins(self):
-        with pytest.raises(DomainError):
-            empirical_stats([1.0, 2.0], bins=0)
 
 
 class TestNonIidExperiment:
@@ -360,14 +354,9 @@ class TestHelpers:
         with pytest.raises(DomainError):
             dkw_band_halfwidth(10, confidence=1.0)
 
-    def test_stats_roundtrip(self, tmp_path):
-        res = empirical_stats([0.5, 1.5, 2.5, 3.5], bins=2)
-        d = stats_dict(res)
+    def test_stats_roundtrip(self):
+        res = empirical_stats([0.5, 1.5, 2.5, 3.5])
+        d = _stats_dict(res)
         assert d["count"] == 4
         assert d["mean"] == pytest.approx(2.0)
         assert sum(d["histogram"]["counts"]) == 4
-        out = tmp_path / "samples.csv"
-        write_samples_csv(res, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "sample"
-        assert [float(v) for v in lines[1:]] == [0.5, 1.5, 2.5, 3.5]

@@ -16,6 +16,11 @@ PACKAGE_DIR = REPO_ROOT / "src" / "corrmax"
 NO_CALLER_NEEDED = {"rep_rng", "gumbel_cdf", "gumbel_pdf"}
 
 
+def _package_trees():
+    return [(path.name, ast.parse(path.read_text()))
+            for path in sorted(PACKAGE_DIR.glob("*.py"))]
+
+
 def _exported_names() -> set[str]:
     """Names that ``corrmax/__init__.py`` imports from its submodules."""
     tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
@@ -31,10 +36,10 @@ def _exported_names() -> set[str]:
 def _referenced_names() -> set[str]:
     """Every ``Name`` and ``Attribute`` in the package's other modules."""
     used = set()
-    for path in PACKAGE_DIR.glob("*.py"):
-        if path.name == "__init__.py":
+    for name, tree in _package_trees():
+        if name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -46,6 +51,43 @@ def test_every_public_name_is_used_in_the_package():
     exported = _exported_names()
     assert NO_CALLER_NEEDED <= exported
     assert exported - _referenced_names() - NO_CALLER_NEEDED == set()
+
+
+def test_no_module_imports_csv():
+    """CSV files are written by ``cli._write_csv``, not the csv module."""
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "csv" not in [m.split(".")[0] for m in modules], name
+
+
+def _open_mode(call: ast.Call):
+    """The mode argument of an ``open(...)`` call; "r" when omitted."""
+    if len(call.args) > 1:
+        return call.args[1]
+    for kw in call.keywords:
+        if kw.arg == "mode":
+            return kw.value
+    return ast.Constant("r")
+
+
+def test_only_cli_opens_files_for_writing():
+    """The CLI is the one module that decides an output format."""
+    for name, tree in _package_trees():
+        if name == "cli.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "open":
+                mode = _open_mode(node)
+                # A mode computed at run time counts as a write mode.
+                assert isinstance(mode, ast.Constant) \
+                    and not set("wax+") & set(mode.value), (name, node.lineno)
 
 
 def test_readme_quick_start_runs():

@@ -69,6 +69,9 @@ class TestParseGraph:
     @pytest.mark.parametrize("bad", [
         "a b 1\n", "a b one 0.1\n", "a b 1 0.1 extra\n",
         "a b -1 0.1\n", "a b 1 -0.1\n", "a b inf 0.1\n", "",
+        '{"edges": [{"from": "a", "to": "a", "mu": 1, "sigma": 0.1}]}',
+        '{"edges": [{"from": "a", "to": "b", "mu": 1, "sigma": -0.1}]}',
+        '{"edges": [{"from": "a", "to": "b", "mu": Infinity, "sigma": 0.1}]}',
     ])
     def test_malformed_lines(self, bad):
         with pytest.raises(ParseError):
@@ -425,9 +428,10 @@ class TestGraphMonteCarlo:
         rng = np.random.default_rng(29)
         d = mu + sigma * rng.standard_normal((reps, len(mu)))
         ref = np.sort((d @ incidence.T).max(axis=1))
-        grid = np.concatenate([mc.ecdf, ref])
+        ecdf = np.sort(mc.samples)
+        grid = np.concatenate([ecdf, ref])
         ks = np.max(np.abs(
-            np.searchsorted(mc.ecdf, grid, side="right") / reps
+            np.searchsorted(ecdf, grid, side="right") / reps
             - np.searchsorted(ref, grid, side="right") / reps
         ))
         assert ks < 1.628 * np.sqrt(2.0 / reps)
