@@ -9,9 +9,12 @@ One subcommand per experiment family:
 
 Commands emit data files (CSV/JSON), never images; every run writes a
 manifest sidecar recording the command, parameters, seed, and tool
-version.  With a fixed seed, the data files are bitwise reproducible for
-any worker count.  Exit codes: 0 success, 2 argument/validation error,
-3 input parse error, 4 resource cap exceeded.
+version.  Each ``_cmd_*`` only computes: it returns its file prefix, seed
+and ``{suffix: content}``, and ``main`` writes them all through
+``_write_outputs`` once the command has succeeded.  With a fixed seed,
+the data files are bitwise reproducible for any worker count.  Exit
+codes: 0 success, 2 argument/validation error, 3 input parse error,
+4 resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -77,15 +80,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _outdir(args) -> Path:
-    if args.outdir is not None:
-        out = Path(args.outdir)
-    else:
-        out = Path(os.environ.get(OUTDIR_ENV, "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _dump_json(obj, fh, indent: str = "") -> None:
     """Write to ``fh`` the bytes json writes with ``indent=2, sort_keys=True``.
 
@@ -136,19 +130,35 @@ def _write_csv(path: Path, header, rows) -> None:
         fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
-def _write_manifest(path: Path, command: str, args, seed) -> None:
+def _write_outputs(args, prefix: str, seed, files: dict) -> None:
+    """Write what a command computed: each ``{suffix: content}`` entry as
+    ``<prefix><suffix>`` (a dict as JSON, a ``(header, rows)`` pair as
+    CSV), then the manifest, then name the first file on stdout.
+
+    The only code that creates the output directory, so a run that fails
+    before it leaves none behind.
+    """
+    out = Path(args.outdir if args.outdir is not None
+               else os.environ.get(OUTDIR_ENV, "."))
+    out.mkdir(parents=True, exist_ok=True)
+    for suffix, content in files.items():
+        if isinstance(content, dict):
+            _write_json(out / f"{prefix}{suffix}", content)
+        else:
+            _write_csv(out / f"{prefix}{suffix}", *content)
     params = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
         if k not in ("func",) and v is not None
     }
-    _write_json(path, {
-        "command": command,
+    _write_json(out / f"{prefix}.manifest.json", {
+        "command": args.command,
         "parameters": params,
         "seed": seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     })
+    print(f"wrote {out / (prefix + next(iter(files)))}")
 
 
 def _stats_dict(result) -> dict:
@@ -182,9 +192,7 @@ def _load_epsilon(path: str) -> EpsilonMatrix:
     )
 
 
-def _cmd_dist(args) -> int:
-    outdir = _outdir(args)
-    prefix = args.out or f"dist_{args.kind}_n{args.n}"
+def _cmd_dist(args):
     if args.z_max <= args.z_min:
         raise DomainError("--z-max must exceed --z-min")
     if args.steps < 2:
@@ -222,21 +230,19 @@ def _cmd_dist(args) -> int:
         cdf = np.clip(cdf, 0.0, 1.0)
         pdf = np.clip(pdf, 0.0, None)
 
-    csv_path = outdir / f"{prefix}.csv"
-    _write_csv(csv_path, ("z", "cdf", "pdf"), zip(z, cdf, pdf))
-    _write_json(outdir / f"{prefix}.json", {
-        "kind": args.kind,
-        "order": order,
-        "n": params.n,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "s": s,
-        "clamped": bool(args.clamp),
-        "validity": dataclasses.asdict(report),
-    })
-    _write_manifest(outdir / f"{prefix}.manifest.json", "dist", args, None)
-    print(f"wrote {csv_path}")
-    return _EXIT_OK
+    return args.out or f"dist_{args.kind}_n{args.n}", None, {
+        ".csv": (("z", "cdf", "pdf"), zip(z, cdf, pdf)),
+        ".json": {
+            "kind": args.kind,
+            "order": order,
+            "n": params.n,
+            "alpha": params.alpha,
+            "beta": params.beta,
+            "s": s,
+            "clamped": bool(args.clamp),
+            "validity": dataclasses.asdict(report),
+        },
+    }
 
 
 def _parse_sweep(spec: str) -> list[float]:
@@ -260,45 +266,38 @@ def _parse_sweep(spec: str) -> list[float]:
     return values
 
 
-def _cmd_mc(args) -> int:
-    outdir = _outdir(args)
+def _cmd_mc(args):
     cfg = McConfig(seed=args.seed, reps=args.reps, workers=args.workers)
 
     if args.rho_sweep is not None:
         rhos = _parse_sweep(args.rho_sweep)
         if not all(0.0 <= rho <= 1.0 for rho in rhos):
             raise DomainError("--rho-sweep values must lie in [0, 1]")
-        prefix = args.out or f"mc_n{args.n}_sweep"
-        csv_path = outdir / f"{prefix}.csv"
         results = sample_max_sweep(args.n, rhos, cfg, args.sigma)
-        _write_csv(csv_path, ("rho", "mean", "std", "stderr"), (
-            (rho, res.mean, res.std, res.stderr) for rho, res in zip(rhos, results)
-        ))
-        _write_manifest(outdir / f"{prefix}.manifest.json", "mc", args, args.seed)
-        print(f"wrote {csv_path}")
-        return _EXIT_OK
+        return args.out or f"mc_n{args.n}_sweep", args.seed, {
+            ".csv": (("rho", "mean", "std", "stderr"), (
+                (rho, res.mean, res.std, res.stderr)
+                for rho, res in zip(rhos, results)
+            )),
+        }
 
     if args.rho is None:
         raise DomainError("--rho or --rho-sweep is required")
     if not (0.0 <= args.rho <= 1.0):
         raise DomainError("--rho must lie in [0, 1]")
-    prefix = args.out or f"mc_n{args.n}_rho{args.rho}"
     result = sample_max_distribution(
         Ar1Model(n=args.n, rho=args.rho, sigma=args.sigma), cfg
     )
-    samples_path = outdir / f"{prefix}_samples.csv"
-    _write_csv(samples_path, ("sample",), zip(result.samples))
     stats = _stats_dict(result)
     stats.update({"n": args.n, "rho": args.rho, "sigma": args.sigma,
                   "seed": args.seed})
-    _write_json(outdir / f"{prefix}_stats.json", stats)
-    _write_manifest(outdir / f"{prefix}.manifest.json", "mc", args, args.seed)
-    print(f"wrote {samples_path}")
-    return _EXIT_OK
+    return args.out or f"mc_n{args.n}_rho{args.rho}", args.seed, {
+        "_samples.csv": (("sample",), zip(result.samples)),
+        "_stats.json": stats,
+    }
 
 
-def _cmd_graph(args) -> int:
-    outdir = _outdir(args)
+def _cmd_graph(args):
     graph = load_graph(args.graph_file)
     stem = Path(args.graph_file).stem
     norm = normalize_source_sink(graph)
@@ -312,24 +311,19 @@ def _cmd_graph(args) -> int:
                 f"path {i}: length {ps.lengths[i]}, "
                 f"mean {_fmt(mean)}, std {_fmt(std)}: {seq}"
             )
-        return _EXIT_OK
+        return None  # prints only: no file, no directory
 
     if args.action == "cov":
         ps = enumerate_paths(norm, cap=args.cap)
         cov = path_covariance(ps, norm)
-        prefix = args.out or f"{stem}_cov"
-        csv_path = outdir / f"{prefix}.csv"
-        _write_csv(csv_path, [f"path_{j}" for j in range(len(cov))], cov)
-        _write_manifest(outdir / f"{prefix}.manifest.json", "graph", args, None)
-        print(f"wrote {csv_path}")
-        return _EXIT_OK
+        header = [f"path_{j}" for j in range(len(cov))]
+        return args.out or f"{stem}_cov", None, {".csv": (header, cov)}
 
     # analyze
     cfg = McConfig(seed=args.seed, reps=args.reps, workers=args.workers)
     analysis = graph_delay_analysis(
         norm, cfg, order=args.order, cap=args.cap, z_steps=args.z_steps
     )
-    prefix = args.out or f"{stem}_analysis"
     doc = {
         "n_paths": analysis.n_paths,
         "lengths": list(analysis.lengths),
@@ -351,15 +345,10 @@ def _cmd_graph(args) -> int:
         "mc": _stats_dict(analysis.mc),
         "mc_mean_gap": analysis.mc_mean_gap,
     }
-    json_path = outdir / f"{prefix}.json"
-    _write_json(json_path, doc)
-    _write_manifest(outdir / f"{prefix}.manifest.json", "graph", args, args.seed)
-    print(f"wrote {json_path}")
-    return _EXIT_OK
+    return args.out or f"{stem}_analysis", args.seed, {".json": doc}
 
 
-def _cmd_noniid(args) -> int:
-    outdir = _outdir(args)
+def _cmd_noniid(args):
     try:
         n_grid = tuple(int(tok) for tok in args.n_grid.split(","))
     except ValueError:
@@ -371,14 +360,11 @@ def _cmd_noniid(args) -> int:
         freeze_deviations=args.freeze_deviations,
     )
     rows = non_iid_experiment(cfg)
-    prefix = args.out or "noniid"
-    csv_path = outdir / f"{prefix}.csv"
-    _write_csv(csv_path, ("n", "mean", "std", "stderr"), (
-        (n, mean, std, std / np.sqrt(cfg.reps)) for n, mean, std in rows
-    ))
-    _write_manifest(outdir / f"{prefix}.manifest.json", "noniid", args, args.seed)
-    print(f"wrote {csv_path}")
-    return _EXIT_OK
+    return args.out or "noniid", args.seed, {
+        ".csv": (("n", "mean", "std", "stderr"), (
+            (n, mean, std, std / np.sqrt(cfg.reps)) for n, mean, std in rows
+        )),
+    }
 
 
 def _add_common_output(p: argparse.ArgumentParser) -> None:
@@ -456,7 +442,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        outputs = args.func(args)
+        if outputs is not None:
+            _write_outputs(args, *outputs)
     except (CorrmaxError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, PathExplosionError):
@@ -464,6 +452,7 @@ def main(argv=None) -> int:
         if isinstance(exc, (GraphError, FileNotFoundError)):
             return _EXIT_PARSE
         return _EXIT_USAGE
+    return _EXIT_OK
 
 
 if __name__ == "__main__":

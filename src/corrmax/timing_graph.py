@@ -390,6 +390,8 @@ def graph_delay_analysis(
     the correlated path delays; the gap to the analytic mean quantifies the
     approximation error.
     """
+    if z_steps < 2:
+        raise DomainError(f"z_steps must be >= 2 (got {z_steps})")
     norm = normalize_source_sink(g)
     ps = enumerate_paths(norm, cap=cap)
     stats = [accumulated_delay_params(norm, p) for p in ps.paths]

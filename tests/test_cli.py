@@ -109,7 +109,7 @@ class TestDist:
             "--outdir", str(out),
         ]) == 2
         assert "error:" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         "0 0.2\n0.2 x\n",  # non-numeric token
@@ -123,7 +123,7 @@ class TestDist:
             "--outdir", str(out),
         ]) == 3
         assert "error:" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_validation_exit_codes(self, tmp_path):
         base = ["--outdir", str(tmp_path)]
@@ -189,12 +189,14 @@ class TestMc:
 
 class TestGraph:
     def test_paths_listing(self, tmp_path, graphs_dir, capsys):
+        outdir = tmp_path / "out"
         code = run(["graph", "paths", str(graphs_dir / "diamond.txt"),
-                    "--outdir", str(tmp_path)])
+                    "--outdir", str(outdir)])
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("path ") == 2
         assert "length 2" in out
+        assert not outdir.exists()  # prints only
 
     def test_cov_csv(self, tmp_path, graphs_dir):
         code = run(["graph", "cov", str(graphs_dir / "shared_nodes_7.txt"),
@@ -232,7 +234,22 @@ class TestGraph:
         out = tmp_path / "out"
         assert run(["graph", "analyze", str(g), "--reps", "100",
                     "--outdir", str(out)]) == 2
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("z_steps, text", [
+        ("-1", "s a 1 0.5\ns b 1 0.5\na t 1 0.5\nb t 1 0.5\n"),  # two paths
+        ("0", "a b 1 0.5\n"),  # one path
+        ("1", "a b 1 0.5\n"),
+    ], ids=["minus_1", "0", "1"])
+    def test_z_steps_below_2_exit_2(self, tmp_path, capsys, z_steps, text):
+        g = tmp_path / "g.txt"
+        g.write_text(text)
+        out = tmp_path / "out"
+        assert run(["graph", "analyze", str(g), "--z-steps", z_steps,
+                    "--reps", "100", "--outdir", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: z_steps must be >= 2 (got {z_steps})\n")
+        assert not out.exists()
 
     def test_parse_errors_exit_3(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -340,7 +357,7 @@ class TestOutputPath:
         out = tmp_path / "out"
         assert run(args + ["--outdir", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, name, expected_lines", [
         (["mc", "--n", "50", "--rho", "0.35", "--seed", "3", "--reps", "300"],

@@ -90,6 +90,33 @@ def test_only_cli_opens_files_for_writing():
                     and not set("wax+") & set(mode.value), (name, node.lineno)
 
 
+def _called_names(node) -> set[str]:
+    """Names called as ``f(...)`` or ``x.f(...)`` anywhere inside ``node``."""
+    return {
+        call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_commands_compute_and_main_writes():
+    """No ``_cmd_*`` opens a file or creates a directory, and a single
+    function in the package calls ``mkdir``: ``cli._write_outputs``."""
+    writers = {"open", "mkdir", "_write_json", "_write_csv"}
+    mkdir_callers = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            called = _called_names(node)
+            if name == "cli.py" and node.name.startswith("_cmd_"):
+                assert called & writers == set(), node.name
+            if "mkdir" in called:
+                mkdir_callers.append(f"{name}:{node.name}")
+    assert mkdir_callers == ["cli.py:_write_outputs"]
+
+
 def test_readme_quick_start_runs():
     readme = (REPO_ROOT / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
