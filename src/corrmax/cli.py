@@ -130,16 +130,33 @@ def _write_csv(path: Path, header, rows) -> None:
         fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
-def _write_outputs(args, prefix: str, seed, files: dict) -> None:
-    """Write what a command computed: each ``{suffix: content}`` entry as
-    ``<prefix><suffix>`` (a dict as JSON, a ``(header, rows)`` pair as
-    CSV), then the manifest, then name the first file on stdout.
+def _output_dir(args) -> Path:
+    """The directory named by ``--outdir``, ``$CORRMAX_OUTDIR`` or ".".
+
+    Checked before the command computes anything: a path that is, or runs
+    through, an existing non-directory is a usage error.
+    """
+    out = Path(args.outdir if args.outdir is not None
+               else os.environ.get(OUTDIR_ENV, "."))
+    for existing in (out, *out.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise DomainError(
+                    f"output directory {out}: {existing} is not a directory"
+                )
+            break
+    return out
+
+
+def _write_outputs(out: Path, args, prefix: str, seed, files: dict) -> None:
+    """Write what a command computed into ``out``: each
+    ``{suffix: content}`` entry as ``<prefix><suffix>`` (a dict as JSON, a
+    ``(header, rows)`` pair as CSV), then the manifest, then name the first
+    file on stdout.
 
     The only code that creates the output directory, so a run that fails
     before it leaves none behind.
     """
-    out = Path(args.outdir if args.outdir is not None
-               else os.environ.get(OUTDIR_ENV, "."))
     out.mkdir(parents=True, exist_ok=True)
     for suffix, content in files.items():
         if isinstance(content, dict):
@@ -300,10 +317,39 @@ def _cmd_mc(args):
 def _cmd_graph(args):
     graph = load_graph(args.graph_file)
     stem = Path(args.graph_file).stem
-    norm = normalize_source_sink(graph)
 
+    if args.action == "analyze":
+        cfg = McConfig(seed=args.seed, reps=args.reps, workers=args.workers)
+        # graph_delay_analysis normalizes the graph itself.
+        analysis = graph_delay_analysis(
+            graph, cfg, order=args.order, cap=args.cap, z_steps=args.z_steps
+        )
+        doc = {
+            "n_paths": analysis.n_paths,
+            "lengths": list(analysis.lengths),
+            "path_means": analysis.path_means,
+            "path_stds": analysis.path_stds,
+            "covariance": analysis.covariance,
+            "s": analysis.s,
+            "order": analysis.order,
+            "nominal_mean": analysis.nominal_mean,
+            "nominal_std": analysis.nominal_std,
+            "gumbel": None if analysis.gumbel is None
+            else dataclasses.asdict(analysis.gumbel),
+            "z": analysis.z_grid,
+            "cdf": analysis.cdf,
+            "pdf": analysis.pdf,
+            "validity": None if analysis.validity is None
+            else dataclasses.asdict(analysis.validity),
+            "analytic_mean": analysis.analytic_mean,
+            "mc": _stats_dict(analysis.mc),
+            "mc_mean_gap": analysis.mc_mean_gap,
+        }
+        return args.out or f"{stem}_analysis", args.seed, {".json": doc}
+
+    norm = normalize_source_sink(graph)
+    ps = enumerate_paths(norm, cap=args.cap)
     if args.action == "paths":
-        ps = enumerate_paths(norm, cap=args.cap)
         for i, path in enumerate(ps.paths):
             mean, std = accumulated_delay_params(norm, path)
             seq = " -> ".join(ps.node_sequence(i, norm))
@@ -313,39 +359,9 @@ def _cmd_graph(args):
             )
         return None  # prints only: no file, no directory
 
-    if args.action == "cov":
-        ps = enumerate_paths(norm, cap=args.cap)
-        cov = path_covariance(ps, norm)
-        header = [f"path_{j}" for j in range(len(cov))]
-        return args.out or f"{stem}_cov", None, {".csv": (header, cov)}
-
-    # analyze
-    cfg = McConfig(seed=args.seed, reps=args.reps, workers=args.workers)
-    analysis = graph_delay_analysis(
-        norm, cfg, order=args.order, cap=args.cap, z_steps=args.z_steps
-    )
-    doc = {
-        "n_paths": analysis.n_paths,
-        "lengths": list(analysis.lengths),
-        "path_means": analysis.path_means,
-        "path_stds": analysis.path_stds,
-        "covariance": analysis.covariance,
-        "s": analysis.s,
-        "order": analysis.order,
-        "nominal_mean": analysis.nominal_mean,
-        "nominal_std": analysis.nominal_std,
-        "gumbel": None if analysis.gumbel is None
-        else dataclasses.asdict(analysis.gumbel),
-        "z": analysis.z_grid,
-        "cdf": analysis.cdf,
-        "pdf": analysis.pdf,
-        "validity": None if analysis.validity is None
-        else dataclasses.asdict(analysis.validity),
-        "analytic_mean": analysis.analytic_mean,
-        "mc": _stats_dict(analysis.mc),
-        "mc_mean_gap": analysis.mc_mean_gap,
-    }
-    return args.out or f"{stem}_analysis", args.seed, {".json": doc}
+    cov = path_covariance(ps, norm)
+    header = [f"path_{j}" for j in range(len(cov))]
+    return args.out or f"{stem}_cov", None, {".csv": (header, cov)}
 
 
 def _cmd_noniid(args):
@@ -359,10 +375,10 @@ def _cmd_noniid(args):
         reps=args.reps, seed=args.seed, workers=args.workers,
         freeze_deviations=args.freeze_deviations,
     )
-    rows = non_iid_experiment(cfg)
+    results = non_iid_experiment(cfg)
     return args.out or "noniid", args.seed, {
         ".csv": (("n", "mean", "std", "stderr"), (
-            (n, mean, std, std / np.sqrt(cfg.reps)) for n, mean, std in rows
+            (n, res.mean, res.std, res.stderr) for n, res in zip(n_grid, results)
         )),
     }
 
@@ -442,9 +458,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = _output_dir(args)
         outputs = args.func(args)
         if outputs is not None:
-            _write_outputs(args, *outputs)
+            _write_outputs(out, args, *outputs)
     except (CorrmaxError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, PathExplosionError):

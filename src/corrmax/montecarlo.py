@@ -6,11 +6,15 @@ identical for any worker count or chunking.  ``rep_rng`` and
 ``_open_uniform`` are the reference definition of that stream.  The
 samplers read it through ``_chunk_uniforms``, which builds one Philox per
 chunk of repetitions and sets its counter to each repetition's start in
-turn; its output is bitwise equal to the per-repetition definition.
-Normal variates are ``std_normal_quantile`` (``ndtri``) of open-interval
-uniforms, the same inverse CDF the analytic layer uses for its scaling
-constants.  A rho-sweep uses common random numbers: each chunk's normals
-are drawn once and every rho runs its recurrence on them.
+turn, collecting the raw words of 64 repetitions before it converts them
+to uniforms in one vectorized step; its output is bitwise equal to the
+per-repetition definition.  Normal variates are ``std_normal_quantile``
+(``ndtri``) of open-interval uniforms, the same inverse CDF the analytic
+layer uses for its scaling constants.  A rho-sweep uses common random
+numbers: each chunk's normals are drawn once, and a single AR(1)
+recurrence advances up to 64 rho points at a time on them as one
+(points x chunk) block, with the same per-element operations as one
+chain at a time.
 """
 from __future__ import annotations
 
@@ -38,6 +42,13 @@ __all__ = [
 
 # Fixed work-unit size so chunking never depends on the worker count.
 _CHUNK_REPS = 1024
+
+# Rows of raw Philox words that _chunk_uniforms converts at once.
+_ROW_BLOCK = 64
+
+# Most rho points that share one block recurrence; caps its buffers at
+# 3 * _RHO_GROUP * _CHUNK_REPS floats per thread whatever the sweep length.
+_RHO_GROUP = 64
 
 # Above this many Freedman-Diaconis bins (a near-constant sample beside one
 # outlier asks for tens of millions) the default histogram uses Sturges.
@@ -158,19 +169,24 @@ def _chunk_uniforms(seed: int, start: int, stop: int, width: int,
     ``(stream << 192) | (r << 128)`` and uses ceil(width/4) four-word
     blocks, so one Philox serves the chunk: before each row its state is
     reset to a fresh Philox's, empty buffer included, with the counter's
-    third word set to r.
+    third word set to r.  Raw words collect in ``_ROW_BLOCK`` rows and are
+    converted one row block at a time.
     """
-    blocks = -(-width // 4)
+    words = 4 * -(-width // 4)
     bitgen = np.random.Philox(key=int(seed), counter=int(stream) << 192)
     state = bitgen.state
+    counter = state["state"]["counter"]
     u = np.empty((stop - start, width), dtype=float)
-    for r, row in enumerate(u, start):
-        state["state"]["counter"][2] = r
-        bitgen.state = state
+    raw = np.empty((min(_ROW_BLOCK, stop - start), words), dtype=np.uint64)
+    for a in range(start, stop, _ROW_BLOCK):
+        block = raw[: min(_ROW_BLOCK, stop - a)]
+        for i in range(len(block)):
+            counter[2] = a + i
+            bitgen.state = state
+            block[i] = bitgen.random_raw(words)
         # integers(0, 2**53) on a 64-bit word is the word's top 53 bits.
-        raw = bitgen.random_raw(4 * blocks)
-        raw >>= 11
-        row[:] = raw[:width]
+        block >>= 11
+        u[a - start : a - start + len(block)] = block[:, :width]
     u += 0.5
     u *= 2.0**-53
     return u
@@ -203,26 +219,30 @@ def sample_max_sweep(n: int, rhos, cfg: McConfig, sigma: float = 1.0) -> list[Mc
     """Maxima of ``cfg.reps`` AR(1) chains for every rho in ``rhos``.
 
     All points share the seed, so they share their normals (common random
-    numbers): each chunk's normals are drawn once and every rho runs the
-    recurrence on them.  Entry k equals
-    ``sample_max_distribution(Ar1Model(n, rhos[k], sigma), cfg)``.
+    numbers): each chunk's normals are drawn once, and one recurrence runs
+    on a (points x chunk) block, ``_RHO_GROUP`` points at a time.  Entry k
+    equals ``sample_max_distribution(Ar1Model(n, rhos[k], sigma), cfg)``.
     """
-    models = [Ar1Model(n=n, rho=rho, sigma=sigma) for rho in rhos]
-    maxima = np.empty((len(models), cfg.reps), dtype=float)
+    rho = np.array([Ar1Model(n=n, rho=r, sigma=sigma).rho for r in rhos], dtype=float)
+    c = sigma * np.sqrt(1.0 - rho * rho)
+    maxima = np.empty((len(rho), cfg.reps), dtype=float)
 
     def fill(start, stop):
         # Row i of z holds step i of every repetition's chain.
         z = std_normal_quantile(_chunk_uniforms(cfg.seed, start, stop, n)).T
-        for k, model in enumerate(models):
-            rho = model.rho
-            c = sigma * np.sqrt(1.0 - rho * rho)
-            x = sigma * z[0]
-            running_max = x.copy()
+        shape = (min(_RHO_GROUP, len(rho)), stop - start)
+        x_buf, step_buf, max_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+        for g in range(0, len(rho), _RHO_GROUP):
+            rho_g, c_g = rho[g : g + _RHO_GROUP, None], c[g : g + _RHO_GROUP, None]
+            x, step, running_max = (buf[: len(rho_g)] for buf in (x_buf, step_buf, max_buf))
+            np.multiply(sigma, z[0], out=x)
+            running_max[:] = x
             for zi in z[1:]:
-                x *= rho
-                x += c * zi
+                x *= rho_g
+                np.multiply(c_g, zi, out=step)
+                x += step
                 np.maximum(running_max, x, out=running_max)
-            maxima[k, start:stop] = running_max
+            maxima[g : g + len(rho_g), start:stop] = running_max
 
     _run_chunked(cfg.reps, cfg.workers, fill)
     return [empirical_stats(row) for row in maxima]
@@ -285,13 +305,12 @@ def empirical_stats(samples) -> McResult:
     return McResult(samples=arr, mean=mean, std=std, histogram=(edges, counts))
 
 
-def non_iid_experiment(cfg: NonIidConfig) -> list[tuple[int, float, float]]:
-    """Empirical (mean, std) of the maximum versus n for non-identical
-    independent Gaussians.
+def non_iid_experiment(cfg: NonIidConfig) -> list[McResult]:
+    """Maxima of non-identical independent Gaussians versus n.
 
-    Returns one (n, mean, std) row per entry of ``cfg.n_grid``.
+    Returns one ``McResult`` per entry of ``cfg.n_grid``.
     """
-    rows = []
+    results = []
     for n_index, n in enumerate(cfg.n_grid):
         # Streams 2k feed the repetitions of grid point k; streams 2k+1 are
         # reserved for its frozen deviations, so the spaces never collide.
@@ -314,6 +333,5 @@ def non_iid_experiment(cfg: NonIidConfig) -> list[tuple[int, float, float]]:
             samples[start:stop] = x.max(axis=1)
 
         _run_chunked(cfg.reps, cfg.workers, fill)
-        stats = empirical_stats(samples)
-        rows.append((n, stats.mean, stats.std))
-    return rows
+        results.append(empirical_stats(samples))
+    return results

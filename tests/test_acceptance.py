@@ -265,17 +265,17 @@ def test_criterion_11_non_iid_scaling():
     grid = (10, 50, 100, 500)
     reps = 10_000
     base = non_iid_experiment(NonIidConfig(n_grid=grid, reps=reps, seed=101))
-    base_means = np.array([m for _, m, _ in base])
-    base_stds = np.array([s for _, _, s in base])
+    base_means = np.array([res.mean for res in base])
+    base_stds = np.array([res.std for res in base])
 
     ok = bool(np.all(np.diff(base_means) > 0.0))
     details = []
 
     # delta = 0 with an independent seed recovers the baseline within 3 SE
     again = non_iid_experiment(NonIidConfig(n_grid=grid, reps=reps, seed=404))
-    for (_, m1, s1), (_, m2, s2) in zip(base, again):
-        se = np.sqrt((s1 * s1 + s2 * s2) / reps)
-        ok = ok and abs(m1 - m2) <= 3.0 * se
+    for r1, r2 in zip(base, again):
+        se = np.sqrt((r1.std * r1.std + r2.std * r2.std) / reps)
+        ok = ok and abs(r1.mean - r2.mean) <= 3.0 * se
     details.append("delta=0 recovers baseline")
 
     for kind, cfg, bound in (
@@ -285,8 +285,8 @@ def test_criterion_11_non_iid_scaling():
                                      seed=303), None),
     ):
         rows = non_iid_experiment(cfg)
-        means = np.array([m for _, m, _ in rows])
-        stds = np.array([s for _, _, s in rows])
+        means = np.array([res.mean for res in rows])
+        stds = np.array([res.std for res in rows])
         ok = ok and bool(np.all(np.diff(means) > 0.0))
         offsets = means - base_means
         se = np.sqrt((stds**2 + base_stds**2) / reps)

@@ -19,6 +19,8 @@ from corrmax import (
     path_covariance,
     sample_max_distribution,
 )
+import corrmax.cli
+import corrmax.timing_graph
 from corrmax.cli import _write_json, main
 from conftest import cascade64_text
 
@@ -226,6 +228,25 @@ class TestGraph:
         assert doc["mc"]["count"] == 1000
         assert "mc_mean_gap" in doc and "validity" in doc
 
+    def test_analyze_normalizes_once(self, tmp_path, monkeypatch):
+        """Two sources and two sinks: the CLI leaves the normalization to
+        graph_delay_analysis, which does it once."""
+        g = tmp_path / "two_by_two.txt"
+        g.write_text("a m 1 0.2\nb m 1 0.3\nm x 1 0.1\nm y 1 0.4\n")
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return normalize_source_sink(graph)
+
+        monkeypatch.setattr(corrmax.cli, "normalize_source_sink", counting)
+        monkeypatch.setattr(corrmax.timing_graph, "normalize_source_sink", counting)
+        assert run(["graph", "analyze", str(g), "--reps", "200",
+                    "--outdir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        doc = json.loads((tmp_path / "two_by_two_analysis.json").read_text())
+        assert doc["n_paths"] == 4
+
     def test_fully_correlated_paths_exit_2(self, tmp_path):
         """Two paths that share their only random edge correlate with
         |eps| = 1, outside the expansion's domain: no data file is written."""
@@ -329,8 +350,8 @@ def _graph_cov_lines(graphs_dir):
 def _noniid_lines(graphs_dir):
     cfg = NonIidConfig(n_grid=(5, 20), delta_mu=0.1, reps=500, seed=6)
     return ["n,mean,std,stderr"] + [
-        f"{n}," + _g17(mean, std, std / np.sqrt(cfg.reps))
-        for n, mean, std in non_iid_experiment(cfg)
+        f"{n}," + _g17(res.mean, res.std, res.std / np.sqrt(cfg.reps))
+        for n, res in zip(cfg.n_grid, non_iid_experiment(cfg))
     ]
 
 
@@ -358,6 +379,24 @@ class TestOutputPath:
         assert run(args + ["--outdir", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
+    def test_outdir_through_a_file_exits_2_before_computing(
+        self, tmp_path, capsys, monkeypatch, outdir
+    ):
+        (tmp_path / "afile").write_text("kept\n")
+        computed = []
+        monkeypatch.setattr(corrmax.cli, "sample_max_distribution",
+                            lambda *a: computed.append(a))
+        out = tmp_path / outdir
+        assert run(["mc", "--n", "10", "--rho", "0.3", "--reps", "100",
+                    "--seed", "1", "--outdir", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: output directory {out}: {tmp_path / 'afile'} "
+                "is not a directory\n")
+        assert computed == []
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     @pytest.mark.parametrize("args, name, expected_lines", [
         (["mc", "--n", "50", "--rho", "0.35", "--seed", "3", "--reps", "300"],

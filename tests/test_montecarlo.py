@@ -77,6 +77,15 @@ class TestChunkUniforms:
                 ref = _open_uniform(rep_rng(seed, start + i, stream), width)
                 np.testing.assert_array_equal(row, ref)
 
+    @pytest.mark.parametrize("width", [1, 7, 201, 3003])
+    def test_rows_equal_across_row_blocks(self, width):
+        # 150 rows span three row blocks, the last one partial.
+        seed, start = 2**64 - 5, 2**20
+        u = _chunk_uniforms(seed, start, start + 150, width, 3)
+        ref = np.array([_open_uniform(rep_rng(seed, start + i, 3), width)
+                        for i in range(150)])
+        np.testing.assert_array_equal(u, ref)
+
 
 class TestThreadCount:
     def test_never_more_than_cpus_or_chunks(self):
@@ -174,6 +183,40 @@ class TestSampleMaxSweep:
                 [sample_ar1_chain(model, rep_rng(seed, r)).max() for r in range(50)]
             )
             np.testing.assert_array_equal(res.samples, direct)
+
+    @pytest.fixture(scope="class")
+    def grouped_sweep(self):
+        """70 rho points, more than one group of the block recurrence, and
+        1500 reps, so the last chunk is partial.  The per-chain reference
+        covers every seventh repetition, counted back from the last one,
+        which reaches both chunks at many offsets within them."""
+        n, sigma, seed, reps = 5, 1.3, 2**63 + 7, 1500
+        rhos = [0.0] + [round(k / 69, 12) for k in range(1, 69)] + [1.0]
+        checked = np.arange(reps - 1, -1, -7)
+        refs = [
+            np.array([sample_ar1_chain(Ar1Model(n, rho, sigma), rep_rng(seed, r)).max()
+                      for r in checked])
+            for rho in rhos
+        ]
+        return n, rhos, sigma, seed, reps, checked, refs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_per_chain_sampler_across_rho_groups(self, grouped_sweep, workers):
+        n, rhos, sigma, seed, reps, checked, refs = grouped_sweep
+        cfg = McConfig(seed=seed, reps=reps, workers=workers)
+        results = sample_max_sweep(n, rhos, cfg, sigma)
+        assert len(results) == len(rhos) == 70
+        for res, ref in zip(results, refs):
+            np.testing.assert_array_equal(res.samples[checked], ref)
+
+    def test_rho_groups_do_not_change_samples(self):
+        # Each point alone, so in a group of one, against all 70 at once.
+        rhos = [round(k / 69, 12) for k in range(70)]
+        cfg = McConfig(seed=31, reps=1500, workers=2)
+        swept = sample_max_sweep(5, rhos, cfg, 1.3)
+        for rho, res in zip(rhos, swept):
+            alone = sample_max_distribution(Ar1Model(5, rho, 1.3), cfg)
+            np.testing.assert_array_equal(res.samples, alone.samples)
 
     def test_worker_count_does_not_change_samples(self):
         rhos = [0.1, 0.5, 0.9]
@@ -280,17 +323,16 @@ class TestNonIidExperiment:
 
     def test_iid_baseline_matches_exact_law(self):
         cfg = NonIidConfig(n_grid=(10, 100, 1000), reps=10_000, seed=101)
-        rows = non_iid_experiment(cfg)
-        for n, mean, std in rows:
+        results = non_iid_experiment(cfg)
+        for n, res in zip(cfg.n_grid, results):
             exact_mean, _ = exact_iid_max_moments(n)
-            se = std / np.sqrt(cfg.reps)
-            assert abs(mean - exact_mean) < 3.0 * se
+            assert abs(res.mean - exact_mean) < 3.0 * res.stderr
 
     def test_sigma_deviations_keep_std_monotone(self):
         cfg = NonIidConfig(
             n_grid=(10, 50, 100, 500), delta_sigma=0.2, reps=10_000, seed=303
         )
-        stds = [std for _, _, std in non_iid_experiment(cfg)]
+        stds = [res.std for res in non_iid_experiment(cfg)]
         assert all(a > b for a, b in zip(stds, stds[1:]))
 
     def test_mu_deviations_scale_curve(self):
@@ -301,10 +343,10 @@ class TestNonIidExperiment:
         shifted = non_iid_experiment(
             NonIidConfig(n_grid=grid, delta_mu=0.2, reps=5000, seed=404)
         )
-        for (_, mb, sb), (_, ms, ss) in zip(base, shifted):
-            offset = ms - mb
+        for b, s in zip(base, shifted):
+            offset = s.mean - b.mean
             assert 0.0 <= offset <= 0.2 + 3.0 * np.sqrt(
-                (sb * sb + ss * ss) / 5000
+                (b.std * b.std + s.std * s.std) / 5000
             )
 
     def test_freeze_flag_changes_protocol_not_shape(self):
@@ -312,10 +354,10 @@ class TestNonIidExperiment:
             n_grid=(20,), delta_mu=0.3, reps=2000, seed=55,
             freeze_deviations=True,
         )
-        rows = non_iid_experiment(cfg)
-        assert len(rows) == 1 and rows[0][0] == 20
-        again = non_iid_experiment(cfg)
-        assert rows == again
+        [res] = non_iid_experiment(cfg)
+        assert res.samples.shape == (2000,)
+        [again] = non_iid_experiment(cfg)
+        assert np.array_equal(res.samples, again.samples)
 
     def test_frozen_deviations_match_per_repetition_streams(self):
         n, seed = 7, 2**64 - 9
@@ -329,7 +371,9 @@ class TestNonIidExperiment:
             for r in range(40)
         ]
         ref = empirical_stats(maxima)
-        assert non_iid_experiment(cfg) == [(n, ref.mean, ref.std)]
+        [res] = non_iid_experiment(cfg)
+        assert np.array_equal(res.samples, ref.samples)
+        assert (res.mean, res.std) == (ref.mean, ref.std)
 
     def test_workers_do_not_change_results(self):
         base = non_iid_experiment(
@@ -340,7 +384,7 @@ class TestNonIidExperiment:
                 n_grid=(30,), delta_sigma=0.1, reps=3000, seed=66, workers=6
             )
         )
-        assert base == par
+        assert np.array_equal(base[0].samples, par[0].samples)
 
 
 class TestHelpers:
