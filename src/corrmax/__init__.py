@@ -47,15 +47,12 @@ from .corrections import (
     validity_check,
 )
 from .montecarlo import (
-    Ar1Model,
     McConfig,
     McResult,
-    NonIidConfig,
     empirical_stats,
     non_iid_experiment,
     rep_rng,
     sample_dag_max,
-    sample_max_distribution,
     sample_max_sweep,
 )
 from .timing_graph import (

@@ -47,14 +47,7 @@ from .errors import (
     PathExplosionError,
 )
 from .gumbel import scaling_constants
-from .montecarlo import (
-    Ar1Model,
-    McConfig,
-    NonIidConfig,
-    non_iid_experiment,
-    sample_max_distribution,
-    sample_max_sweep,
-)
+from .montecarlo import McConfig, non_iid_experiment, sample_max_sweep
 from .timing_graph import (
     DEFAULT_PATH_CAP,
     accumulated_delay_params,
@@ -302,9 +295,7 @@ def _cmd_mc(args):
         raise DomainError("--rho or --rho-sweep is required")
     if not (0.0 <= args.rho <= 1.0):
         raise DomainError("--rho must lie in [0, 1]")
-    result = sample_max_distribution(
-        Ar1Model(n=args.n, rho=args.rho, sigma=args.sigma), cfg
-    )
+    [result] = sample_max_sweep(args.n, [args.rho], cfg, args.sigma)
     stats = _stats_dict(result)
     stats.update({"n": args.n, "rho": args.rho, "sigma": args.sigma,
                   "seed": args.seed})
@@ -369,13 +360,11 @@ def _cmd_noniid(args):
         n_grid = tuple(int(tok) for tok in args.n_grid.split(","))
     except ValueError:
         raise DomainError("--n-grid must be a comma-separated integer list")
-    cfg = NonIidConfig(
-        n_grid=n_grid, mu=args.mu, sigma=args.sigma,
-        delta_mu=args.delta_mu, delta_sigma=args.delta_sigma,
-        reps=args.reps, seed=args.seed, workers=args.workers,
-        freeze_deviations=args.freeze_deviations,
+    cfg = McConfig(seed=args.seed, reps=args.reps, workers=args.workers)
+    results = non_iid_experiment(
+        n_grid, cfg, mu=args.mu, sigma=args.sigma, delta_mu=args.delta_mu,
+        delta_sigma=args.delta_sigma, freeze_deviations=args.freeze_deviations,
     )
-    results = non_iid_experiment(cfg)
     return args.out or "noniid", args.seed, {
         ".csv": (("n", "mean", "std", "stderr"), (
             (n, res.mean, res.std, res.stderr) for n, res in zip(n_grid, results)

@@ -28,12 +28,9 @@ from .errors import DomainError, EmptyInput
 from .normal import std_normal_quantile
 
 __all__ = [
-    "Ar1Model",
     "McConfig",
     "McResult",
-    "NonIidConfig",
     "rep_rng",
-    "sample_max_distribution",
     "sample_max_sweep",
     "sample_dag_max",
     "empirical_stats",
@@ -53,28 +50,6 @@ _RHO_GROUP = 64
 # Above this many Freedman-Diaconis bins (a near-constant sample beside one
 # outlier asks for tens of millions) the default histogram uses Sturges.
 _MAX_BINS = 10_000
-
-
-@dataclass(frozen=True)
-class Ar1Model:
-    """AR(1) chain X_{i+1} = rho*X_i + sigma*sqrt(1-rho^2)*Y_i.
-
-    Marginals are exactly N(0, sigma^2) and the lag-d correlation is rho^d,
-    so the implied covariance sigma^2 * rho^|i-j| is positive semidefinite
-    for any rho in [0, 1].
-    """
-
-    n: int
-    rho: float
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1 (got {self.n!r})")
-        if not (0.0 <= self.rho <= 1.0):
-            raise DomainError(f"rho must lie in [0, 1] (got {self.rho})")
-        if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
-            raise DomainError(f"sigma must be positive (got {self.sigma})")
 
 
 @dataclass(frozen=True)
@@ -109,44 +84,6 @@ class McResult:
     @property
     def stderr(self) -> float:
         return float(self.std / np.sqrt(len(self.samples)))
-
-
-@dataclass(frozen=True)
-class NonIidConfig:
-    """Configuration of the independent-but-non-identical experiment.
-
-    Component means mu_i = mu + xi*delta_mu and deviations
-    sigma_i = sigma + xi*delta_sigma, with each xi drawn independently from
-    U(-1, 1).  By default the (mu_i, sigma_i) sets are redrawn every
-    repetition; ``freeze_deviations`` draws them once per grid point.
-    """
-
-    n_grid: tuple[int, ...]
-    mu: float = 0.0
-    sigma: float = 1.0
-    delta_mu: float = 0.0
-    delta_sigma: float = 0.0
-    reps: int = 10_000
-    seed: int = 0
-    workers: int = 1
-    freeze_deviations: bool = False
-
-    def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
-        if len(grid) == 0 or any(n < 1 for n in grid):
-            raise DomainError("n_grid must contain integers >= 1")
-        if not (self.sigma > 0.0):
-            raise DomainError(f"sigma must be positive (got {self.sigma})")
-        if self.delta_mu < 0.0 or self.delta_sigma < 0.0:
-            raise DomainError("delta_mu and delta_sigma must be nonnegative")
-        if self.sigma - self.delta_sigma <= 0.0:
-            raise DomainError(
-                f"sigma - delta_sigma must stay positive "
-                f"(got {self.sigma} - {self.delta_sigma})"
-            )
-        # seed, reps and workers obey the same rules as for every sampler.
-        McConfig(seed=self.seed, reps=self.reps, workers=self.workers)
 
 
 def rep_rng(seed: int, rep: int, stream: int = 0) -> np.random.Generator:
@@ -216,14 +153,27 @@ def _run_chunked(reps: int, workers: int, fill) -> None:
 
 
 def sample_max_sweep(n: int, rhos, cfg: McConfig, sigma: float = 1.0) -> list[McResult]:
-    """Maxima of ``cfg.reps`` AR(1) chains for every rho in ``rhos``.
+    """Maxima of ``cfg.reps`` AR(1) chains of length ``n`` for every rho in
+    ``rhos``.
+
+    The chain is X_0 = sigma*Y_0, X_{i+1} = rho*X_i + sigma*sqrt(1-rho^2)*Y_{i+1}
+    with IID standard normal Y_i.  Marginals are exactly N(0, sigma^2) and
+    the lag-d correlation is rho^d, so the implied covariance
+    sigma^2 * rho^|i-j| is positive semidefinite for any rho in [0, 1].
 
     All points share the seed, so they share their normals (common random
     numbers): each chunk's normals are drawn once, and one recurrence runs
     on a (points x chunk) block, ``_RHO_GROUP`` points at a time.  Entry k
-    equals ``sample_max_distribution(Ar1Model(n, rhos[k], sigma), cfg)``.
+    equals ``sample_max_sweep(n, [rhos[k]], cfg, sigma)[0]``.
     """
-    rho = np.array([Ar1Model(n=n, rho=r, sigma=sigma).rho for r in rhos], dtype=float)
+    if int(n) != n or n < 1:
+        raise DomainError(f"n must be an integer >= 1 (got {n!r})")
+    if not (sigma > 0.0 and np.isfinite(sigma)):
+        raise DomainError(f"sigma must be positive (got {sigma})")
+    for r in rhos:
+        if not (0.0 <= r <= 1.0):
+            raise DomainError(f"rho must lie in [0, 1] (got {r})")
+    rho = np.array(rhos, dtype=float)
     c = sigma * np.sqrt(1.0 - rho * rho)
     maxima = np.empty((len(rho), cfg.reps), dtype=float)
 
@@ -246,11 +196,6 @@ def sample_max_sweep(n: int, rhos, cfg: McConfig, sigma: float = 1.0) -> list[Mc
 
     _run_chunked(cfg.reps, cfg.workers, fill)
     return [empirical_stats(row) for row in maxima]
-
-
-def sample_max_distribution(model: Ar1Model, cfg: McConfig) -> McResult:
-    """Maxima of ``cfg.reps`` independent AR(1) chains."""
-    return sample_max_sweep(model.n, [model.rho], cfg, model.sigma)[0]
 
 
 def sample_dag_max(mu, sigma, src, dst, cfg: McConfig) -> McResult:
@@ -291,11 +236,18 @@ def empirical_stats(samples) -> McResult:
 
     The histogram has equal-width bins over [min, max], as many as the
     Freedman-Diaconis rule asks for, or as Sturges' rule asks for when
-    Freedman-Diaconis asks for more than ``_MAX_BINS``.
+    Freedman-Diaconis asks for more than ``_MAX_BINS``.  Every sampler ends
+    here, so a sample that overflowed to inf or nan raises ``DomainError``
+    before it reaches the histogram.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyInput("samples must be a nonempty 1-D array")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(
+            f"samples must be finite ({np.count_nonzero(~np.isfinite(arr))} "
+            f"of {arr.size} are not)"
+        )
     mean = float(np.mean(arr))
     std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
     iqr = np.subtract(*np.percentile(arr, [75, 25]))
@@ -305,30 +257,54 @@ def empirical_stats(samples) -> McResult:
     return McResult(samples=arr, mean=mean, std=std, histogram=(edges, counts))
 
 
-def non_iid_experiment(cfg: NonIidConfig) -> list[McResult]:
-    """Maxima of non-identical independent Gaussians versus n.
+def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
+                       sigma: float = 1.0, delta_mu: float = 0.0,
+                       delta_sigma: float = 0.0,
+                       freeze_deviations: bool = False) -> list[McResult]:
+    """Maxima of n independent, non-identical Gaussians for every n in
+    ``n_grid``.
 
-    Returns one ``McResult`` per entry of ``cfg.n_grid``.
+    Component means mu_i = mu + xi*delta_mu and deviations
+    sigma_i = sigma + xi*delta_sigma, with each xi drawn independently from
+    U(-1, 1).  By default the (mu_i, sigma_i) sets are redrawn every
+    repetition; ``freeze_deviations`` draws them once per grid point.
+    Returns one ``McResult`` per entry of ``n_grid``.
     """
+    n_grid = [int(n) for n in n_grid]
+    if len(n_grid) == 0 or any(n < 1 for n in n_grid):
+        raise DomainError("n_grid must contain integers >= 1")
+    if not (sigma > 0.0):
+        raise DomainError(f"sigma must be positive (got {sigma})")
+    if delta_mu < 0.0 or delta_sigma < 0.0:
+        raise DomainError("delta_mu and delta_sigma must be nonnegative")
+    if sigma - delta_sigma <= 0.0:
+        raise DomainError(
+            f"sigma - delta_sigma must stay positive (got {sigma} - {delta_sigma})"
+        )
+    if not np.all(np.isfinite([mu, sigma, delta_mu, delta_sigma])):
+        raise DomainError(
+            f"mu, sigma, delta_mu and delta_sigma must be finite "
+            f"(got {mu}, {sigma}, {delta_mu}, {delta_sigma})"
+        )
     results = []
-    for n_index, n in enumerate(cfg.n_grid):
+    for n_index, n in enumerate(n_grid):
         # Streams 2k feed the repetitions of grid point k; streams 2k+1 are
         # reserved for its frozen deviations, so the spaces never collide.
         rep_stream = 2 * n_index
-        if cfg.freeze_deviations:
+        if freeze_deviations:
             xi = 2.0 * _chunk_uniforms(cfg.seed, 0, 1, 2 * n, rep_stream + 1)[0] - 1.0
-            mu_frozen = cfg.mu + cfg.delta_mu * xi[:n]
-            sigma_frozen = cfg.sigma + cfg.delta_sigma * xi[n:]
+            mu_frozen = mu + delta_mu * xi[:n]
+            sigma_frozen = sigma + delta_sigma * xi[n:]
         samples = np.empty(cfg.reps, dtype=float)
 
         def fill(start, stop, n=n, rep_stream=rep_stream):
-            if cfg.freeze_deviations:
+            if freeze_deviations:
                 u = _chunk_uniforms(cfg.seed, start, stop, n, rep_stream)
                 x = mu_frozen + sigma_frozen * std_normal_quantile(u)
             else:
                 u = _chunk_uniforms(cfg.seed, start, stop, 3 * n, rep_stream)
-                mu_i = cfg.mu + cfg.delta_mu * (2.0 * u[:, :n] - 1.0)
-                sigma_i = cfg.sigma + cfg.delta_sigma * (2.0 * u[:, n : 2 * n] - 1.0)
+                mu_i = mu + delta_mu * (2.0 * u[:, :n] - 1.0)
+                sigma_i = sigma + delta_sigma * (2.0 * u[:, n : 2 * n] - 1.0)
                 x = mu_i + sigma_i * std_normal_quantile(u[:, 2 * n :])
             samples[start:stop] = x.max(axis=1)
 

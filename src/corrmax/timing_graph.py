@@ -323,7 +323,9 @@ def path_covariance(ps: PathSet, g: TimingGraph) -> np.ndarray:
 
     Entry (i, j) is the shared edge variance over the product of path
     stds; a path with zero total variance correlates with nothing and
-    keeps a unit diagonal by convention.
+    keeps a unit diagonal by convention.  The path stds here are the roots
+    of the Gram diagonal, not the left-to-right sums of
+    ``accumulated_delay_params``, so they can differ from those by an ulp.
     """
     n = ps.n_paths
     n_edges = len(g.edges)

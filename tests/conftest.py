@@ -8,7 +8,6 @@ import pytest
 from scipy import integrate
 
 from corrmax import (
-    Ar1Model,
     DimensionMismatch,
     DomainError,
     EpsilonMatrix,
@@ -168,20 +167,21 @@ def char_fn_identity_check(k, mu, sigma, i: int, j: int, h: float) -> float:
     return float(abs(finite_diff - analytic))
 
 
-def sample_ar1_chain(model: Ar1Model, rng: np.random.Generator) -> np.ndarray:
+def sample_ar1_chain(n: int, rho: float, sigma: float,
+                     rng: np.random.Generator) -> np.ndarray:
     """Draw one stationary AR(1) chain of length n from the given stream.
 
     The first element is X_0 ~ N(0, sigma^2); each subsequent element
     applies the recurrence with a fresh standard normal Y_i.  The samplers
     must equal this chain by chain.
     """
-    u = _open_uniform(rng, model.n)
+    u = _open_uniform(rng, n)
     z = std_normal_quantile(u)
-    x = np.empty(model.n, dtype=float)
-    x[0] = model.sigma * z[0]
-    c = model.sigma * np.sqrt(1.0 - model.rho * model.rho)
-    for i in range(1, model.n):
-        x[i] = model.rho * x[i - 1] + c * z[i]
+    x = np.empty(n, dtype=float)
+    x[0] = sigma * z[0]
+    c = sigma * np.sqrt(1.0 - rho * rho)
+    for i in range(1, n):
+        x[i] = rho * x[i - 1] + c * z[i]
     return x
 
 

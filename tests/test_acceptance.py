@@ -12,9 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from corrmax import (
-    Ar1Model,
     McConfig,
-    NonIidConfig,
     corrected_cdf,
     corrected_pdf,
     EpsilonMatrix,
@@ -25,7 +23,7 @@ from corrmax import (
     non_iid_experiment,
     parse_graph,
     path_covariance,
-    sample_max_distribution,
+    sample_max_sweep,
     scaling_constants,
     validity_check,
     accumulated_delay_params,
@@ -100,9 +98,7 @@ def test_criterion_03_mean_error_bound():
         p.alpha - 12 * p.beta, p.alpha + 40 * p.beta, limit=400,
     )
     assert quad_err < 1e-8
-    res = sample_max_distribution(
-        Ar1Model(n=100, rho=0.35), McConfig(seed=42, reps=10_000)
-    )
+    [res] = sample_max_sweep(100, [0.35], McConfig(seed=42, reps=10_000))
     gap = abs(res.mean - analytic)
     budget = 0.02 * abs(analytic) + 3.0 * res.stderr
     report(3, "n=100 rho=0.35: MC mean within 2% + 3 SE of first-order mean",
@@ -112,9 +108,7 @@ def test_criterion_03_mean_error_bound():
 def test_criterion_04_mean_decreases_with_rho():
     rhos = np.round(np.arange(0.1, 0.95, 0.1), 2)
     means = np.array([
-        sample_max_distribution(
-            Ar1Model(n=200, rho=float(r)), McConfig(seed=42, reps=10_000)
-        ).mean
+        sample_max_sweep(200, [float(r)], McConfig(seed=42, reps=10_000))[0].mean
         for r in rhos
     ])
     smoothed = np.convolve(means, np.ones(3) / 3.0, mode="valid")
@@ -129,9 +123,7 @@ def test_criterion_05_second_order_beats_gumbel():
     details = []
     for rho in (0.5, 0.65):
         s = correlation_sum(ar1_epsilon(100, rho))
-        res = sample_max_distribution(
-            Ar1Model(n=100, rho=rho), McConfig(seed=42, reps=10_000)
-        )
+        [res] = sample_max_sweep(100, [rho], McConfig(seed=42, reps=10_000))
         l1_second = hist_l1_distance(
             res, lambda t: corrected_pdf(t, p, s, "second")
         )
@@ -264,7 +256,7 @@ def test_criterion_10_brute_force_covariance():
 def test_criterion_11_non_iid_scaling():
     grid = (10, 50, 100, 500)
     reps = 10_000
-    base = non_iid_experiment(NonIidConfig(n_grid=grid, reps=reps, seed=101))
+    base = non_iid_experiment(grid, McConfig(seed=101, reps=reps))
     base_means = np.array([res.mean for res in base])
     base_stds = np.array([res.std for res in base])
 
@@ -272,19 +264,18 @@ def test_criterion_11_non_iid_scaling():
     details = []
 
     # delta = 0 with an independent seed recovers the baseline within 3 SE
-    again = non_iid_experiment(NonIidConfig(n_grid=grid, reps=reps, seed=404))
+    again = non_iid_experiment(grid, McConfig(seed=404, reps=reps))
     for r1, r2 in zip(base, again):
         se = np.sqrt((r1.std * r1.std + r2.std * r2.std) / reps)
         ok = ok and abs(r1.mean - r2.mean) <= 3.0 * se
     details.append("delta=0 recovers baseline")
 
-    for kind, cfg, bound in (
-        ("delta_mu", NonIidConfig(n_grid=grid, delta_mu=0.2, reps=reps,
-                                  seed=202), 0.2),
-        ("delta_sigma", NonIidConfig(n_grid=grid, delta_sigma=0.2, reps=reps,
-                                     seed=303), None),
+    for kind, seed, bound in (
+        ("delta_mu", 202, 0.2),
+        ("delta_sigma", 303, None),
     ):
-        rows = non_iid_experiment(cfg)
+        rows = non_iid_experiment(grid, McConfig(seed=seed, reps=reps),
+                                  **{kind: 0.2})
         means = np.array([res.mean for res in rows])
         stds = np.array([res.std for res in rows])
         ok = ok and bool(np.all(np.diff(means) > 0.0))

@@ -9,15 +9,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from corrmax import (
-    Ar1Model,
     McConfig,
-    NonIidConfig,
     enumerate_paths,
     load_graph,
     non_iid_experiment,
     normalize_source_sink,
     path_covariance,
-    sample_max_distribution,
+    sample_max_sweep,
 )
 import corrmax.cli
 import corrmax.timing_graph
@@ -335,8 +333,7 @@ def _g17(*values) -> str:
 
 
 def _mc_samples_lines(graphs_dir):
-    res = sample_max_distribution(Ar1Model(n=50, rho=0.35),
-                                  McConfig(seed=3, reps=300))
+    [res] = sample_max_sweep(50, [0.35], McConfig(seed=3, reps=300))
     return ["sample"] + [_g17(v) for v in res.samples]
 
 
@@ -348,10 +345,10 @@ def _graph_cov_lines(graphs_dir):
 
 
 def _noniid_lines(graphs_dir):
-    cfg = NonIidConfig(n_grid=(5, 20), delta_mu=0.1, reps=500, seed=6)
+    grid, cfg = (5, 20), McConfig(seed=6, reps=500)
     return ["n,mean,std,stderr"] + [
         f"{n}," + _g17(res.mean, res.std, res.std / np.sqrt(cfg.reps))
-        for n, res in zip(cfg.n_grid, non_iid_experiment(cfg))
+        for n, res in zip(grid, non_iid_experiment(grid, cfg, delta_mu=0.1))
     ]
 
 
@@ -372,9 +369,33 @@ class TestOutputPath:
          "--rho must lie in [0, 1]"),
         (["noniid", "--n-grid", "ten", "--seed", "1"],
          "--n-grid must be a comma-separated integer list"),
+        (["mc", "--n", "10", "--rho-sweep", "0.1:0.9", "--seed", "1"],
+         "--rho-sweep must look like LO:HI:STEP"),
+        (["graph", "cov", "GRAPHS/diamond.txt", "--cap", "0"],
+         "cap must be >= 1 (got 0)"),
+        (["mc", "--n", "5", "--rho", "0.3", "--sigma", "1e308", "--reps", "100",
+          "--seed", "1"], "samples must be finite (10 of 100 are not)"),
+        (["noniid", "--n-grid", "5", "--mu", "nan", "--reps", "100", "--seed", "1"],
+         "mu, sigma, delta_mu and delta_sigma must be finite "
+         "(got nan, 1.0, 0.0, 0.0)"),
+        (["noniid", "--n-grid", "5", "--sigma", "inf", "--reps", "100",
+          "--seed", "1"],
+         "mu, sigma, delta_mu and delta_sigma must be finite "
+         "(got 0.0, inf, 0.0, 0.0)"),
+        (["noniid", "--n-grid", "5", "--delta-mu", "inf", "--reps", "100",
+          "--seed", "1"],
+         "mu, sigma, delta_mu and delta_sigma must be finite "
+         "(got 0.0, 1.0, inf, 0.0)"),
+        (["noniid", "--n-grid", "5", "--delta-sigma", "nan", "--reps", "100",
+          "--seed", "1"],
+         "mu, sigma, delta_mu and delta_sigma must be finite "
+         "(got 0.0, 1.0, 0.0, nan)"),
     ], ids=["dist_z_range", "dist_steps", "dist_no_rho", "dist_rho_range",
-            "mc_sweep_range", "mc_no_rho", "mc_rho_range", "noniid_grid"])
-    def test_usage_error(self, tmp_path, capsys, args, message):
+            "mc_sweep_range", "mc_no_rho", "mc_rho_range", "noniid_grid",
+            "mc_sweep_fields", "graph_cov_cap", "mc_overflow", "noniid_mu_nan",
+            "noniid_sigma_inf", "noniid_delta_mu_inf", "noniid_delta_sigma_nan"])
+    def test_usage_error(self, tmp_path, capsys, graphs_dir, args, message):
+        args = [a.replace("GRAPHS", str(graphs_dir)) for a in args]
         out = tmp_path / "out"
         assert run(args + ["--outdir", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -386,7 +407,7 @@ class TestOutputPath:
     ):
         (tmp_path / "afile").write_text("kept\n")
         computed = []
-        monkeypatch.setattr(corrmax.cli, "sample_max_distribution",
+        monkeypatch.setattr(corrmax.cli, "sample_max_sweep",
                             lambda *a: computed.append(a))
         out = tmp_path / outdir
         assert run(["mc", "--n", "10", "--rho", "0.3", "--reps", "100",

@@ -6,7 +6,6 @@ import pytest
 
 from corrmax import (
     ar1_correlation_sum,
-    Ar1Model,
     DimensionMismatch,
     DomainError,
     EpsilonMatrix,
@@ -15,7 +14,7 @@ from corrmax import (
     corrected_pdf,
     gumbel_cdf,
     gumbel_pdf,
-    sample_max_distribution,
+    sample_max_sweep,
     scaling_constants,
     validity_check,
 )
@@ -162,9 +161,7 @@ class TestCorrectedCdf:
         """
         p = scaling_constants(100)
         s = correlation_sum(ar1_epsilon(100, 0.35))
-        res = sample_max_distribution(
-            Ar1Model(n=100, rho=0.35), McConfig(seed=42, reps=10_000)
-        )
+        [res] = sample_max_sweep(100, [0.35], McConfig(seed=42, reps=10_000))
         grid = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 400)
         emp = ecdf_values(np.sort(res.samples), grid)
         sup_first = np.max(np.abs(emp - corrected_cdf(grid, p, s, "first")))
@@ -218,9 +215,7 @@ class TestCorrectedPdf:
     def test_second_order_closer_to_histogram(self):
         p = scaling_constants(100)
         s = correlation_sum(ar1_epsilon(100, 0.5))
-        res = sample_max_distribution(
-            Ar1Model(n=100, rho=0.5), McConfig(seed=42, reps=10_000)
-        )
+        [res] = sample_max_sweep(100, [0.5], McConfig(seed=42, reps=10_000))
         l1_second = hist_l1_distance(
             res, lambda t: corrected_pdf(t, p, s, "second")
         )

@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 
 from corrmax import (
-    Ar1Model,
     DomainError,
     EmptyInput,
     McConfig,
-    NonIidConfig,
     empirical_stats,
     non_iid_experiment,
     rep_rng,
     sample_dag_max,
-    sample_max_distribution,
     sample_max_sweep,
     std_normal_quantile,
 )
@@ -38,12 +35,13 @@ from conftest import (
 
 class TestModels:
     def test_ar1_validation(self):
+        cfg = McConfig(seed=1, reps=10)
         with pytest.raises(DomainError):
-            Ar1Model(n=0, rho=0.5)
+            sample_max_sweep(0, [0.5], cfg)
         with pytest.raises(DomainError):
-            Ar1Model(n=10, rho=1.5)
+            sample_max_sweep(10, [1.5], cfg)
         with pytest.raises(DomainError):
-            Ar1Model(n=10, rho=0.5, sigma=0.0)
+            sample_max_sweep(10, [0.5], cfg, sigma=0.0)
 
     def test_mc_config_validation(self):
         with pytest.raises(DomainError):
@@ -99,30 +97,26 @@ class TestThreadCount:
 
 class TestSampleAr1Chain:
     def test_length_and_determinism(self):
-        model = Ar1Model(n=20, rho=0.3)
-        x1 = sample_ar1_chain(model, rep_rng(5, 0))
-        x2 = sample_ar1_chain(model, rep_rng(5, 0))
+        x1 = sample_ar1_chain(20, 0.3, 1.0, rep_rng(5, 0))
+        x2 = sample_ar1_chain(20, 0.3, 1.0, rep_rng(5, 0))
         np.testing.assert_array_equal(x1, x2)
         assert x1.shape == (20,)
 
     def test_perfect_correlation_constant_chain(self):
-        model = Ar1Model(n=50, rho=1.0, sigma=2.0)
-        x = sample_ar1_chain(model, rep_rng(1, 0))
+        x = sample_ar1_chain(50, 1.0, 2.0, rep_rng(1, 0))
         np.testing.assert_array_equal(x, np.full(50, x[0]))
 
     def test_zero_correlation_lag1(self):
-        model = Ar1Model(n=101, rho=0.0)
         chains = np.array(
-            [sample_ar1_chain(model, rep_rng(11, r)) for r in range(1000)]
+            [sample_ar1_chain(101, 0.0, 1.0, rep_rng(11, r)) for r in range(1000)]
         )
         a, b = chains[:, :-1].ravel(), chains[:, 1:].ravel()
         est = np.mean(a * b) / np.sqrt(np.mean(a * a) * np.mean(b * b))
         assert abs(est - 0.0) < 0.01
 
     def test_lag1_correlation_rho075(self):
-        model = Ar1Model(n=101, rho=0.75)
         chains = np.array(
-            [sample_ar1_chain(model, rep_rng(12, r)) for r in range(1000)]
+            [sample_ar1_chain(101, 0.75, 1.0, rep_rng(12, r)) for r in range(1000)]
         )
         a, b = chains[:, :-1].ravel(), chains[:, 1:].ravel()
         est = np.mean(a * b) / np.sqrt(np.mean(a * a) * np.mean(b * b))
@@ -130,41 +124,38 @@ class TestSampleAr1Chain:
 
     def test_stationary_marginal_variance(self):
         """Every index keeps variance sigma^2 within 3 standard errors."""
-        model = Ar1Model(n=25, rho=0.6, sigma=1.3)
-        reps = 4000
+        sigma, reps = 1.3, 4000
         chains = np.array(
-            [sample_ar1_chain(model, rep_rng(2024, r)) for r in range(reps)]
+            [sample_ar1_chain(25, 0.6, sigma, rep_rng(2024, r)) for r in range(reps)]
         )
         v = chains.var(axis=0, ddof=1)
-        se = model.sigma**2 * np.sqrt(2.0 / (reps - 1))
-        assert np.max(np.abs(v - model.sigma**2)) < 3.0 * se
+        se = sigma**2 * np.sqrt(2.0 / (reps - 1))
+        assert np.max(np.abs(v - sigma**2)) < 3.0 * se
 
 
 class TestSampleMaxDistribution:
     def test_single_variable_is_normal_sample(self):
         cfg = McConfig(seed=9, reps=10_000)
-        res = sample_max_distribution(Ar1Model(n=1, rho=0.5), cfg)
+        [res] = sample_max_sweep(1, [0.5], cfg)
         assert abs(res.mean) < 3.0 / np.sqrt(cfg.reps)
         assert res.std == pytest.approx(1.0, abs=0.05)
 
     def test_matches_per_chain_sampler(self):
-        model = Ar1Model(n=30, rho=0.4)
         cfg = McConfig(seed=77, reps=64)
-        res = sample_max_distribution(model, cfg)
+        [res] = sample_max_sweep(30, [0.4], cfg)
         direct = np.array(
-            [sample_ar1_chain(model, rep_rng(77, r)).max() for r in range(64)]
+            [sample_ar1_chain(30, 0.4, 1.0, rep_rng(77, r)).max() for r in range(64)]
         )
         np.testing.assert_array_equal(res.samples, direct)
 
     def test_worker_count_does_not_change_samples(self):
-        model = Ar1Model(n=40, rho=0.6)
-        r1 = sample_max_distribution(model, McConfig(seed=42, reps=3000, workers=1))
-        r8 = sample_max_distribution(model, McConfig(seed=42, reps=3000, workers=8))
+        [r1] = sample_max_sweep(40, [0.6], McConfig(seed=42, reps=3000, workers=1))
+        [r8] = sample_max_sweep(40, [0.6], McConfig(seed=42, reps=3000, workers=8))
         np.testing.assert_array_equal(r1.samples, r8.samples)
 
     def test_iid_maxima_within_dkw_band_of_exact_law(self):
         cfg = McConfig(seed=7, reps=10_000)
-        res = sample_max_distribution(Ar1Model(n=100, rho=0.0), cfg)
+        [res] = sample_max_sweep(100, [0.0], cfg)
         grid = np.linspace(0.0, 5.0, 500)
         sup = np.max(
             np.abs(ecdf_values(np.sort(res.samples), grid) - iid_max_cdf(grid, 100))
@@ -178,9 +169,8 @@ class TestSampleMaxSweep:
         results = sample_max_sweep(n, rhos, McConfig(seed=seed, reps=50), sigma)
         assert len(results) == len(rhos)
         for rho, res in zip(rhos, results):
-            model = Ar1Model(n=n, rho=rho, sigma=sigma)
             direct = np.array(
-                [sample_ar1_chain(model, rep_rng(seed, r)).max() for r in range(50)]
+                [sample_ar1_chain(n, rho, sigma, rep_rng(seed, r)).max() for r in range(50)]
             )
             np.testing.assert_array_equal(res.samples, direct)
 
@@ -194,7 +184,7 @@ class TestSampleMaxSweep:
         rhos = [0.0] + [round(k / 69, 12) for k in range(1, 69)] + [1.0]
         checked = np.arange(reps - 1, -1, -7)
         refs = [
-            np.array([sample_ar1_chain(Ar1Model(n, rho, sigma), rep_rng(seed, r)).max()
+            np.array([sample_ar1_chain(n, rho, sigma, rep_rng(seed, r)).max()
                       for r in checked])
             for rho in rhos
         ]
@@ -215,7 +205,7 @@ class TestSampleMaxSweep:
         cfg = McConfig(seed=31, reps=1500, workers=2)
         swept = sample_max_sweep(5, rhos, cfg, 1.3)
         for rho, res in zip(rhos, swept):
-            alone = sample_max_distribution(Ar1Model(5, rho, 1.3), cfg)
+            [alone] = sample_max_sweep(5, [rho], cfg, 1.3)
             np.testing.assert_array_equal(res.samples, alone.samples)
 
     def test_worker_count_does_not_change_samples(self):
@@ -311,38 +301,41 @@ class TestEmpiricalStats:
         with pytest.raises(EmptyInput):
             empirical_stats([])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match=r"samples must be finite \(1 of 3 "):
+            empirical_stats([0.0, bad, 1.0])
+
 
 class TestNonIidExperiment:
     def test_validation(self):
+        cfg = McConfig(seed=1)
         with pytest.raises(DomainError):
-            NonIidConfig(n_grid=(10,), sigma=0.5, delta_sigma=0.9)
+            non_iid_experiment((10,), cfg, sigma=0.5, delta_sigma=0.9)
         with pytest.raises(DomainError):
-            NonIidConfig(n_grid=(), seed=1)
+            non_iid_experiment((), cfg)
         with pytest.raises(DomainError):
-            NonIidConfig(n_grid=(10,), delta_mu=-0.1)
+            non_iid_experiment((10,), cfg, delta_mu=-0.1)
 
     def test_iid_baseline_matches_exact_law(self):
-        cfg = NonIidConfig(n_grid=(10, 100, 1000), reps=10_000, seed=101)
-        results = non_iid_experiment(cfg)
-        for n, res in zip(cfg.n_grid, results):
+        grid = (10, 100, 1000)
+        results = non_iid_experiment(grid, McConfig(seed=101, reps=10_000))
+        for n, res in zip(grid, results):
             exact_mean, _ = exact_iid_max_moments(n)
             assert abs(res.mean - exact_mean) < 3.0 * res.stderr
 
     def test_sigma_deviations_keep_std_monotone(self):
-        cfg = NonIidConfig(
-            n_grid=(10, 50, 100, 500), delta_sigma=0.2, reps=10_000, seed=303
+        results = non_iid_experiment(
+            (10, 50, 100, 500), McConfig(seed=303, reps=10_000), delta_sigma=0.2
         )
-        stds = [res.std for res in non_iid_experiment(cfg)]
+        stds = [res.std for res in results]
         assert all(a > b for a, b in zip(stds, stds[1:]))
 
     def test_mu_deviations_scale_curve(self):
         grid = (10, 100)
-        base = non_iid_experiment(
-            NonIidConfig(n_grid=grid, reps=5000, seed=404)
-        )
-        shifted = non_iid_experiment(
-            NonIidConfig(n_grid=grid, delta_mu=0.2, reps=5000, seed=404)
-        )
+        cfg = McConfig(seed=404, reps=5000)
+        base = non_iid_experiment(grid, cfg)
+        shifted = non_iid_experiment(grid, cfg, delta_mu=0.2)
         for b, s in zip(base, shifted):
             offset = s.mean - b.mean
             assert 0.0 <= offset <= 0.2 + 3.0 * np.sqrt(
@@ -350,19 +343,14 @@ class TestNonIidExperiment:
             )
 
     def test_freeze_flag_changes_protocol_not_shape(self):
-        cfg = NonIidConfig(
-            n_grid=(20,), delta_mu=0.3, reps=2000, seed=55,
-            freeze_deviations=True,
-        )
-        [res] = non_iid_experiment(cfg)
+        cfg = McConfig(seed=55, reps=2000)
+        [res] = non_iid_experiment((20,), cfg, delta_mu=0.3, freeze_deviations=True)
         assert res.samples.shape == (2000,)
-        [again] = non_iid_experiment(cfg)
+        [again] = non_iid_experiment((20,), cfg, delta_mu=0.3, freeze_deviations=True)
         assert np.array_equal(res.samples, again.samples)
 
     def test_frozen_deviations_match_per_repetition_streams(self):
         n, seed = 7, 2**64 - 9
-        cfg = NonIidConfig(n_grid=(n,), delta_mu=0.3, delta_sigma=0.2,
-                           reps=40, seed=seed, freeze_deviations=True)
         frozen = rep_rng(seed, 0, stream=1)
         mu = 0.0 + 0.3 * (2.0 * _open_uniform(frozen, n) - 1.0)
         sigma = 1.0 + 0.2 * (2.0 * _open_uniform(frozen, n) - 1.0)
@@ -371,18 +359,17 @@ class TestNonIidExperiment:
             for r in range(40)
         ]
         ref = empirical_stats(maxima)
-        [res] = non_iid_experiment(cfg)
+        [res] = non_iid_experiment((n,), McConfig(seed=seed, reps=40), delta_mu=0.3,
+                                   delta_sigma=0.2, freeze_deviations=True)
         assert np.array_equal(res.samples, ref.samples)
         assert (res.mean, res.std) == (ref.mean, ref.std)
 
     def test_workers_do_not_change_results(self):
         base = non_iid_experiment(
-            NonIidConfig(n_grid=(30,), delta_sigma=0.1, reps=3000, seed=66)
+            (30,), McConfig(seed=66, reps=3000), delta_sigma=0.1
         )
         par = non_iid_experiment(
-            NonIidConfig(
-                n_grid=(30,), delta_sigma=0.1, reps=3000, seed=66, workers=6
-            )
+            (30,), McConfig(seed=66, reps=3000, workers=6), delta_sigma=0.1
         )
         assert np.array_equal(base[0].samples, par[0].samples)
 

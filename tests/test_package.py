@@ -53,6 +53,28 @@ def test_every_public_name_is_used_in_the_package():
     assert exported - _referenced_names() - NO_CALLER_NEEDED == set()
 
 
+def test_run_settings_have_one_owner():
+    """``McConfig`` is the one class with a ``seed``, ``reps`` or
+    ``workers`` field; every sampler takes one beside its model's own
+    arguments."""
+    settings = {"seed", "reps", "workers"}
+    owners = set()
+    for name, tree in _package_trees():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign):
+                    targets = [stmt.target]
+                elif isinstance(stmt, ast.Assign):
+                    targets = stmt.targets
+                else:
+                    continue
+                if any(isinstance(t, ast.Name) and t.id in settings for t in targets):
+                    owners.add(f"{name}:{cls.name}")
+    assert owners == {"montecarlo.py:McConfig"}
+
+
 def test_no_module_imports_csv():
     """CSV files are written by ``cli._write_csv``, not the csv module."""
     for name, tree in _package_trees():

@@ -10,6 +10,7 @@ from corrmax import (
     CycleError,
     DomainError,
     DuplicateEdgeError,
+    Edge,
     McConfig,
     ParseError,
     PathExplosionError,
@@ -50,6 +51,22 @@ def reference_permutation(ps: PathSet, g: TimingGraph) -> list[int]:
     """Index of each reference path inside the enumerated PathSet."""
     seqs = [ps.node_sequence(i, g) for i in range(ps.n_paths)]
     return [seqs.index(ref) for ref in REFERENCE_NODE_SEQS]
+
+
+class TestTimingGraph:
+    @pytest.mark.parametrize("nodes, edges, message", [
+        (("a", "b", "a"), (), "node names must be unique"),
+        (("a",), (Edge("a", "b", 1.0, 0.1),), "edge a->b references unknown node"),
+        (("a",), (Edge("a", "a", 1.0, 0.1),), "self-loop on node 'a'"),
+        (("a", "b"), (Edge("a", "b", 1.0, np.nan),), "edge a->b has non-finite delay"),
+        (("a", "b"), (Edge("a", "b", -1.0, 0.1),), "edge a->b has negative mu or sigma"),
+    ], ids=["duplicate_node", "unknown_endpoint", "self_loop", "non_finite",
+            "negative"])
+    def test_constructor_rejects(self, nodes, edges, message):
+        """The parsers reject these inputs first; the constructor checks
+        them again for graphs built directly."""
+        with pytest.raises(DomainError, match=message):
+            TimingGraph(nodes=nodes, edges=edges)
 
 
 class TestParseGraph:
@@ -307,6 +324,16 @@ class TestGraphDelayAnalysis:
         # CDF is the path's normal law
         mid = np.searchsorted(analysis.z_grid, 2.0)
         assert analysis.cdf[mid] == pytest.approx(0.5, abs=0.01)
+
+        # A zero-variance path: the law is a step at its mean.
+        step = graph_delay_analysis(parse_graph("a b 1 0\n"), McConfig(seed=6, reps=100))
+        assert step.n_paths == 1
+        assert step.gumbel is None and step.validity is None
+        np.testing.assert_array_equal(step.cdf, (step.z_grid >= 1.0).astype(float))
+        assert step.cdf[0] == 0.0 and step.cdf[-1] == 1.0
+        np.testing.assert_array_equal(step.pdf, np.zeros_like(step.z_grid))
+        assert step.analytic_mean == 1.0
+        assert step.mc_mean_gap == 0.0
 
     def test_cascade_block_structure(self):
         g = parse_graph(cascade64_text())
