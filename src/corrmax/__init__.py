@@ -60,7 +60,6 @@ from .timing_graph import (
     GraphAnalysis,
     PathSet,
     TimingGraph,
-    accumulated_delay_params,
     enumerate_paths,
     graph_delay_analysis,
     load_graph,

@@ -50,11 +50,9 @@ from .gumbel import scaling_constants
 from .montecarlo import McConfig, non_iid_experiment, sample_max_sweep
 from .timing_graph import (
     DEFAULT_PATH_CAP,
-    accumulated_delay_params,
     enumerate_paths,
     graph_delay_analysis,
     load_graph,
-    normalize_source_sink,
     path_covariance,
 )
 
@@ -311,7 +309,6 @@ def _cmd_graph(args):
 
     if args.action == "analyze":
         cfg = McConfig(seed=args.seed, reps=args.reps, workers=args.workers)
-        # graph_delay_analysis normalizes the graph itself.
         analysis = graph_delay_analysis(
             graph, cfg, order=args.order, cap=args.cap, z_steps=args.z_steps
         )
@@ -338,19 +335,14 @@ def _cmd_graph(args):
         }
         return args.out or f"{stem}_analysis", args.seed, {".json": doc}
 
-    norm = normalize_source_sink(graph)
-    ps = enumerate_paths(norm, cap=args.cap)
+    ps = enumerate_paths(graph, cap=args.cap)
     if args.action == "paths":
-        for i, path in enumerate(ps.paths):
-            mean, std = accumulated_delay_params(norm, path)
-            seq = " -> ".join(ps.node_sequence(i, norm))
-            print(
-                f"path {i}: length {ps.lengths[i]}, "
-                f"mean {_fmt(mean)}, std {_fmt(std)}: {seq}"
-            )
+        for i, (length, mean, std) in enumerate(zip(ps.lengths, ps.means, ps.stds)):
+            print(f"path {i}: length {length}, mean {_fmt(mean)}, std {_fmt(std)}: "
+                  + " -> ".join(ps.node_sequence(i)))
         return None  # prints only: no file, no directory
 
-    cov = path_covariance(ps, norm)
+    cov = path_covariance(ps)
     header = [f"path_{j}" for j in range(len(cov))]
     return args.out or f"{stem}_cov", None, {".csv": (header, cov)}
 

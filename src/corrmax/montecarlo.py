@@ -139,16 +139,21 @@ def _run_chunked(reps: int, workers: int, fill) -> None:
 
     ``fill`` must write the results of repetitions [start, stop) into its
     caller's arrays using only per-repetition streams, which keeps them
-    independent of the execution order and of the thread count.
+    independent of the execution order and of the thread count.  Overflow
+    stays inf or nan, without numpy's warnings, for ``empirical_stats``.
     """
+    def quiet_fill(a, b):  # in the chunk's thread: np.errstate is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            fill(a, b)
+
     chunks = [(a, min(a + _CHUNK_REPS, reps)) for a in range(0, reps, _CHUNK_REPS)]
     threads = _thread_count(workers, len(chunks))
     if threads == 1:
         for a, b in chunks:
-            fill(a, b)
+            quiet_fill(a, b)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for f in [pool.submit(fill, a, b) for a, b in chunks]:
+            for f in [pool.submit(quiet_fill, a, b) for a, b in chunks]:
                 f.result()
 
 

@@ -12,11 +12,16 @@ which for a homogeneous (mu, sigma) graph reduces to
 the corrected maximum distributions.  The Monte Carlo oracle samples edge
 delays and takes the longest path through the DAG: the exact law of the
 maximum path delay, at O(reps * edges) cost.
+
+Only ``enumerate_paths`` normalizes a graph.  Its ``PathSet`` keeps that
+graph and owns the path means and stds that ``graph paths``, ``cov`` and
+``analyze`` all read; the covariance divides by exactly those stds, the
+report's ``path_stds``.  An overflowing path is a ``DomainError`` (exit 2).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +51,6 @@ __all__ = [
     "load_graph",
     "normalize_source_sink",
     "enumerate_paths",
-    "accumulated_delay_params",
     "path_covariance",
     "graph_delay_analysis",
     "DEFAULT_PATH_CAP",
@@ -143,17 +147,47 @@ class TimingGraph:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Enumerated source-to-sink paths as edge-index sequences."""
+    """Source-to-sink paths of a normalized graph, as indices into
+    ``graph.edges``, with each path's delay mean and std, summed once and
+    left to right, as Python's ``sum`` would, over the columns of ``_index``:
+    the paths padded to P x Lmax with index E, a zero edge.  A path whose
+    mean or variance overflows raises ``DomainError``.
+    """
 
+    graph: TimingGraph
     paths: tuple[tuple[int, ...], ...]
-    lengths: tuple[int, ...]
+    _index: np.ndarray = field(init=False, repr=False, compare=False)
+    means: np.ndarray = field(init=False, repr=False, compare=False)
+    stds: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        edges, width = self.graph.edges, max(self.lengths)
+        index = np.array([p + (len(edges),) * (width - len(p)) for p in self.paths])
+        per_edge = np.array([[e.mu for e in edges] + [0.0],
+                             [e.sigma * e.sigma for e in edges] + [0.0]])
+        sums = np.zeros((2, self.n_paths))
+        with np.errstate(over="ignore"):
+            for column in index.T:
+                sums += per_edge[:, column]
+        bad = np.flatnonzero(~np.isfinite(sums).all(axis=0))
+        if bad.size:
+            raise DomainError(
+                f"path {bad[0]}: accumulated delay mean or variance overflows")
+        # The instance is frozen: its derived fields are set once, here.
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "means", sums[0])
+        object.__setattr__(self, "stds", np.sqrt(sums[1]))
 
     @property
     def n_paths(self) -> int:
         return len(self.paths)
 
-    def node_sequence(self, i: int, graph: TimingGraph) -> list[str]:
-        edges = [graph.edges[e] for e in self.paths[i]]
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        return tuple(map(len, self.paths))
+
+    def node_sequence(self, i: int) -> list[str]:
+        edges = [self.graph.edges[e] for e in self.paths[i]]
         return [edges[0].src] + [e.dst for e in edges]
 
 
@@ -253,24 +287,19 @@ def normalize_source_sink(g: TimingGraph) -> TimingGraph:
 
 
 def enumerate_paths(g: TimingGraph, cap: int = DEFAULT_PATH_CAP) -> PathSet:
-    """All source-to-sink paths, depth first with neighbors in identifier
-    order, so the result is stable across runs and input orderings.
+    """All source-to-sink paths of ``normalize_source_sink(g)``, which the
+    result keeps, depth first with neighbors in identifier order, so the
+    result is stable across runs and input orderings.
 
     Raises:
         PathExplosionError: once more than ``cap`` paths have been found.
     """
     if cap < 1:
         raise DomainError(f"cap must be >= 1 (got {cap})")
-    sources = g.sources()
-    sinks = g.sinks()
-    if len(sources) != 1 or len(sinks) != 1:
-        raise DomainError(
-            "graph must have a single source and sink; "
-            "apply normalize_source_sink first"
-        )
     if not g.edges:
         raise DomainError("graph has no edges")
-    source, sink = sources[0], sinks[0]
+    g = normalize_source_sink(g)
+    [source], [sink] = g.sources(), g.sinks()
 
     succs: dict[str, list[tuple[str, int]]] = {v: [] for v in g.nodes}
     for idx, e in enumerate(g.edges):
@@ -299,43 +328,22 @@ def enumerate_paths(g: TimingGraph, cap: int = DEFAULT_PATH_CAP) -> PathSet:
             edge_stack.pop()
         else:
             iter_stack.append(iter(succs[nxt]))
-    return PathSet(
-        paths=tuple(paths), lengths=tuple(len(p) for p in paths)
-    )
+    return PathSet(graph=g, paths=tuple(paths))
 
 
-def accumulated_delay_params(g: TimingGraph, path) -> tuple[float, float]:
-    """Mean and std of the accumulated delay along one path.
-
-    Edge delays are independent, so the mean is the sum of edge means and
-    the variance is the sum of edge variances.
-    """
-    edges = [g.edges[i] for i in path]
-    if not edges:
-        raise DomainError("path must contain at least one edge")
-    mean = sum(e.mu for e in edges)
-    var = sum(e.sigma * e.sigma for e in edges)
-    return float(mean), float(np.sqrt(var))
-
-
-def path_covariance(ps: PathSet, g: TimingGraph) -> np.ndarray:
+def path_covariance(ps: PathSet) -> np.ndarray:
     """Correlation matrix of standardized path delays via shared edges.
 
-    Entry (i, j) is the shared edge variance over the product of path
-    stds; a path with zero total variance correlates with nothing and
-    keeps a unit diagonal by convention.  The path stds here are the roots
-    of the Gram diagonal, not the left-to-right sums of
-    ``accumulated_delay_params``, so they can differ from those by an ulp.
+    Entry (i, j) is the shared edge variance over ``ps.stds[i] * ps.stds[j]``;
+    a path with zero total variance correlates with nothing and keeps a
+    unit diagonal by convention.
     """
-    n = ps.n_paths
-    n_edges = len(g.edges)
-    weights = np.zeros((n, n_edges), dtype=float)
-    sigmas = np.array([e.sigma for e in g.edges], dtype=float)
-    for i, path in enumerate(ps.paths):
-        weights[i, list(path)] = sigmas[list(path)]
+    denom = np.outer(ps.stds, ps.stds)
+    sigmas = np.array([e.sigma for e in ps.graph.edges] + [0.0])
+    weights = np.zeros((ps.n_paths, len(sigmas)))
+    np.put_along_axis(weights, ps._index, sigmas[ps._index], axis=1)
+    weights = weights[:, :-1]  # drop the padding edge
     gram = weights @ weights.T
-    stds = np.sqrt(np.diag(gram))
-    denom = np.outer(stds, stds)
     matrix = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0)
     np.fill_diagonal(matrix, 1.0)
     return matrix
@@ -394,17 +402,10 @@ def graph_delay_analysis(
     """
     if z_steps < 2:
         raise DomainError(f"z_steps must be >= 2 (got {z_steps})")
-    norm = normalize_source_sink(g)
-    ps = enumerate_paths(norm, cap=cap)
-    stats = [accumulated_delay_params(norm, p) for p in ps.paths]
-    means = np.array([m for m, _ in stats], dtype=float)
-    stds = np.array([s_ for _, s_ in stats], dtype=float)
-    cov = path_covariance(ps, norm)
+    ps = enumerate_paths(g, cap=cap)
+    cov = path_covariance(ps)
     n_paths = ps.n_paths
-
-    nominal_idx = max(range(n_paths), key=lambda i: (means[i], stds[i]))
-    mu_star = float(means[nominal_idx])
-    sigma_star = float(stds[nominal_idx])
+    mu_star, sigma_star = max(zip(ps.means.tolist(), ps.stds.tolist()))
 
     if n_paths == 1:
         z = np.linspace(mu_star - 8.0 * sigma_star, mu_star + 8.0 * sigma_star, z_steps) \
@@ -442,6 +443,7 @@ def graph_delay_analysis(
 
     # Sample last, so that input the checks above reject costs no MC.
     # Stream column k feeds edge k of the normalized graph.
+    norm = ps.graph
     position = {v: i for i, v in enumerate(norm._topological_order())}
     mc = sample_dag_max(
         [e.mu for e in norm.edges], [e.sigma for e in norm.edges],
@@ -449,7 +451,7 @@ def graph_delay_analysis(
         cfg,
     )
     return GraphAnalysis(
-        n_paths=n_paths, lengths=ps.lengths, path_means=means, path_stds=stds,
+        n_paths=n_paths, lengths=ps.lengths, path_means=ps.means, path_stds=ps.stds,
         covariance=cov, s=s_val, order=order,
         nominal_mean=mu_star, nominal_std=sigma_star, gumbel=params,
         z_grid=z, cdf=cdf, pdf=pdf,

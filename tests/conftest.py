@@ -86,6 +86,15 @@ def cascade64_text() -> str:
     return block8_text("u_", "s", "m") + block8_text("v_", "m", "t")
 
 
+def path_moments_reference(ps) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and std of each path's delay from Python ``sum`` along the path,
+    left to right over ``ps.graph``'s edges."""
+    edges = ps.graph.edges
+    means = [sum(edges[k].mu for k in p) for p in ps.paths]
+    variances = [sum(edges[k].sigma * edges[k].sigma for k in p) for p in ps.paths]
+    return np.array(means, dtype=float), np.sqrt(np.array(variances, dtype=float))
+
+
 # Test oracles of the theory.  The package computes S in closed form or from
 # the path covariance; these build the objects the paper reasons about.
 

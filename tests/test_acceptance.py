@@ -26,7 +26,6 @@ from corrmax import (
     sample_max_sweep,
     scaling_constants,
     validity_check,
-    accumulated_delay_params,
 )
 from corrmax.cli import main as cli_main
 from conftest import (
@@ -67,8 +66,8 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_covariance_golden():
     g = load_graph(GRAPHS_DIR / "shared_nodes_7.txt")
     ps = enumerate_paths(g)
-    pc = path_covariance(ps, g)
-    seqs = [ps.node_sequence(i, g) for i in range(ps.n_paths)]
+    pc = path_covariance(ps)
+    seqs = [ps.node_sequence(i) for i in range(ps.n_paths)]
     perm = [seqs.index(ref) for ref in REFERENCE_NODE_SEQS]
     got = pc[np.ix_(perm, perm)]
     err = float(np.max(np.abs(got - REFERENCE_COV)))
@@ -235,11 +234,9 @@ def test_criterion_10_brute_force_covariance():
     for g in (load_graph(GRAPHS_DIR / "shared_nodes_7.txt"),
               parse_graph(cascade64_text())):
         ps = enumerate_paths(g)
-        pc = path_covariance(ps, g)
+        pc = path_covariance(ps)
         sigmas = np.array([e.sigma for e in g.edges])
-        stds = np.array(
-            [accumulated_delay_params(g, p)[1] for p in ps.paths]
-        )
+        stds = ps.stds
         weights = np.zeros((ps.n_paths, len(g.edges)))
         for i, path in enumerate(ps.paths):
             weights[i, list(path)] = sigmas[list(path)] / stds[i]

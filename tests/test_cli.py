@@ -227,8 +227,8 @@ class TestGraph:
         assert "mc_mean_gap" in doc and "validity" in doc
 
     def test_analyze_normalizes_once(self, tmp_path, monkeypatch):
-        """Two sources and two sinks: the CLI leaves the normalization to
-        graph_delay_analysis, which does it once."""
+        """Two sources and two sinks: the graph is normalized once, by
+        enumerate_paths."""
         g = tmp_path / "two_by_two.txt"
         g.write_text("a m 1 0.2\nb m 1 0.3\nm x 1 0.1\nm y 1 0.4\n")
         calls = []
@@ -237,13 +237,30 @@ class TestGraph:
             calls.append(graph)
             return normalize_source_sink(graph)
 
-        monkeypatch.setattr(corrmax.cli, "normalize_source_sink", counting)
         monkeypatch.setattr(corrmax.timing_graph, "normalize_source_sink", counting)
         assert run(["graph", "analyze", str(g), "--reps", "200",
                     "--outdir", str(tmp_path)]) == 0
         assert len(calls) == 1
         doc = json.loads((tmp_path / "two_by_two_analysis.json").read_text())
         assert doc["n_paths"] == 4
+
+    def test_report_covariance_divides_by_path_stds(self, tmp_path, graphs_dir):
+        """The report's path_stds are exactly what its covariance divides the
+        shared edge variances by."""
+        graph = graphs_dir / "cascade64.txt"
+        assert run(["graph", "analyze", str(graph), "--reps", "100",
+                    "--out", "an", "--outdir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "an.json").read_text())
+        ps = enumerate_paths(load_graph(graph))
+        sigmas = np.array([e.sigma for e in ps.graph.edges])
+        weights = np.zeros((ps.n_paths, len(sigmas)))
+        for i, path in enumerate(ps.paths):
+            weights[i, list(path)] = sigmas[list(path)]
+        gram = weights @ weights.T
+        stds = np.array(doc["path_stds"])
+        off = ~np.eye(ps.n_paths, dtype=bool)
+        np.testing.assert_array_equal(
+            np.array(doc["covariance"])[off], (gram / np.outer(stds, stds))[off])
 
     def test_fully_correlated_paths_exit_2(self, tmp_path):
         """Two paths that share their only random edge correlate with
@@ -338,8 +355,7 @@ def _mc_samples_lines(graphs_dir):
 
 
 def _graph_cov_lines(graphs_dir):
-    g = normalize_source_sink(load_graph(graphs_dir / "shared_nodes_7.txt"))
-    cov = path_covariance(enumerate_paths(g), g)
+    cov = path_covariance(enumerate_paths(load_graph(graphs_dir / "shared_nodes_7.txt")))
     header = ",".join(f"path_{j}" for j in range(len(cov)))
     return [header] + [_g17(*row) for row in cov]
 
@@ -375,6 +391,10 @@ class TestOutputPath:
          "cap must be >= 1 (got 0)"),
         (["mc", "--n", "5", "--rho", "0.3", "--sigma", "1e308", "--reps", "100",
           "--seed", "1"], "samples must be finite (10 of 100 are not)"),
+        (["graph", "paths", "OVERFLOW"],
+         "path 0: accumulated delay mean or variance overflows"),
+        (["graph", "analyze", "OVERFLOW", "--reps", "100"],
+         "path 0: accumulated delay mean or variance overflows"),
         (["noniid", "--n-grid", "5", "--mu", "nan", "--reps", "100", "--seed", "1"],
          "mu, sigma, delta_mu and delta_sigma must be finite "
          "(got nan, 1.0, 0.0, 0.0)"),
@@ -392,10 +412,14 @@ class TestOutputPath:
          "(got 0.0, 1.0, 0.0, nan)"),
     ], ids=["dist_z_range", "dist_steps", "dist_no_rho", "dist_rho_range",
             "mc_sweep_range", "mc_no_rho", "mc_rho_range", "noniid_grid",
-            "mc_sweep_fields", "graph_cov_cap", "mc_overflow", "noniid_mu_nan",
+            "mc_sweep_fields", "graph_cov_cap", "mc_overflow",
+            "graph_paths_overflow", "graph_analyze_overflow", "noniid_mu_nan",
             "noniid_sigma_inf", "noniid_delta_mu_inf", "noniid_delta_sigma_nan"])
     def test_usage_error(self, tmp_path, capsys, graphs_dir, args, message):
-        args = [a.replace("GRAPHS", str(graphs_dir)) for a in args]
+        overflow = tmp_path / "overflow.txt"  # each path mean is inf
+        overflow.write_text("a b 1e308 0.1\nb c 1e308 0.1\n")
+        args = [a.replace("GRAPHS", str(graphs_dir)).replace("OVERFLOW", str(overflow))
+                for a in args]
         out = tmp_path / "out"
         assert run(args + ["--outdir", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")

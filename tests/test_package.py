@@ -150,3 +150,22 @@ def test_readme_quick_start_runs():
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_paths_own_their_normalization():
+    """``enumerate_paths`` is the one caller of ``normalize_source_sink``, so
+    every path set indexes the normalized graph it keeps; the CLI imports
+    neither the normalization nor a per-path moment function."""
+    callers = [
+        f"{name}:{node.name}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and "normalize_source_sink" in _called_names(node)
+    ]
+    assert callers == ["timing_graph.py:enumerate_paths"]
+    cli = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(cli)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert imported & {"normalize_source_sink", "accumulated_delay_params"} == set()

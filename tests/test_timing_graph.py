@@ -16,7 +16,6 @@ from corrmax import (
     PathExplosionError,
     PathSet,
     TimingGraph,
-    accumulated_delay_params,
     enumerate_paths,
     graph_delay_analysis,
     load_graph,
@@ -26,7 +25,7 @@ from corrmax import (
     std_normal_quantile,
 )
 from corrmax.montecarlo import _chunk_uniforms
-from conftest import cascade64_text
+from conftest import cascade64_text, path_moments_reference
 
 # Unit-diagonal covariance of the four paths of the shared-edge example
 # graph, in the order (1-2-4-6-7, 1-2-4-3-5-6-7, 1-2-4-5-6-7, 1-3-5-6-7).
@@ -47,9 +46,9 @@ REFERENCE_NODE_SEQS = [
 ]
 
 
-def reference_permutation(ps: PathSet, g: TimingGraph) -> list[int]:
+def reference_permutation(ps: PathSet) -> list[int]:
     """Index of each reference path inside the enumerated PathSet."""
-    seqs = [ps.node_sequence(i, g) for i in range(ps.n_paths)]
+    seqs = [ps.node_sequence(i) for i in range(ps.n_paths)]
     return [seqs.index(ref) for ref in REFERENCE_NODE_SEQS]
 
 
@@ -173,7 +172,7 @@ class TestEnumeratePaths:
         ps = enumerate_paths(g)
         assert ps.n_paths == 4
         assert sorted(ps.lengths) == [4, 4, 5, 6]
-        seqs = [ps.node_sequence(i, g) for i in range(4)]
+        seqs = [ps.node_sequence(i) for i in range(4)]
         for ref in REFERENCE_NODE_SEQS:
             assert ref in seqs
 
@@ -183,8 +182,8 @@ class TestEnumeratePaths:
         g1 = parse_graph("\n".join(lines))
         g2 = parse_graph("\n".join(reversed(lines)))
         ps1, ps2 = enumerate_paths(g1), enumerate_paths(g2)
-        assert [ps1.node_sequence(i, g1) for i in range(4)] == \
-               [ps2.node_sequence(i, g2) for i in range(4)]
+        assert [ps1.node_sequence(i) for i in range(4)] == \
+               [ps2.node_sequence(i) for i in range(4)]
 
     def test_cap_explosion(self):
         g = parse_graph(cascade64_text())
@@ -193,17 +192,21 @@ class TestEnumeratePaths:
         assert exc.value.cap == 10
         assert exc.value.count == 11
 
-    def test_requires_normalized(self):
-        g = parse_graph("a t 1 0.1\nb t 1 0.1\n")
-        with pytest.raises(DomainError):
-            enumerate_paths(g)
+    def test_enumerates_the_normalization(self):
+        """Enumerating a graph equals enumerating its normalization, whose
+        edges the path set keeps."""
+        g = parse_graph("a c 1 0.1\nb c 1.2 0.2\nc d 0.5 0.1\nc e 0.7 0.3\n")
+        norm = normalize_source_sink(g)
+        ps = enumerate_paths(g)
+        assert ps == enumerate_paths(norm)
+        assert ps.graph == norm and len(norm.edges) > len(g.edges)
 
 
 class TestAccumulatedDelayParams:
     def test_reference_path_values(self, graphs_dir):
         g = load_graph(graphs_dir / "shared_nodes_7.txt")
         ps = enumerate_paths(g)
-        perm = reference_permutation(ps, g)
+        perm = reference_permutation(ps)
         mu, sigma = 1.0, 0.1
         expected = [
             (4 * mu, 2 * sigma),
@@ -212,46 +215,53 @@ class TestAccumulatedDelayParams:
             (4 * mu, 2 * sigma),
         ]
         for ref_idx, (em, es) in zip(perm, expected):
-            mean, std = accumulated_delay_params(g, ps.paths[ref_idx])
+            mean, std = ps.means[ref_idx], ps.stds[ref_idx]
             assert mean == pytest.approx(em, rel=1e-14)
             assert std == pytest.approx(es, rel=1e-14)
 
     def test_zero_delay_edge(self):
-        g = parse_graph("s t 0 0\n")
-        mean, std = accumulated_delay_params(g, (0,))
-        assert mean == 0.0 and std == 0.0
+        ps = enumerate_paths(parse_graph("s t 0 0\n"))
+        assert ps.means.tolist() == [0.0] and ps.stds.tolist() == [0.0]
 
     def test_heterogeneous_edges(self):
-        g = parse_graph("s a 1 0.3\na t 2 0.4\n")
-        mean, std = accumulated_delay_params(g, (0, 1))
-        assert mean == 3.0
-        assert std == pytest.approx(0.5, rel=1e-14)
+        ps = enumerate_paths(parse_graph("s a 1 0.3\na t 2 0.4\n"))
+        assert ps.means.tolist() == [3.0]
+        assert ps.stds[0] == pytest.approx(0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("name", [
+        "shared_nodes_7", "diamond", "block8", "cascade64",
+    ])
+    def test_equal_python_sums_left_to_right(self, graphs_dir, name):
+        ps = enumerate_paths(load_graph(graphs_dir / f"{name}.txt"))
+        means, stds = path_moments_reference(ps)
+        np.testing.assert_array_equal(ps.means, means)
+        np.testing.assert_array_equal(ps.stds, stds)
 
 
 class TestPathCovariance:
     def test_reference_matrix(self, graphs_dir):
         g = load_graph(graphs_dir / "shared_nodes_7.txt")
         ps = enumerate_paths(g)
-        pc = path_covariance(ps, g)
-        perm = reference_permutation(ps, g)
+        pc = path_covariance(ps)
+        perm = reference_permutation(ps)
         got = pc[np.ix_(perm, perm)]
         np.testing.assert_allclose(got, REFERENCE_COV, rtol=0, atol=1e-12)
 
     def test_edge_disjoint_identity(self, graphs_dir):
         g = load_graph(graphs_dir / "diamond.txt")
-        pc = path_covariance(enumerate_paths(g), g)
+        pc = path_covariance(enumerate_paths(g))
         np.testing.assert_array_equal(pc, np.eye(2))
 
     def test_duplicated_path_full_correlation(self):
         g = parse_graph("a b 1 0.1\nb c 1 0.1\n")
-        ps = PathSet(paths=((0, 1), (0, 1)), lengths=(2, 2))
-        pc = path_covariance(ps, g)
+        ps = PathSet(graph=g, paths=((0, 1), (0, 1)))
+        pc = path_covariance(ps)
         assert pc[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_entries_in_unit_interval_and_psd(self, graphs_dir):
         for name in ("shared_nodes_7.txt", "block8.txt", "cascade64.txt"):
             g = load_graph(graphs_dir / name)
-            pc = path_covariance(enumerate_paths(g), g)
+            pc = path_covariance(enumerate_paths(g))
             assert np.all(pc >= 0.0) and np.all(pc <= 1.0)
             np.testing.assert_array_equal(np.diag(pc), 1.0)
             assert np.linalg.eigvalsh(pc)[0] > -1e-10
@@ -261,7 +271,7 @@ class TestPathCovariance:
             "s a 1 0.3\na b 1 0.4\na c 1 0.2\nb t 1 0.1\nc t 1 0.5\n"
         )
         ps = enumerate_paths(g)
-        pc = path_covariance(ps, g)
+        pc = path_covariance(ps)
         # both paths share only the s->a edge
         var1 = 0.3**2 + 0.4**2 + 0.1**2
         var2 = 0.3**2 + 0.2**2 + 0.5**2
@@ -271,7 +281,7 @@ class TestPathCovariance:
     def test_zero_variance_path_uncorrelated(self):
         g = parse_graph("s a 1 0\na t 1 0\ns b 1 0.1\nb t 1 0.1\n")
         ps = enumerate_paths(g)
-        pc = path_covariance(ps, g)
+        pc = path_covariance(ps)
         np.testing.assert_array_equal(np.diag(pc), 1.0)
         assert pc[0, 1] == 0.0
 
@@ -280,12 +290,10 @@ class TestPathCovariance:
         path sums over shared edge noise."""
         g = load_graph(graphs_dir / "shared_nodes_7.txt")
         ps = enumerate_paths(g)
-        pc = path_covariance(ps, g)
+        pc = path_covariance(ps)
         rng = np.random.default_rng(5)
         sigmas = np.array([e.sigma for e in g.edges])
-        stds = np.array(
-            [accumulated_delay_params(g, p)[1] for p in ps.paths]
-        )
+        stds = ps.stds
         weights = np.zeros((ps.n_paths, len(g.edges)))
         for i, path in enumerate(ps.paths):
             weights[i, list(path)] = sigmas[list(path)] / stds[i]
@@ -361,9 +369,9 @@ class TestGraphDelayAnalysis:
         "s a 1 0\na t 1 0\ns b 1 0.1\nb t 1 0.1\nb c 1 0.1\nc t 0.5 0.1\n",
     ])
     def test_s_and_max_eps_equal_zero_diagonal_copy(self, text):
-        """The covariance equals the masked-quotient formula, and S and
-        max |eps| equal, bit for bit, the sum and the max of |.| over a
-        zero-diagonal copy of it."""
+        """The covariance equals the masked quotient of the Gram matrix by
+        the report's own path stds, and S and max |eps| equal, bit for bit,
+        the sum and the max of |.| over a zero-diagonal copy of it."""
         g = parse_graph(text)
         analysis = graph_delay_analysis(g, McConfig(seed=3, reps=10))
         cov = analysis.covariance
@@ -375,7 +383,7 @@ class TestGraphDelayAnalysis:
         for i, path in enumerate(ps.paths):
             weights[i, list(path)] = sigmas[list(path)]
         gram = weights @ weights.T
-        denom = np.outer(np.sqrt(np.diag(gram)), np.sqrt(np.diag(gram)))
+        denom = np.outer(analysis.path_stds, analysis.path_stds)
         with np.errstate(invalid="ignore", divide="ignore"):
             ref = np.where(denom > 0.0, gram / np.where(denom > 0, denom, 1.0), 0.0)
         np.fill_diagonal(ref, 1.0)
@@ -409,11 +417,10 @@ def _edge_params(g: TimingGraph) -> tuple[np.ndarray, np.ndarray]:
 def _enumerated_max(g: TimingGraph, seed: int, reps: int) -> np.ndarray:
     """Max over enumerated paths of the left-to-right sums of the edge delays
     that the stream gives the normalized graph's edges (column k, edge k)."""
-    norm = normalize_source_sink(g)
-    mu, sigma = _edge_params(norm)
+    ps = enumerate_paths(g)
+    mu, sigma = _edge_params(ps.graph)
     d = mu + sigma * std_normal_quantile(_chunk_uniforms(seed, 0, reps, len(mu)))
-    sums = [np.add.accumulate(d[:, list(p)], axis=1)[:, -1]
-            for p in enumerate_paths(norm).paths]
+    sums = [np.add.accumulate(d[:, list(p)], axis=1)[:, -1] for p in ps.paths]
     return np.max(sums, axis=0)
 
 
