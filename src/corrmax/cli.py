@@ -65,6 +65,10 @@ _EXIT_CAP = 4
 
 _MAX_SWEEP_POINTS = 10_000
 
+# Above this many Freedman-Diaconis bins (a near-constant sample beside one
+# outlier asks for tens of millions) the histogram uses Sturges.
+_MAX_BINS = 10_000
+
 
 def _fmt(x: float) -> str:
     """17-significant-digit decimal; round-trips to the same float."""
@@ -169,10 +173,21 @@ def _write_outputs(out: Path, args, prefix: str, seed, files: dict) -> None:
     print(f"wrote {out / (prefix + next(iter(files)))}")
 
 
+def _histogram(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-width (bin_edges, counts) over [min, max]: as many bins as the
+    Freedman-Diaconis rule asks for, or as Sturges' rule asks for when
+    Freedman-Diaconis asks for more than ``_MAX_BINS``."""
+    iqr = np.subtract(*np.percentile(samples, [75, 25]))
+    fd_width = 2.0 * iqr * samples.size ** (-1.0 / 3.0)
+    bins = "sturges" if fd_width and np.ptp(samples) / fd_width > _MAX_BINS else "fd"
+    counts, edges = np.histogram(samples, bins=bins)
+    return edges, counts
+
+
 def _stats_dict(result) -> dict:
     """JSON layout of a Monte Carlo summary: mean, std, stderr, count,
     histogram."""
-    edges, counts = result.histogram
+    edges, counts = _histogram(result.samples)
     return {
         "mean": result.mean,
         "std": result.std,
@@ -233,7 +248,7 @@ def _cmd_dist(args):
     z = np.linspace(args.z_min, args.z_max, args.steps)
     cdf = corrected_cdf(z, params, s, order)
     pdf = corrected_pdf(z, params, s, order)
-    report = validity_check(params, s, max_abs_eps, z, order=order)
+    report = validity_check(z, cdf, pdf, max_abs_eps)
     if args.clamp:
         cdf = np.clip(cdf, 0.0, 1.0)
         pdf = np.clip(pdf, 0.0, None)

@@ -169,14 +169,9 @@ def corrected_pdf(z, p: GumbelParams, s: float, order: str = "first"):
     return float(out) if np.isscalar(z) else out
 
 
-def validity_check(
-    p: GumbelParams,
-    s: float,
-    max_abs_eps: float,
-    z_grid,
-    order: str = "second",
-) -> ValidityReport:
-    """Diagnose whether the corrected distribution behaves like one.
+def validity_check(z_grid, cdf, pdf, max_abs_eps: float) -> ValidityReport:
+    """Diagnose whether the curves ``cdf`` and ``pdf`` on ``z_grid``
+    behave like a distribution, whichever law produced them.
 
     Checks, on the given ascending grid: CDF within [0, 1], CDF monotone
     non-decreasing, PDF non-negative.  ``z_violations`` collects the grid
@@ -188,9 +183,9 @@ def validity_check(
         raise DomainError("z_grid must be a 1-D grid with at least 2 points")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("z_grid must be sorted strictly ascending")
-
-    cdf = corrected_cdf(grid, p, s, order)
-    pdf = corrected_pdf(grid, p, s, order)
+    cdf, pdf = np.asarray(cdf, dtype=float), np.asarray(pdf, dtype=float)
+    if cdf.shape != grid.shape or pdf.shape != grid.shape:
+        raise DimensionMismatch(f"cdf and pdf must have z_grid's shape {grid.shape}")
 
     out_of_bounds = (cdf < -_ATOL) | (cdf > 1.0 + _ATOL)
     decreasing = np.zeros_like(grid, dtype=bool)
@@ -200,9 +195,7 @@ def validity_check(
     flagged = out_of_bounds | decreasing | negative_pdf
     max_abs = float(max_abs_eps)
     if not (0.0 <= max_abs < 1.0):
-        raise DomainError(
-            f"max |eps| must lie in [0, 1) (got {max_abs})"
-        )
+        raise DomainError(f"max |eps| must lie in [0, 1) (got {max_abs})")
     return ValidityReport(
         smallness_ok=max_abs <= _SMALLNESS_THRESHOLD,
         max_abs_eps=max_abs,

@@ -47,10 +47,6 @@ _ROW_BLOCK = 64
 # 3 * _RHO_GROUP * _CHUNK_REPS floats per thread whatever the sweep length.
 _RHO_GROUP = 64
 
-# Above this many Freedman-Diaconis bins (a near-constant sample beside one
-# outlier asks for tens of millions) the default histogram uses Sturges.
-_MAX_BINS = 10_000
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -71,15 +67,11 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McResult:
-    """Maximum samples plus summary statistics.
-
-    ``histogram`` is an equal-width (bin_edges, counts) pair.
-    """
+    """Maximum samples plus their mean and unbiased std."""
 
     samples: np.ndarray
     mean: float
     std: float
-    histogram: tuple[np.ndarray, np.ndarray]
 
     @property
     def stderr(self) -> float:
@@ -237,13 +229,11 @@ def sample_dag_max(mu, sigma, src, dst, cfg: McConfig) -> McResult:
 
 
 def empirical_stats(samples) -> McResult:
-    """Summary statistics: mean, unbiased std, histogram.
+    """Summary statistics: mean and unbiased std.
 
-    The histogram has equal-width bins over [min, max], as many as the
-    Freedman-Diaconis rule asks for, or as Sturges' rule asks for when
-    Freedman-Diaconis asks for more than ``_MAX_BINS``.  Every sampler ends
-    here, so a sample that overflowed to inf or nan raises ``DomainError``
-    before it reaches the histogram.
+    Every sampler ends here, so a sample that overflowed to inf or nan, or
+    finite samples whose mean or std overflows, raise ``DomainError``
+    before any output is made of them.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -253,13 +243,12 @@ def empirical_stats(samples) -> McResult:
             f"samples must be finite ({np.count_nonzero(~np.isfinite(arr))} "
             f"of {arr.size} are not)"
         )
-    mean = float(np.mean(arr))
-    std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-    iqr = np.subtract(*np.percentile(arr, [75, 25]))
-    fd_width = 2.0 * iqr * arr.size ** (-1.0 / 3.0)
-    bins = "sturges" if fd_width and np.ptp(arr) / fd_width > _MAX_BINS else "fd"
-    counts, edges = np.histogram(arr, bins=bins)
-    return McResult(samples=arr, mean=mean, std=std, histogram=(edges, counts))
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(arr))
+        std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise DomainError(f"sample mean and std must be finite (got {mean}, {std})")
+    return McResult(samples=arr, mean=mean, std=std)
 
 
 def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
@@ -298,8 +287,9 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
         rep_stream = 2 * n_index
         if freeze_deviations:
             xi = 2.0 * _chunk_uniforms(cfg.seed, 0, 1, 2 * n, rep_stream + 1)[0] - 1.0
-            mu_frozen = mu + delta_mu * xi[:n]
-            sigma_frozen = sigma + delta_sigma * xi[n:]
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _run_chunked
+                mu_frozen = mu + delta_mu * xi[:n]
+                sigma_frozen = sigma + delta_sigma * xi[n:]
         samples = np.empty(cfg.reps, dtype=float)
 
         def fill(start, stop, n=n, rep_stream=rep_stream):

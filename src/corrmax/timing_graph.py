@@ -434,8 +434,9 @@ def graph_delay_analysis(
             moments.mean - 6.0 * moments.std, moments.mean + 8.0 * moments.std, z_steps
         )
         cdf = corrected_cdf(z_std, params, s_val, order)
-        pdf = corrected_pdf(z_std, params, s_val, order) / sigma_star
-        validity = validity_check(params, s_val, max_abs_eps, z_std, order=order)
+        pdf = corrected_pdf(z_std, params, s_val, order)
+        validity = validity_check(z_std, cdf, pdf, max_abs_eps)
+        pdf /= sigma_star
         analytic_mean = mu_star + sigma_star * _analytic_mean_std_units(
             params, s_val, order
         )

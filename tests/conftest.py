@@ -15,6 +15,7 @@ from corrmax import (
     std_normal_pdf,
     std_normal_quantile,
 )
+from corrmax.cli import _histogram
 from corrmax.montecarlo import _open_uniform
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -56,7 +57,7 @@ def exact_iid_max_moments(n: int) -> tuple[float, float]:
 
 def hist_l1_distance(result, pdf_fn) -> float:
     """L1 distance between a histogram density and a pdf at bin centers."""
-    edges, counts = result.histogram
+    edges, counts = _histogram(result.samples)
     widths = np.diff(edges)
     dens = counts / (counts.sum() * widths)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criterion 6 is known-red: at rho = 0.825 the corrected CDFs remain
 bounded and monotone for every order and every grid (violations require
 rho >~ 0.85 for the resummed form at n = 100), so the required flag cannot
-fire; see the decisions ledger for the analysis.
+fire; see README "Testing" for the analysis.
 """
 from __future__ import annotations
 
@@ -134,13 +134,15 @@ def test_criterion_05_second_order_beats_gumbel():
 
 
 def test_criterion_06_breakdown_reproduction():
-    """Known-red spec defect: see module docstring and decisions ledger."""
+    """Known-red spec defect: see module docstring and README "Testing"."""
     p100 = scaling_constants(100)
     eps100 = ar1_epsilon(100, 0.825)
     z100 = np.linspace(p100.alpha - 12 * p100.beta,
                        p100.alpha + 40 * p100.beta, 2000)
+    s100 = correlation_sum(eps100)
     rep100 = validity_check(
-        p100, correlation_sum(eps100), eps100.max_abs(), z100, order="second"
+        z100, corrected_cdf(z100, p100, s100, "second"),
+        corrected_pdf(z100, p100, s100, "second"), eps100.max_abs(),
     )
     flagged100 = (not rep100.cdf_bounded) or (not rep100.cdf_monotone)
 
@@ -148,8 +150,10 @@ def test_criterion_06_breakdown_reproduction():
     eps250 = ar1_epsilon(250, 0.825)
     z250 = np.linspace(p250.alpha - 12 * p250.beta,
                        p250.alpha + 40 * p250.beta, 2000)
+    s250 = correlation_sum(eps250)
     rep250 = validity_check(
-        p250, correlation_sum(eps250), eps250.max_abs(), z250, order="complete"
+        z250, corrected_cdf(z250, p250, s250, "complete"),
+        corrected_pdf(z250, p250, s250, "complete"), eps250.max_abs(),
     )
     fewer = len(rep250.z_violations) < len(rep100.z_violations)
 

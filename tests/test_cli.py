@@ -410,16 +410,37 @@ class TestOutputPath:
           "--seed", "1"],
          "mu, sigma, delta_mu and delta_sigma must be finite "
          "(got 0.0, 1.0, 0.0, nan)"),
+        (["graph", "analyze", "NEARMAX", "--reps", "100", "--seed", "1"],
+         "sample mean and std must be finite (got inf, inf)"),
+        (["noniid", "--n-grid", "5", "--mu", "1e308", "--delta-mu", "1e308",
+          "--freeze-deviations", "--reps", "100", "--seed", "1"],
+         "samples must be finite (100 of 100 are not)"),
+        (["noniid", "--n-grid", "5", "--sigma", "0", "--seed", "1"],
+         "sigma must be positive (got 0.0)"),
+        (["dist", "first", "--n", "2", "--eps-file", "EPS_NAN"],
+         "entries must be finite"),
+        (["dist", "first", "--n", "2", "--eps-file", "COV_2X3"],
+         "cov must be square (got shape (2, 3))"),
     ], ids=["dist_z_range", "dist_steps", "dist_no_rho", "dist_rho_range",
             "mc_sweep_range", "mc_no_rho", "mc_rho_range", "noniid_grid",
             "mc_sweep_fields", "graph_cov_cap", "mc_overflow",
             "graph_paths_overflow", "graph_analyze_overflow", "noniid_mu_nan",
-            "noniid_sigma_inf", "noniid_delta_mu_inf", "noniid_delta_sigma_nan"])
+            "noniid_sigma_inf", "noniid_delta_mu_inf", "noniid_delta_sigma_nan",
+            "graph_analyze_stats_overflow", "noniid_frozen_overflow",
+            "noniid_sigma_zero", "dist_eps_non_finite", "dist_cov_non_square"])
     def test_usage_error(self, tmp_path, capsys, graphs_dir, args, message):
-        overflow = tmp_path / "overflow.txt"  # each path mean is inf
-        overflow.write_text("a b 1e308 0.1\nb c 1e308 0.1\n")
-        args = [a.replace("GRAPHS", str(graphs_dir)).replace("OVERFLOW", str(overflow))
-                for a in args]
+        subs = {"GRAPHS": str(graphs_dir)}
+        for name, text in {
+            "OVERFLOW": "a b 1e308 0.1\nb c 1e308 0.1\n",  # each path mean is inf
+            "NEARMAX": "a b 8e307 0.1\nb c 8e307 0.1\n",  # its MC mean overflows
+            "EPS_NAN": "0 nan\nnan 0\n",
+            "COV_2X3": "1 0.2 0.1\n0.2 1 0.3\n",
+        }.items():
+            path = tmp_path / f"{name.lower()}.txt"
+            path.write_text(text)
+            subs[name] = str(path)
+        for name, value in subs.items():
+            args = [a.replace(name, value) for a in args]
         out = tmp_path / "out"
         assert run(args + ["--outdir", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -236,7 +236,8 @@ class TestValidityCheck:
         p = scaling_constants(100)
         eps = ar1_epsilon(100, 0.0)
         z = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 500)
-        rep = validity_check(p, 0.0, eps.max_abs(), z, order="second")
+        rep = validity_check(z, corrected_cdf(z, p, 0.0, "second"),
+                             corrected_pdf(z, p, 0.0, "second"), eps.max_abs())
         assert rep.smallness_ok
         assert rep.cdf_monotone and rep.cdf_bounded and rep.pdf_nonnegative
         assert rep.z_violations == ()
@@ -250,7 +251,8 @@ class TestValidityCheck:
         eps = ar1_epsilon(100, 0.9)
         s = correlation_sum(eps)
         z = np.linspace(p.alpha - 12 * p.beta, p.alpha + 40 * p.beta, 3000)
-        rep = validity_check(p, s, eps.max_abs(), z, order="complete")
+        rep = validity_check(z, corrected_cdf(z, p, s, "complete"),
+                             corrected_pdf(z, p, s, "complete"), eps.max_abs())
         assert not rep.smallness_ok
         assert not rep.cdf_bounded
         assert not rep.cdf_monotone
@@ -260,17 +262,27 @@ class TestValidityCheck:
         p = scaling_constants(50)
         eps = ar1_epsilon(50, 0.25)
         z = np.linspace(p.alpha - 1.0, p.alpha + 1.0, 50)
+        s = correlation_sum(eps)
         assert validity_check(
-            p, correlation_sum(eps), eps.max_abs(), z
+            z, corrected_cdf(z, p, s, "second"), corrected_pdf(z, p, s, "second"),
+            eps.max_abs(),
         ).smallness_ok
 
     def test_grid_validation(self):
         p = scaling_constants(10)
         eps = ar1_epsilon(10, 0.1)
+        z = np.array([1.0, 0.5])
         with pytest.raises(DomainError):
-            validity_check(p, 0.0, eps.max_abs(), np.array([1.0, 0.5]))
+            validity_check(z, corrected_cdf(z, p, 0.0), corrected_pdf(z, p, 0.0),
+                           eps.max_abs())
+        z = np.array([1.0])
         with pytest.raises(DomainError):
-            validity_check(p, 0.0, eps.max_abs(), np.array([1.0]))
+            validity_check(z, corrected_cdf(z, p, 0.0), corrected_pdf(z, p, 0.0),
+                           eps.max_abs())
+        z = np.array([0.5, 1.0, 1.5])
+        with pytest.raises(DimensionMismatch):
+            validity_check(z, corrected_cdf(z[:2], p, 0.0), corrected_pdf(z, p, 0.0),
+                           eps.max_abs())
 
 
 class TestCorrelatedPdfFirstOrder:

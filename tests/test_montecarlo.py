@@ -18,12 +18,11 @@ from corrmax import (
     std_normal_quantile,
 )
 from corrmax.montecarlo import (
-    _MAX_BINS,
     _chunk_uniforms,
     _open_uniform,
     _thread_count,
 )
-from corrmax.cli import _stats_dict
+from corrmax.cli import _MAX_BINS, _histogram, _stats_dict
 from conftest import (
     dkw_band_halfwidth,
     ecdf_values,
@@ -259,7 +258,7 @@ class TestEmpiricalStats:
 
     def test_two_point_histogram(self):
         res = empirical_stats([0.0, 1.0])
-        edges, counts = res.histogram
+        edges, counts = _histogram(res.samples)
         np.testing.assert_array_equal(counts, [1, 1])
         assert edges[0] == 0.0 and edges[-1] == 1.0
 
@@ -281,9 +280,9 @@ class TestEmpiricalStats:
     def test_default_bins_are_freedman_diaconis(self):
         samples = np.random.default_rng(4).gumbel(size=10_000)
         counts, edges = np.histogram(samples, bins="fd")
-        res = empirical_stats(samples)
-        np.testing.assert_array_equal(res.histogram[0], edges)
-        np.testing.assert_array_equal(res.histogram[1], counts)
+        hist = _histogram(empirical_stats(samples).samples)
+        np.testing.assert_array_equal(hist[0], edges)
+        np.testing.assert_array_equal(hist[1], counts)
 
     def test_near_constant_sample_with_outlier_falls_back_to_sturges(self):
         rng = np.random.default_rng(0)
@@ -291,7 +290,7 @@ class TestEmpiricalStats:
         iqr = np.subtract(*np.percentile(samples, [75, 25]))
         fd_bins = np.ceil(np.ptp(samples) / (2.0 * iqr * samples.size ** (-1 / 3)))
         assert fd_bins > 1000 * _MAX_BINS
-        edges, counts = empirical_stats(samples).histogram
+        edges, counts = _histogram(empirical_stats(samples).samples)
         sturges = int(np.ceil(np.log2(samples.size))) + 1
         assert len(counts) == sturges
         assert counts.sum() == samples.size

@@ -139,6 +139,18 @@ def test_commands_compute_and_main_writes():
     assert mkdir_callers == ["cli.py:_write_outputs"]
 
 
+def test_diagnostics_read_their_callers_values():
+    """``corrections.validity_check`` judges the curves it is given and
+    evaluates no law itself; ``cli.py`` is the one module that bins a
+    histogram."""
+    trees = dict(_package_trees())
+    [check] = [node for node in ast.walk(trees["corrections.py"])
+               if isinstance(node, ast.FunctionDef) and node.name == "validity_check"]
+    assert _called_names(check) & {"corrected_cdf", "corrected_pdf"} == set()
+    binners = [name for name, tree in trees.items() if "histogram" in _called_names(tree)]
+    assert binners == ["cli.py"]
+
+
 def test_readme_quick_start_runs():
     readme = (REPO_ROOT / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)

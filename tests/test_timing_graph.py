@@ -192,6 +192,10 @@ class TestEnumeratePaths:
         assert exc.value.cap == 10
         assert exc.value.count == 11
 
+    def test_edgeless_graph_rejected(self):
+        with pytest.raises(DomainError, match="graph has no edges"):
+            enumerate_paths(TimingGraph(nodes=("a",), edges=()))
+
     def test_enumerates_the_normalization(self):
         """Enumerating a graph equals enumerating its normalization, whose
         edges the path set keeps."""
