@@ -14,7 +14,12 @@ layer uses for its scaling constants.  A rho-sweep uses common random
 numbers: each chunk's normals are drawn once, and a single AR(1)
 recurrence advances up to 64 rho points at a time on them as one
 (points x chunk) block, with the same per-element operations as one
-chain at a time.
+chain at a time.  The non-identical experiment evaluates the quantile only
+for the components of a repetition that can still hold its maximum: a
+float upper bound, monotone in the uniform, rules the others out exactly,
+so each maximum has the bits of the full evaluation (see
+``non_iid_experiment``).  A stream whose uniform buffer would hold more
+than ``_MAX_CHUNK_FLOATS`` floats is refused before anything is allocated.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyInput
-from .normal import std_normal_quantile
+from .normal import std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "McConfig",
@@ -46,6 +51,16 @@ _ROW_BLOCK = 64
 # Most rho points that share one block recurrence; caps its buffers at
 # 3 * _RHO_GROUP * _CHUNK_REPS floats per thread whatever the sweep length.
 _RHO_GROUP = 64
+
+# Largest buffer of uniforms that one ``_chunk_uniforms`` call may fill, in
+# floats (1 GiB of uniforms); wider streams are refused at each sampler's
+# entry.  It bounds the stream only: evaluating a chunk allocates several
+# more arrays of the same shape.
+_MAX_CHUNK_FLOATS = 2**27
+
+# Bound on |ndtri(u)| over the open uniforms: ndtri(2**-54) = -8.29 and
+# ndtri(1 - 2**-53) = 8.21.
+_Q_MAX = 8.3
 
 
 @dataclass(frozen=True)
@@ -121,6 +136,17 @@ def _chunk_uniforms(seed: int, start: int, stop: int, width: int,
     return u
 
 
+def _check_width(reps: int, width: int) -> None:
+    """Refuse a uniform buffer of min(reps, _CHUNK_REPS) rows of ``width``
+    that would hold more than _MAX_CHUNK_FLOATS floats."""
+    rows = min(reps, _CHUNK_REPS)
+    if rows * width > _MAX_CHUNK_FLOATS:
+        raise DomainError(
+            f"stream too wide: a buffer of {rows} x {width} uniforms exceeds "
+            f"the cap of {_MAX_CHUNK_FLOATS} floats"
+        )
+
+
 def _thread_count(workers: int, chunks: int) -> int:
     """Threads worth starting: no more than requested, CPUs, or chunks."""
     return max(1, min(workers, os.cpu_count() or 1, chunks))
@@ -170,6 +196,7 @@ def sample_max_sweep(n: int, rhos, cfg: McConfig, sigma: float = 1.0) -> list[Mc
     for r in rhos:
         if not (0.0 <= r <= 1.0):
             raise DomainError(f"rho must lie in [0, 1] (got {r})")
+    _check_width(cfg.reps, int(n))
     rho = np.array(rhos, dtype=float)
     c = sigma * np.sqrt(1.0 - rho * rho)
     maxima = np.empty((len(rho), cfg.reps), dtype=float)
@@ -212,6 +239,7 @@ def sample_dag_max(mu, sigma, src, dst, cfg: McConfig) -> McResult:
     src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
     if not np.all(src < dst):
         raise DomainError("nodes must be numbered so that src < dst on every edge")
+    _check_width(cfg.reps, len(mu))
     order = [(k, int(src[k]), int(dst[k])) for k in np.argsort(src, kind="stable")]
     samples = np.empty(cfg.reps, dtype=float)
 
@@ -263,6 +291,28 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
     U(-1, 1).  By default the (mu_i, sigma_i) sets are redrawn every
     repetition; ``freeze_deviations`` draws them once per grid point.
     Returns one ``McResult`` per entry of ``n_grid``.
+
+    Only the components that can still hold a repetition's maximum reach
+    the quantile, and the maximum keeps the bits of the full evaluation:
+    - Bounds.  Rounding is monotone, so in floats every component has
+      mu_i <= mu_hi = fl(mu + delta_mu) and
+      s_lo = fl(sigma - delta_sigma) <= sigma_i <= s_hi = fl(sigma + delta_sigma).
+      Hence x_i = fl(mu_i + fl(sigma_i*q_i)) <= U(q_i), where
+      U(q) = fl(mu_hi + fl(s*q)) with s = s_hi for q >= 0 and s_lo below;
+      U never decreases.
+    - Threshold.  Each repetition evaluates x_j for j, the component with
+      the largest quantile uniform, then finds a q_c with U(q_c) < x_j,
+      checked in floats, and sets t = Phi(q_c) - 2e-14.  A uniform u < t
+      has ndtri(u) <= q_c, because |Phi(ndtri(u)) - u| <= 1e-14 (the
+      tested contract of ``std_normal_quantile``) and the computed Phi is
+      far closer than 1e-14 to the true one.  So x_i <= U(q_i) <= U(q_c)
+      < x_j, and component i cannot hold the maximum.
+    - Evaluation.  Every component with u >= t goes through the same
+      expression as a full evaluation, and the others count as -inf, which
+      leaves the row maximum's bits unchanged.  Where U(-+8.3), at the ends
+      of the range of ndtri on the open uniforms, is not finite, or the
+      float check fails, t = 0: every component is evaluated, so overflow
+      and nan reach ``empirical_stats`` as before.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) == 0 or any(n < 1 for n in n_grid):
@@ -280,6 +330,27 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
             f"mu, sigma, delta_mu and delta_sigma must be finite "
             f"(got {mu}, {sigma}, {delta_mu}, {delta_sigma})"
         )
+    widest = max(n_grid)
+    _check_width(cfg.reps, (1 if freeze_deviations else 3) * widest)
+    if freeze_deviations:
+        _check_width(1, 2 * widest)  # the single row of frozen deviations
+    mu_hi, s_lo, s_hi = mu + delta_mu, sigma - delta_sigma, sigma + delta_sigma
+
+    def upper(q):  # U(q), an upper bound on every component at quantile q
+        return mu_hi + np.where(q >= 0.0, s_hi, s_lo) * q
+
+    # A finite U(+8.3) needs finite mu_hi and s_hi; s_lo lies in (0, sigma].
+    with np.errstate(over="ignore", invalid="ignore"):
+        prunable = bool(np.all(np.isfinite(upper(np.array([-_Q_MAX, _Q_MAX])))))
+
+    def threshold(x_j):
+        """Per row, a uniform below which no component can reach x_j."""
+        d = x_j - mu_hi
+        d -= 2.0**-48 * (np.abs(x_j) + abs(mu_hi))  # room for rounding in U
+        q_c = d / np.where(d >= 0.0, s_hi, s_lo)
+        proven = (upper(q_c) < x_j) & prunable
+        return np.where(proven, std_normal_cdf(np.where(proven, q_c, 0.0)) - 2e-14, 0.0)
+
     results = []
     for n_index, n in enumerate(n_grid):
         # Streams 2k feed the repetitions of grid point k; streams 2k+1 are
@@ -294,13 +365,28 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
 
         def fill(start, stop, n=n, rep_stream=rep_stream):
             if freeze_deviations:
-                u = _chunk_uniforms(cfg.seed, start, stop, n, rep_stream)
-                x = mu_frozen + sigma_frozen * std_normal_quantile(u)
+                u_q = _chunk_uniforms(cfg.seed, start, stop, n, rep_stream)
+                mu_rows = np.broadcast_to(mu_frozen, u_q.shape)
+                sigma_rows = np.broadcast_to(sigma_frozen, u_q.shape)
             else:
                 u = _chunk_uniforms(cfg.seed, start, stop, 3 * n, rep_stream)
-                mu_i = mu + delta_mu * (2.0 * u[:, :n] - 1.0)
-                sigma_i = sigma + delta_sigma * (2.0 * u[:, n : 2 * n] - 1.0)
-                x = mu_i + sigma_i * std_normal_quantile(u[:, 2 * n :])
+                u_q = u[:, 2 * n :]
+
+            def component(at):  # x of the components at index ``at``
+                if freeze_deviations:
+                    mu_i, sigma_i = mu_rows[at], sigma_rows[at]
+                else:  # the full evaluation's expressions, element by element
+                    mu_i = mu + delta_mu * (2.0 * u[:, :n][at] - 1.0)
+                    sigma_i = sigma + delta_sigma * (2.0 * u[:, n : 2 * n][at] - 1.0)
+                return mu_i + sigma_i * std_normal_quantile(u_q[at])
+
+            top = (np.arange(stop - start), u_q.argmax(axis=1))
+            x_top = component(top)
+            candidates = u_q >= threshold(x_top)[:, None]
+            candidates[top] = False
+            x = np.full(u_q.shape, -np.inf)
+            x[top] = x_top
+            x[candidates] = component(candidates)
             samples[start:stop] = x.max(axis=1)
 
         _run_chunked(cfg.reps, cfg.workers, fill)

@@ -417,6 +417,16 @@ class TestOutputPath:
          "samples must be finite (100 of 100 are not)"),
         (["noniid", "--n-grid", "5", "--sigma", "0", "--seed", "1"],
          "sigma must be positive (got 0.0)"),
+        (["mc", "--n", "1000000000000000", "--rho", "0.3", "--seed", "1"],
+         "stream too wide: a buffer of 1024 x 1000000000000000 uniforms "
+         "exceeds the cap of 134217728 floats"),
+        (["noniid", "--n-grid", "10,1000000000000000", "--seed", "1"],
+         "stream too wide: a buffer of 1024 x 3000000000000000 uniforms "
+         "exceeds the cap of 134217728 floats"),
+        (["noniid", "--n-grid", "1000000000000000", "--freeze-deviations",
+          "--reps", "100", "--seed", "1"],
+         "stream too wide: a buffer of 100 x 1000000000000000 uniforms "
+         "exceeds the cap of 134217728 floats"),
         (["dist", "first", "--n", "2", "--eps-file", "EPS_NAN"],
          "entries must be finite"),
         (["dist", "first", "--n", "2", "--eps-file", "COV_2X3"],
@@ -427,7 +437,8 @@ class TestOutputPath:
             "graph_paths_overflow", "graph_analyze_overflow", "noniid_mu_nan",
             "noniid_sigma_inf", "noniid_delta_mu_inf", "noniid_delta_sigma_nan",
             "graph_analyze_stats_overflow", "noniid_frozen_overflow",
-            "noniid_sigma_zero", "dist_eps_non_finite", "dist_cov_non_square"])
+            "noniid_sigma_zero", "mc_too_wide", "noniid_too_wide",
+            "noniid_frozen_too_wide", "dist_eps_non_finite", "dist_cov_non_square"])
     def test_usage_error(self, tmp_path, capsys, graphs_dir, args, message):
         subs = {"GRAPHS": str(graphs_dir)}
         for name, text in {

@@ -17,7 +17,10 @@ from corrmax import (
     sample_max_sweep,
     std_normal_quantile,
 )
+import corrmax.montecarlo
 from corrmax.montecarlo import (
+    _MAX_CHUNK_FLOATS,
+    _check_width,
     _chunk_uniforms,
     _open_uniform,
     _thread_count,
@@ -363,6 +366,46 @@ class TestNonIidExperiment:
         assert np.array_equal(res.samples, ref.samples)
         assert (res.mean, res.std) == (ref.mean, ref.std)
 
+    @pytest.mark.parametrize("n, mu, sigma, delta_mu, delta_sigma", [
+        (1, 0.0, 1.0, 0.2, 0.0),
+        (2, 0.0, 1.0, 0.5, 0.3),
+        (40, 0.0, 1.0, 5.0, 0.5),  # most components can hold the maximum
+        (40, 0.0, 1.0, 0.2, 0.99),  # sigma - delta_sigma near 0
+        (40, -3e5, 1e-3, 2e-4, 5e-4),  # mu_hi - x_j cancels to a few ulps
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_redrawn_deviations_match_per_repetition_streams(
+        self, n, mu, sigma, delta_mu, delta_sigma, workers
+    ):
+        """Every maximum equals the full evaluation of its repetition's
+        stream 2k (grid point k), over more than one chunk."""
+        seed, reps, grid = 2**64 - 9, 1100, (3, n)
+        results = non_iid_experiment(
+            grid, McConfig(seed=seed, reps=reps, workers=workers), mu=mu,
+            sigma=sigma, delta_mu=delta_mu, delta_sigma=delta_sigma,
+        )
+        for k, (m, res) in enumerate(zip(grid, results)):
+            maxima = []
+            for r in range(reps):
+                u = _open_uniform(rep_rng(seed, r, stream=2 * k), 3 * m)
+                mu_i = mu + delta_mu * (2.0 * u[:m] - 1.0)
+                sigma_i = sigma + delta_sigma * (2.0 * u[m : 2 * m] - 1.0)
+                maxima.append(np.max(mu_i + sigma_i * std_normal_quantile(u[2 * m :])))
+            assert np.array_equal(res.samples, np.array(maxima))
+
+    def test_quantile_runs_only_on_candidates(self, monkeypatch):
+        """Components that cannot hold the maximum never reach the quantile."""
+        sizes = []
+
+        def counted(p):
+            sizes.append(np.size(p))
+            return std_normal_quantile(p)
+
+        monkeypatch.setattr(corrmax.montecarlo, "std_normal_quantile", counted)
+        cfg = McConfig(seed=1, reps=1024)
+        non_iid_experiment((1000,), cfg, delta_mu=0.2)
+        assert 0 < sum(sizes) < 10 * cfg.reps
+
     def test_workers_do_not_change_results(self):
         base = non_iid_experiment(
             (30,), McConfig(seed=66, reps=3000), delta_sigma=0.1
@@ -374,6 +417,26 @@ class TestNonIidExperiment:
 
 
 class TestHelpers:
+    def test_width_bound(self):
+        """A uniform buffer, min(reps, 1024) rows, may hold 2**27 floats;
+        checked without allocating anything."""
+        assert _MAX_CHUNK_FLOATS == 2**27
+        _check_width(10**6, 2**17)
+        _check_width(3, 2**27 // 3)
+        with pytest.raises(DomainError, match="a buffer of 1024 x 131073 "):
+            _check_width(10**6, 2**17 + 1)
+        with pytest.raises(DomainError, match="a buffer of 3 x 44739243 "):
+            _check_width(3, 2**27 // 3 + 1)
+
+    def test_width_bound_covers_the_frozen_row(self, monkeypatch):
+        """With one repetition, the frozen deviations' row of 2n is the widest
+        buffer; a small cap shows it is checked."""
+        monkeypatch.setattr(corrmax.montecarlo, "_MAX_CHUNK_FLOATS", 100)
+        cfg = McConfig(seed=1, reps=1)
+        non_iid_experiment((50,), cfg, freeze_deviations=True)
+        with pytest.raises(DomainError, match="a buffer of 1 x 102 "):
+            non_iid_experiment((51,), cfg, freeze_deviations=True)
+
     def test_dkw_band(self):
         # closed form: sqrt(ln(2/alpha) / (2n))
         assert dkw_band_halfwidth(10_000, 0.99) == pytest.approx(
