@@ -450,9 +450,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join a negative number to the long option before it: ``--mu -3e5``
+    becomes ``--mu=-3e5``.  argparse reads only ``-1``- and ``-1.5``-shaped
+    strings as values, so ``-3e5`` or ``-inf`` alone would read as an
+    option.  Nothing after ``--`` is joined."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev and "--" not in out
+                and arg.startswith("-") and _is_float(arg)):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         out = _output_dir(args)
         outputs = args.func(args)

@@ -3,12 +3,18 @@
 Reproducibility contract: repetition r draws from a Philox counter-based
 stream that is a pure function of (seed, r), so results are bitwise
 identical for any worker count or chunking.  ``rep_rng`` and
-``_open_uniform`` are the reference definition of that stream.  The
-samplers read it through ``_chunk_uniforms``, which builds one Philox per
-chunk of repetitions and sets its counter to each repetition's start in
-turn, collecting the raw words of 64 repetitions before it converts them
-to uniforms in one vectorized step; its output is bitwise equal to the
-per-repetition definition.  Normal variates are ``std_normal_quantile``
+``_open_uniform`` are the reference definition of that stream: word w of
+repetition r is lane w % 4 of the Philox4x64-10 block at counter
+(w // 4 + 1, 0, r, stream).  The samplers read it through
+``_chunk_uniforms``, which builds one Philox per chunk of repetitions and
+sets its counter to each repetition's start in turn, or to the block that
+holds a word offset, collecting the raw words of 64 repetitions before it
+converts them to uniforms in one vectorized step.  ``_word_uniforms``
+reads single words by random access, through a vectorized numpy Philox
+that computes the C generator's blocks.  Both readers and
+``_open_uniform`` share one conversion of a word's top 53 bits to an open
+uniform, so their outputs are bitwise equal to the per-repetition
+definition.  Normal variates are ``std_normal_quantile``
 (``ndtri``) of open-interval uniforms, the same inverse CDF the analytic
 layer uses for its scaling constants.  A rho-sweep uses common random
 numbers: each chunk's normals are drawn once, and a single AR(1)
@@ -17,9 +23,11 @@ recurrence advances up to 64 rho points at a time on them as one
 chain at a time.  The non-identical experiment evaluates the quantile only
 for the components of a repetition that can still hold its maximum: a
 float upper bound, monotone in the uniform, rules the others out exactly,
-so each maximum has the bits of the full evaluation (see
-``non_iid_experiment``).  A stream whose uniform buffer would hold more
-than ``_MAX_CHUNK_FLOATS`` floats is refused before anything is allocated.
+so each maximum has the bits of the full evaluation.  Where few components
+remain, it draws only the quantile third of each stream and reads the
+remaining components' mean and deviation words by random access (see
+``non_iid_experiment``).  A stream whose uniform buffer would hold more than ``_MAX_CHUNK_FLOATS``
+floats is refused before anything is allocated.
 """
 from __future__ import annotations
 
@@ -62,6 +70,16 @@ _MAX_CHUNK_FLOATS = 2**27
 # ndtri(1 - 2**-53) = 8.21.
 _Q_MAX = 8.3
 
+# With redrawn deviations, ``non_iid_experiment`` probes the first
+# _PROBE_REPS repetitions of a grid point for the components per repetition
+# that its pruning evaluates, k, and reads their mean and deviation words by
+# random access while (k + 1) times _RANDOM_READ_WORDS, the C-stream words
+# that cost as much as one component's two random-access words, stays below
+# the 2n words it skips.  The crossover comes from timing both ways forced,
+# at n from 30 to 1000 and a range of spreads, on a 2-vCPU VM.
+_PROBE_REPS = 64
+_RANDOM_READ_WORDS = 50
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -99,27 +117,47 @@ def rep_rng(seed: int, rep: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
 
 
+def _open_from_top_bits(k: np.ndarray) -> np.ndarray:
+    """Open uniforms (k + 0.5) * 2**-53 of the 53-bit integers ``k``, held
+    as floats and converted in place.
+
+    For k = 2**53 - 1, k + 0.5 rounds to 2**53; the clamp maps it to
+    2**53 - 1, so that uniform is 1 - 2**-53 instead of 1.0, and every other
+    k keeps its value.
+    """
+    k += 0.5
+    np.minimum(k, 2.0**53 - 1.0, out=k)
+    k *= 2.0**-53
+    return k
+
+
 def _open_uniform(rng: np.random.Generator, size) -> np.ndarray:
     """Uniforms strictly inside (0, 1), safe for the inverse-CDF transform."""
-    return (rng.integers(0, 2**53, size=size, dtype=np.uint64) + 0.5) * 2.0**-53
+    return _open_from_top_bits(
+        rng.integers(0, 2**53, size=size, dtype=np.uint64).astype(float))
 
 
 def _chunk_uniforms(seed: int, start: int, stop: int, width: int,
-                    stream: int = 0) -> np.ndarray:
-    """Open uniforms of repetitions [start, stop), one row each.
+                    stream: int = 0, offset: int = 0) -> np.ndarray:
+    """Open uniforms of repetitions [start, stop), one row each: words
+    [offset, offset + width) of each repetition's stream.
 
-    Row r - start equals ``_open_uniform(rep_rng(seed, r, stream), width)``
-    bit for bit.  Repetition r's stream starts at counter
-    ``(stream << 192) | (r << 128)`` and uses ceil(width/4) four-word
-    blocks, so one Philox serves the chunk: before each row its state is
-    reset to a fresh Philox's, empty buffer included, with the counter's
-    third word set to r.  Raw words collect in ``_ROW_BLOCK`` rows and are
-    converted one row block at a time.
+    Row r - start equals ``_open_uniform(rep_rng(seed, r, stream),
+    offset + width)[offset:]`` bit for bit.  Word w of repetition r is lane
+    w % 4 of the Philox block at counter (w // 4 + 1, 0, r, stream), so one
+    Philox serves the chunk: before each row its state is reset to a fresh
+    Philox's, empty buffer included, with the counter's first word set to
+    offset // 4 and its third to r.  The row then reads from the block that
+    holds word ``offset``, which may lie inside it.  Raw words collect in
+    ``_ROW_BLOCK`` rows, keep their top 53 bits one row block at a time,
+    and become uniforms in one vectorized step at the end.
     """
-    words = 4 * -(-width // 4)
+    first, skip = divmod(int(offset), 4)
+    words = 4 * -(-(skip + width) // 4)
     bitgen = np.random.Philox(key=int(seed), counter=int(stream) << 192)
     state = bitgen.state
     counter = state["state"]["counter"]
+    counter[0] = first
     u = np.empty((stop - start, width), dtype=float)
     raw = np.empty((min(_ROW_BLOCK, stop - start), words), dtype=np.uint64)
     for a in range(start, stop, _ROW_BLOCK):
@@ -130,10 +168,54 @@ def _chunk_uniforms(seed: int, start: int, stop: int, width: int,
             block[i] = bitgen.random_raw(words)
         # integers(0, 2**53) on a 64-bit word is the word's top 53 bits.
         block >>= 11
-        u[a - start : a - start + len(block)] = block[:, :width]
-    u += 0.5
-    u *= 2.0**-53
-    return u
+        u[a - start : a - start + len(block)] = block[:, skip : skip + width]
+    return _open_from_top_bits(u)
+
+
+# Philox4x64-10 multipliers, as a column for the (c0, c2) pair of counter
+# words, split into 32-bit halves for the high word of the 128-bit product,
+# and the round increments of the two key words.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & np.uint64(0xFFFFFFFF), _PHILOX_M >> 32
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _philox_blocks(key: int, counter: np.ndarray) -> np.ndarray:
+    """The Philox4x64-10 blocks of ``key`` at the counters ``counter``, a
+    (4, m) uint64 array with its least significant word first.
+
+    Column i equals the four words numpy's Philox returns first from
+    counter ``counter[:, i] - 1``.  Each round multiplies the (c0, c2) pair
+    and xors the (c1, c3) pair in, so a round is a few whole-array
+    operations; the high half of each 128-bit product is summed from the
+    32-bit halves of its factors, and no sum overflows 64 bits.
+    """
+    even, odd = counter[0::2], counter[1::2]
+    k = (int(key) % 2**64, int(key) >> 64)
+    for _ in range(10):
+        x_lo, x_hi = even & np.uint64(0xFFFFFFFF), even >> 32
+        t = x_hi * _PHILOX_M_LO + (x_lo * _PHILOX_M_LO >> 32)
+        w = (t & np.uint64(0xFFFFFFFF)) + x_lo * _PHILOX_M_HI
+        hi = x_hi * _PHILOX_M_HI + (t >> 32) + (w >> 32)
+        key_col = np.array(k, dtype=np.uint64)[:, None]
+        even, odd = hi[::-1] ^ odd ^ key_col, (even * _PHILOX_M)[::-1]
+        k = ((k[0] + _PHILOX_W[0]) % 2**64, (k[1] + _PHILOX_W[1]) % 2**64)
+    return np.stack([even[0], odd[0], even[1], odd[1]])
+
+
+def _word_uniforms(seed: int, stream: int, reps: np.ndarray,
+                   words: np.ndarray) -> np.ndarray:
+    """Open uniforms of word ``words[i]`` of repetition ``reps[i]``, by
+    random access: entry i equals
+    ``_chunk_uniforms(seed, reps[i], reps[i] + 1, 1, stream, words[i])[0, 0]``.
+    """
+    block, lane = np.divmod(words, 4)
+    counter = np.zeros((4, len(words)), dtype=np.uint64)
+    counter[0] = block + 1
+    counter[2] = reps
+    counter[3] = stream
+    raw = _philox_blocks(seed, counter)[lane, np.arange(len(words))]
+    return _open_from_top_bits((raw >> 11).astype(float))
 
 
 def _check_width(reps: int, width: int) -> None:
@@ -308,11 +390,19 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
       far closer than 1e-14 to the true one.  So x_i <= U(q_i) <= U(q_c)
       < x_j, and component i cannot hold the maximum.
     - Evaluation.  Every component with u >= t goes through the same
-      expression as a full evaluation, and the others count as -inf, which
-      leaves the row maximum's bits unchanged.  Where U(-+8.3), at the ends
+      expression as a full evaluation, and the row maximum is reduced over
+      those components alone, which leaves its bits unchanged.  Where U(-+8.3), at the ends
       of the range of ndtri on the open uniforms, is not finite, or the
       float check fails, t = 0: every component is evaluated, so overflow
       and nan reach ``empirical_stats`` as before.
+    - Reading.  With redrawn deviations, a probe of the first
+      ``_PROBE_REPS`` repetitions counts k, the components per repetition
+      that pruning evaluates.  Where (k + 1) * ``_RANDOM_READ_WORDS`` < 2n,
+      chunks draw only words [2n, 3n) of each stream with the C Philox, and
+      the mu and sigma words i and n + i of the evaluated components by
+      random access.  Otherwise all 3n words are drawn.  Both ways apply the
+      same expressions to the same words, so the choice, made before any
+      chunk is drawn, changes no bit.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) == 0 or any(n < 1 for n in n_grid):
@@ -351,44 +441,77 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
         proven = (upper(q_c) < x_j) & prunable
         return np.where(proven, std_normal_cdf(np.where(proven, q_c, 0.0)) - 2e-14, 0.0)
 
-    results = []
-    for n_index, n in enumerate(n_grid):
-        # Streams 2k feed the repetitions of grid point k; streams 2k+1 are
-        # reserved for its frozen deviations, so the spaces never collide.
-        rep_stream = 2 * n_index
+    def redrawn(u_mu, u_sigma):  # the full evaluation's (mu_i, sigma_i)
+        return (mu + delta_mu * (2.0 * u_mu - 1.0),
+                sigma + delta_sigma * (2.0 * u_sigma - 1.0))
+
+    def component(values, rows, cols):  # x of the components (rows, cols)
+        mu_i, sigma_i, u_i = values(rows, cols)
+        return mu_i + sigma_i * std_normal_quantile(u_i)
+
+    def pruned_max(u_q, values):
+        """Row maxima of the top components and the candidates, and the
+        number of candidates."""
+        rows = np.arange(len(u_q))
+        top = u_q.argmax(axis=1)
+        best = component(values, rows, top)
+        candidates = u_q >= threshold(best)[:, None]
+        candidates[rows, top] = False
+        rows, cols = np.divmod(np.flatnonzero(candidates), u_q.shape[1])
+        np.maximum.at(best, rows, component(values, rows, cols))
+        return best, len(rows)
+
+    def grid_point(n, stream):
         if freeze_deviations:
-            xi = 2.0 * _chunk_uniforms(cfg.seed, 0, 1, 2 * n, rep_stream + 1)[0] - 1.0
+            xi = 2.0 * _chunk_uniforms(cfg.seed, 0, 1, 2 * n, stream + 1)[0] - 1.0
             with np.errstate(over="ignore", invalid="ignore"):  # as in _run_chunked
                 mu_frozen = mu + delta_mu * xi[:n]
                 sigma_frozen = sigma + delta_sigma * xi[n:]
+
+        def read(start, stop, sparse=False):
+            """Quantile uniforms of repetitions [start, stop), and a reader
+            of the (mu_i, sigma_i, u_i) of the components at rows and
+            columns, which gathers from flat row-major arrays."""
+            if freeze_deviations:
+                u_q = _chunk_uniforms(cfg.seed, start, stop, n, stream)
+                flat = u_q.ravel()
+                return u_q, lambda rows, cols: (
+                    mu_frozen[cols], sigma_frozen[cols], flat[rows * n + cols])
+            if not sparse:
+                u = _chunk_uniforms(cfg.seed, start, stop, 3 * n, stream)
+                flat = u.ravel()
+
+                def stream_words(rows, cols):  # words i, n + i and 2n + i
+                    at = rows * (3 * n) + cols
+                    return (*redrawn(flat[at], flat[at + n]), flat[at + 2 * n])
+
+                return u[:, 2 * n :], stream_words
+            u_q = _chunk_uniforms(cfg.seed, start, stop, n, stream, offset=2 * n)
+            flat = u_q.ravel()
+
+            def random_words(rows, cols):  # words i and n + i by random access
+                u = _word_uniforms(cfg.seed, stream, np.tile(start + rows, 2),
+                                   np.concatenate([cols, n + cols]))
+                return (*redrawn(*np.split(u, 2)), flat[rows * n + cols])
+
+            return u_q, random_words
+
+        sparse = False
+        if not freeze_deviations:
+            # The components per repetition that pruning evaluates in a probe
+            # of the first rows pick how the chunks read the stream.
+            probe = min(cfg.reps, _PROBE_REPS)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _run_chunked
+                k = (probe + pruned_max(*read(0, probe))[1]) / probe
+            sparse = (k + 1) * _RANDOM_READ_WORDS < 2 * n
         samples = np.empty(cfg.reps, dtype=float)
 
-        def fill(start, stop, n=n, rep_stream=rep_stream):
-            if freeze_deviations:
-                u_q = _chunk_uniforms(cfg.seed, start, stop, n, rep_stream)
-                mu_rows = np.broadcast_to(mu_frozen, u_q.shape)
-                sigma_rows = np.broadcast_to(sigma_frozen, u_q.shape)
-            else:
-                u = _chunk_uniforms(cfg.seed, start, stop, 3 * n, rep_stream)
-                u_q = u[:, 2 * n :]
-
-            def component(at):  # x of the components at index ``at``
-                if freeze_deviations:
-                    mu_i, sigma_i = mu_rows[at], sigma_rows[at]
-                else:  # the full evaluation's expressions, element by element
-                    mu_i = mu + delta_mu * (2.0 * u[:, :n][at] - 1.0)
-                    sigma_i = sigma + delta_sigma * (2.0 * u[:, n : 2 * n][at] - 1.0)
-                return mu_i + sigma_i * std_normal_quantile(u_q[at])
-
-            top = (np.arange(stop - start), u_q.argmax(axis=1))
-            x_top = component(top)
-            candidates = u_q >= threshold(x_top)[:, None]
-            candidates[top] = False
-            x = np.full(u_q.shape, -np.inf)
-            x[top] = x_top
-            x[candidates] = component(candidates)
-            samples[start:stop] = x.max(axis=1)
+        def fill(start, stop):
+            samples[start:stop] = pruned_max(*read(start, stop, sparse))[0]
 
         _run_chunked(cfg.reps, cfg.workers, fill)
-        results.append(empirical_stats(samples))
-    return results
+        return empirical_stats(samples)
+
+    # Streams 2k feed the repetitions of grid point k; streams 2k+1 are
+    # reserved for its frozen deviations, so the spaces never collide.
+    return [grid_point(n, 2 * k) for k, n in enumerate(n_grid)]

@@ -19,7 +19,7 @@ from corrmax import (
 )
 import corrmax.cli
 import corrmax.timing_graph
-from corrmax.cli import _write_json, main
+from corrmax.cli import _attach_negative_values, _write_json, main
 from conftest import cascade64_text
 
 
@@ -489,6 +489,47 @@ class TestOutputPath:
         assert run(args + ["--out", "x", "--outdir", str(tmp_path)]) == 0
         expected = "".join(line + "\n" for line in expected_lines(graphs_dir))
         assert (tmp_path / name).read_bytes() == expected.encode()
+
+
+class TestNegativeValues:
+    """A negative value in exponent or any other float form reads as the
+    value of its option, as ``--opt=value`` does."""
+
+    @pytest.mark.parametrize("args, option, value", [
+        (["noniid", "--n-grid", "7,70", "--sigma", "1e-3", "--reps", "300",
+          "--seed", "11"], "--mu", "-3e5"),
+        (["noniid", "--n-grid", "7", "--reps", "300", "--seed", "11"], "--mu", "-2.5E-1"),
+        (["dist", "gumbel", "--n", "10", "--z-max", "1", "--steps", "5"],
+         "--z-min", "-2e0"),
+    ], ids=["noniid_mu", "noniid_mu_upper_e", "dist_z_min"])
+    def test_spaced_value_equals_attached(self, tmp_path, args, option, value):
+        assert run(args + [option, value, "--out", "x", "--outdir",
+                           str(tmp_path / "spaced")]) == 0
+        assert run(args + [f"{option}={value}", "--out", "x", "--outdir",
+                           str(tmp_path / "attached")]) == 0
+        spaced = (tmp_path / "spaced" / "x.csv").read_bytes()
+        assert spaced == (tmp_path / "attached" / "x.csv").read_bytes()
+
+    @pytest.mark.parametrize("args, message", [
+        (["mc", "--n", "5", "--rho", "0.3", "--sigma", "-1e-3", "--seed", "1"],
+         "sigma must be positive (got -0.001)"),
+        (["mc", "--n", "5", "--rho", "-5e-1", "--seed", "1"],
+         "--rho must lie in [0, 1]"),
+        (["noniid", "--n-grid", "5", "--mu", "-inf", "--seed", "1"],
+         "mu, sigma, delta_mu and delta_sigma must be finite "
+         "(got -inf, 1.0, 0.0, 0.0)"),
+    ], ids=["mc_sigma", "mc_rho", "noniid_mu_inf"])
+    def test_value_reaches_the_model_checks(self, tmp_path, capsys, args, message):
+        assert run(args + ["--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_only_numbers_after_long_options_are_attached(self):
+        assert _attach_negative_values(
+            ["noniid", "--mu", "-3e5", "--n-grid", "-5,6", "--out", "-x"]
+        ) == ["noniid", "--mu=-3e5", "--n-grid", "-5,6", "--out", "-x"]
+        assert _attach_negative_values(["--mu=1", "-3e5"]) == ["--mu=1", "-3e5"]
+        assert _attach_negative_values(["-h", "-3e5"]) == ["-h", "-3e5"]
+        assert _attach_negative_values(["--", "--mu", "-3e5"]) == ["--", "--mu", "-3e5"]
 
 
 class TestEnvironment:

@@ -23,7 +23,9 @@ from corrmax.montecarlo import (
     _check_width,
     _chunk_uniforms,
     _open_uniform,
+    _philox_blocks,
     _thread_count,
+    _word_uniforms,
 )
 from corrmax.cli import _MAX_BINS, _histogram, _stats_dict
 from conftest import (
@@ -85,6 +87,86 @@ class TestChunkUniforms:
         ref = np.array([_open_uniform(rep_rng(seed, start + i, 3), width)
                         for i in range(150)])
         np.testing.assert_array_equal(u, ref)
+
+    @pytest.mark.parametrize("offset", [1, 2, 3, 4, 10, 2001])
+    @pytest.mark.parametrize("width", [1, 5, 1000])
+    def test_offset_rows_equal_the_tail_of_longer_streams(self, offset, width):
+        """An offset may fall inside a four-word block."""
+        seed, start = 2**64 - 5, 2**20
+        u = _chunk_uniforms(seed, start, start + 3, width, 6, offset=offset)
+        for i, row in enumerate(u):
+            ref = _open_uniform(rep_rng(seed, start + i, 6), offset + width)
+            np.testing.assert_array_equal(row, ref[offset:])
+
+
+class TestRandomAccess:
+    @pytest.mark.parametrize("key", [0, 1, 2**63 + 12345, 2**64 - 1, 2**128 - 1])
+    def test_blocks_equal_numpy_philox(self, key):
+        rng = np.random.default_rng(key % 2**32)
+        counters = [int.from_bytes(rng.bytes(32), "little") for _ in range(20)]
+        counters += [2**64 - 1, (2**64 - 1) | (7 << 192)]  # a carry into word 1
+        ref = np.array([np.random.Philox(key=key, counter=c).random_raw(4)
+                        for c in counters]).T
+        # The first block numpy returns is the one at counter + 1.
+        nxt = [(c + 1) % 2**256 for c in counters]
+        counter = np.array([[(c >> (64 * i)) % 2**64 for c in nxt] for i in range(4)],
+                           dtype=np.uint64)
+        np.testing.assert_array_equal(_philox_blocks(key, counter), ref)
+
+    @pytest.mark.parametrize("seed", [42, 2**64 - 5])
+    @pytest.mark.parametrize("stream", [0, 1, 6])
+    def test_words_equal_chunk_uniforms(self, seed, stream):
+        rng = np.random.default_rng(seed % 2**32 + stream)
+        reps = rng.integers(0, 2**40, size=6)
+        width = 3003
+        rows = np.concatenate([_chunk_uniforms(seed, r, r + 1, width, stream)
+                               for r in reps])
+        pick_rows = rng.integers(0, len(reps), size=200)
+        words = rng.integers(0, width, size=200)
+        np.testing.assert_array_equal(
+            _word_uniforms(seed, stream, reps[pick_rows], words), rows[pick_rows, words])
+
+
+class TestOpenUniform:
+    """The 53-bit word 2**53 - 1, where k + 0.5 rounds to 2**53, gives the
+    uniform 1 - 2**-53 in each reader, not 1.0."""
+
+    TOP = 1.0 - 2.0**-53
+
+    def test_open_uniform(self):
+        class AllOnes:
+            def integers(self, low, high, size, dtype):
+                return np.full(size, high - 1, dtype=dtype)
+
+        np.testing.assert_array_equal(_open_uniform(AllOnes(), 3), [self.TOP] * 3)
+
+    def test_chunk_uniforms(self, monkeypatch):
+        philox = np.random.Philox
+
+        class AllOnes:
+            def __init__(self, key, counter):
+                self.state = philox(key=key, counter=counter).state
+
+            def random_raw(self, size):
+                return np.full(size, 2**64 - 1, dtype=np.uint64)
+
+        monkeypatch.setattr(np.random, "Philox", AllOnes)
+        np.testing.assert_array_equal(_chunk_uniforms(1, 0, 2, 3, offset=1),
+                                      np.full((2, 3), self.TOP))
+
+    def test_word_uniforms(self, monkeypatch):
+        monkeypatch.setattr(corrmax.montecarlo, "_philox_blocks",
+                            lambda key, counter: np.full(counter.shape, 2**64 - 1,
+                                                         dtype=np.uint64))
+        u = _word_uniforms(1, 0, np.array([0, 5]), np.array([3, 6]))
+        np.testing.assert_array_equal(u, [self.TOP] * 2)
+
+    def test_every_other_word_keeps_its_value(self):
+        k = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 3, 2**53 - 2],
+                     dtype=np.uint64)
+        np.testing.assert_array_equal(
+            corrmax.montecarlo._open_from_top_bits(k.astype(float)),
+            (k + 0.5) * 2.0**-53)
 
 
 class TestThreadCount:
@@ -309,6 +391,14 @@ class TestEmpiricalStats:
             empirical_stats([0.0, bad, 1.0])
 
 
+def force_mode(monkeypatch, mode):
+    """Make every grid point of ``non_iid_experiment`` with redrawn
+    deviations read one way: ``sparse`` (random access) or ``pruned`` (all
+    3n words drawn)."""
+    random_read_words = {"sparse": 0, "pruned": np.inf}[mode]
+    monkeypatch.setattr(corrmax.montecarlo, "_RANDOM_READ_WORDS", random_read_words)
+
+
 class TestNonIidExperiment:
     def test_validation(self):
         cfg = McConfig(seed=1)
@@ -372,6 +462,9 @@ class TestNonIidExperiment:
         (40, 0.0, 1.0, 5.0, 0.5),  # most components can hold the maximum
         (40, 0.0, 1.0, 0.2, 0.99),  # sigma - delta_sigma near 0
         (40, -3e5, 1e-3, 2e-4, 5e-4),  # mu_hi - x_j cancels to a few ulps
+        (5, 0.0, 1.0, 0.2, 0.0),  # all 3n words drawn, then pruned
+        (1000, 0.0, 1.0, 0.2, 0.0),  # mu and sigma words read by random access
+        (1000, 0.0, 1.0, 5.0, 0.99),  # most components stay candidates
     ])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_redrawn_deviations_match_per_repetition_streams(
@@ -379,7 +472,25 @@ class TestNonIidExperiment:
     ):
         """Every maximum equals the full evaluation of its repetition's
         stream 2k (grid point k), over more than one chunk."""
-        seed, reps, grid = 2**64 - 9, 1100, (3, n)
+        self._check_redrawn((3, n), mu, sigma, delta_mu, delta_sigma, workers)
+
+    @pytest.mark.parametrize("mode, n, delta_mu, delta_sigma", [
+        ("sparse", 5, 0.5, 0.3),  # the quantile third starts inside a block
+        ("sparse", 1000, 1.0, 0.5),
+        ("pruned", 1000, 0.2, 0.0),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_mode_matches_per_repetition_streams(
+        self, monkeypatch, mode, n, delta_mu, delta_sigma, workers
+    ):
+        """Each way of reading keeps the bits, also where the probe would
+        pick the other."""
+        force_mode(monkeypatch, mode)
+        self._check_redrawn((n,), 0.0, 1.0, delta_mu, delta_sigma, workers)
+
+    @staticmethod
+    def _check_redrawn(grid, mu, sigma, delta_mu, delta_sigma, workers):
+        seed, reps = 2**64 - 9, 1100
         results = non_iid_experiment(
             grid, McConfig(seed=seed, reps=reps, workers=workers), mu=mu,
             sigma=sigma, delta_mu=delta_mu, delta_sigma=delta_sigma,
@@ -392,6 +503,46 @@ class TestNonIidExperiment:
                 sigma_i = sigma + delta_sigma * (2.0 * u[m : 2 * m] - 1.0)
                 maxima.append(np.max(mu_i + sigma_i * std_normal_quantile(u[2 * m :])))
             assert np.array_equal(res.samples, np.array(maxima))
+
+    @pytest.mark.parametrize("mode, n, delta_mu, delta_sigma, sparse", [
+        ("sparse", 50, 0.2, 0.0, True),
+        ("pruned", 50, 0.2, 0.0, False),
+        (None, 1000, 0.2, 0.0, True),  # the benchmark's regime
+        (None, 10, 0.2, 0.0, False),  # 2n words cost less than a random read
+        (None, 1000, 5.0, 0.99, False),  # most components stay candidates
+    ])
+    def test_words_drawn_per_repetition(self, monkeypatch, mode, n, delta_mu,
+                                        delta_sigma, sparse):
+        """After a probe of the first 64 rows at 3n words, a sparse grid
+        point draws n words per repetition, from word 2n, and another 3n."""
+        calls = []
+        chunk_uniforms = corrmax.montecarlo._chunk_uniforms
+
+        def recorded(seed, start, stop, width, stream=0, offset=0):
+            calls.append((start, stop, width, offset))
+            return chunk_uniforms(seed, start, stop, width, stream, offset)
+
+        monkeypatch.setattr(corrmax.montecarlo, "_chunk_uniforms", recorded)
+        if mode is not None:
+            force_mode(monkeypatch, mode)
+        non_iid_experiment((n,), McConfig(seed=3, reps=1100), delta_mu=delta_mu,
+                           delta_sigma=delta_sigma)
+        width, offset = (n, 2 * n) if sparse else (3 * n, 0)
+        assert calls == [(0, 64, 3 * n, 0), (0, 1024, width, offset),
+                         (1024, 1100, width, offset)]
+
+    def test_frozen_deviations_match_over_chunks(self):
+        n, seed, reps = 300, 2**64 - 9, 1100
+        frozen = rep_rng(seed, 0, stream=1)
+        mu = 0.0 + 1.0 * (2.0 * _open_uniform(frozen, n) - 1.0)
+        sigma = 1.0 + 0.5 * (2.0 * _open_uniform(frozen, n) - 1.0)
+        maxima = [
+            np.max(mu + sigma * std_normal_quantile(_open_uniform(rep_rng(seed, r), n)))
+            for r in range(reps)
+        ]
+        [res] = non_iid_experiment((n,), McConfig(seed=seed, reps=reps, workers=2),
+                                   delta_mu=1.0, delta_sigma=0.5, freeze_deviations=True)
+        assert np.array_equal(res.samples, np.array(maxima))
 
     def test_quantile_runs_only_on_candidates(self, monkeypatch):
         """Components that cannot hold the maximum never reach the quantile."""
