@@ -42,8 +42,7 @@ from .corrections import (
     EpsilonMatrix,
     ValidityReport,
     ar1_correlation_sum,
-    corrected_cdf,
-    corrected_pdf,
+    corrected_law,
     validity_check,
 )
 from .montecarlo import (

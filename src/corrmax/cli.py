@@ -33,10 +33,10 @@ from . import __version__
 from .corrections import (
     EpsilonMatrix,
     ar1_correlation_sum,
-    corrected_cdf,
-    corrected_pdf,
+    corrected_law,
     validity_check,
     ORDERS,
+    _MAX_GRID_POINTS,
 )
 from .errors import (
     CorrmaxError,
@@ -220,6 +220,8 @@ def _cmd_dist(args):
         raise DomainError("--z-max must exceed --z-min")
     if args.steps < 2:
         raise DomainError("--steps must be >= 2")
+    if args.steps > _MAX_GRID_POINTS:
+        raise DomainError(f"--steps must be <= {_MAX_GRID_POINTS}")
 
     params = scaling_constants(args.n)
     if args.kind == "gumbel":
@@ -246,8 +248,7 @@ def _cmd_dist(args):
             max_abs_eps = args.rho
 
     z = np.linspace(args.z_min, args.z_max, args.steps)
-    cdf = corrected_cdf(z, params, s, order)
-    pdf = corrected_pdf(z, params, s, order)
+    cdf, pdf = corrected_law(z, params, s, order)
     report = validity_check(z, cdf, pdf, max_abs_eps)
     if args.clamp:
         cdf = np.clip(cdf, 0.0, 1.0)

@@ -13,9 +13,13 @@ are
     complete: Psi_N(z) * exp(x)        (resummed exponential series)
 
 and each PDF is the exact z-derivative of its CDF, using
-d(phi^2)/dz = -2 z phi^2.  Outside the weak-correlation regime these
-expressions may leave [0, 1] or lose monotonicity; they are returned
-unclamped and ``validity_check`` reports where that happens.
+d(phi^2)/dz = -2 z phi^2.  One table, ``_LAWS``, maps each order to the
+function that turns the shared terms (z, w = e^(-(z-alpha)/beta),
+Psi_N = e^(-w), x, w/beta) into its (cdf, pdf); ``corrected_law`` validates
+once, builds those terms once and looks the order up, so a law is one row.
+Outside the weak-correlation regime these expressions may leave [0, 1] or
+lose monotonicity; they are returned unclamped and ``validity_check``
+reports where that happens.
 """
 from __future__ import annotations
 
@@ -24,23 +28,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .gumbel import GumbelParams, _reduced, _TAIL_CLIP
+from .gumbel import GumbelParams, _tail_weight
 
 __all__ = [
     "EpsilonMatrix",
     "ValidityReport",
     "ar1_correlation_sum",
-    "corrected_cdf",
-    "corrected_pdf",
+    "corrected_law",
     "validity_check",
     "ORDERS",
 ]
 
-ORDERS = ("first", "second", "complete")
-
 # validity_check's trust bound on max |eps_ij| and slack on the grid checks.
 _SMALLNESS_THRESHOLD = 0.3
 _ATOL = 1e-9
+# Most points a curve grid may hold (``dist --steps``, ``graph analyze
+# --z-steps``); checked before anything is allocated.
+_MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -120,53 +124,41 @@ def ar1_correlation_sum(n: int, rho: float) -> float:
     return float(2.0 * (n * geo - weighted))
 
 
-def _check_order(order: str) -> None:
+def _first(z, w, psi, x, wb):
+    return psi * (1.0 + x), psi * (wb * (1.0 + x) - 2.0 * z * x)
+
+
+def _second(z, w, psi, x, wb):
+    poly = 1.0 + x + 0.5 * x * x
+    return psi * poly, psi * (wb * poly - 2.0 * z * (x + x * x))
+
+
+def _complete(z, w, psi, x, wb):
+    cdf = np.exp(x - w)
+    return cdf, cdf * (wb - 2.0 * z * x)
+
+
+# order -> (cdf, pdf) from the shared terms z, w, Psi_N = e^(-w), x, w/beta.
+_LAWS = {"first": _first, "second": _second, "complete": _complete}
+ORDERS = tuple(_LAWS)
+
+
+def corrected_law(z, p: GumbelParams, s: float, order: str):
+    """``(cdf, pdf)`` of the chosen order on ``z``; both reduce to the
+    Gumbel law at S = 0, and the pdf is the exact z-derivative of the cdf.
+
+    Values are intentionally not clamped: excursions outside [0, 1] or
+    below 0 indicate breakdown of the weak-correlation expansion and are
+    surfaced by ``validity_check``.
+    """
     if order not in ORDERS:
         raise DomainError(f"order must be one of {ORDERS} (got {order!r})")
-
-
-def _pieces(z, p: GumbelParams, s: float):
-    """Shared terms: reduced exponent w, Psi_N, and the correction x(z)."""
     arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("z must be finite")
-    t = _reduced(arr, p)
-    w = np.exp(-np.maximum(t, _TAIL_CLIP))
-    psi_cdf = np.exp(-w)
+    w = _tail_weight(arr, p)
     x = np.exp(-arr * arr) * (float(s) / (4.0 * np.pi))
-    return arr, w, psi_cdf, x
-
-
-def corrected_cdf(z, p: GumbelParams, s: float, order: str = "first"):
-    """Corrected CDF of the chosen order; reduces to the Gumbel CDF at S=0.
-
-    Values are intentionally not clamped to [0, 1]: excursions outside the
-    unit interval indicate breakdown of the weak-correlation expansion and
-    are surfaced by ``validity_check``.
-    """
-    _check_order(order)
-    arr, w, psi_cdf, x = _pieces(z, p, s)
-    if order == "first":
-        out = psi_cdf * (1.0 + x)
-    elif order == "second":
-        out = psi_cdf * (1.0 + x + 0.5 * x * x)
-    else:
-        out = np.exp(x - w)
-    return float(out) if np.isscalar(z) else out
-
-
-def corrected_pdf(z, p: GumbelParams, s: float, order: str = "first"):
-    """Exact z-derivative of ``corrected_cdf`` for the same order."""
-    _check_order(order)
-    arr, w, psi_cdf, x = _pieces(z, p, s)
-    wb = w / p.beta
-    if order == "first":
-        out = psi_cdf * (wb * (1.0 + x) - 2.0 * arr * x)
-    elif order == "second":
-        out = psi_cdf * (wb * (1.0 + x + 0.5 * x * x) - 2.0 * arr * (x + x * x))
-    else:
-        out = np.exp(x - w) * (wb - 2.0 * arr * x)
-    return float(out) if np.isscalar(z) else out
+    return _LAWS[order](arr, w, np.exp(-w), x, w / p.beta)
 
 
 def validity_check(z_grid, cdf, pdf, max_abs_eps: float) -> ValidityReport:
@@ -174,8 +166,9 @@ def validity_check(z_grid, cdf, pdf, max_abs_eps: float) -> ValidityReport:
     behave like a distribution, whichever law produced them.
 
     Checks, on the given ascending grid: CDF within [0, 1], CDF monotone
-    non-decreasing, PDF non-negative.  ``z_violations`` collects the grid
-    points where any check fails.  ``smallness_ok`` is a trust marker,
+    non-decreasing, PDF finite and non-negative.  A NaN or infinite CDF
+    value is out of bounds.  ``z_violations`` collects the grid points
+    where any check fails.  ``smallness_ok`` is a trust marker,
     max |eps_ij| <= 0.3, independent of the grid checks.
     """
     grid = np.asarray(z_grid, dtype=float)
@@ -187,10 +180,12 @@ def validity_check(z_grid, cdf, pdf, max_abs_eps: float) -> ValidityReport:
     if cdf.shape != grid.shape or pdf.shape != grid.shape:
         raise DimensionMismatch(f"cdf and pdf must have z_grid's shape {grid.shape}")
 
-    out_of_bounds = (cdf < -_ATOL) | (cdf > 1.0 + _ATOL)
+    # Negated in-range tests, so that NaN (every comparison false) fails.
+    out_of_bounds = ~((cdf >= -_ATOL) & (cdf <= 1.0 + _ATOL))
     decreasing = np.zeros_like(grid, dtype=bool)
-    decreasing[1:] = np.diff(cdf) < -_ATOL
-    negative_pdf = pdf < -_ATOL
+    with np.errstate(invalid="ignore"):  # inf - inf; already out of bounds
+        decreasing[1:] = np.diff(cdf) < -_ATOL
+    negative_pdf = ~((pdf >= -_ATOL) & (pdf < np.inf))
 
     flagged = out_of_bounds | decreasing | negative_pdf
     max_abs = float(max_abs_eps)

@@ -73,26 +73,24 @@ def scaling_constants(n: int) -> GumbelParams:
     return GumbelParams(n=n, alpha=alpha, beta=float(beta))
 
 
-def _reduced(z, p: GumbelParams):
-    """(z - alpha)/beta with NaN rejection; +-inf passes through as a limit."""
+def _tail_weight(z, p: GumbelParams):
+    """w = e^(-t), t = (z - alpha)/beta clipped below at _TAIL_CLIP, so that
+    Psi_N = e^(-w).  NaN is rejected; +-inf passes through as a limit."""
     arr = np.asarray(z, dtype=float)
     if np.any(np.isnan(arr)):
         raise DomainError("z must not be NaN")
-    return (arr - p.alpha) / p.beta
+    return np.exp(-np.maximum((arr - p.alpha) / p.beta, _TAIL_CLIP))
 
 
 def gumbel_cdf(z, p: GumbelParams):
     """Gumbel CDF exp(-e^(-(z - alpha)/beta))."""
-    t = _reduced(z, p)
-    w = np.exp(-np.maximum(t, _TAIL_CLIP))
-    out = np.exp(-w)
+    out = np.exp(-_tail_weight(z, p))
     return float(out) if np.isscalar(z) else out
 
 
 def gumbel_pdf(z, p: GumbelParams):
     """Gumbel density (1/beta) exp(-e^(-t) - t), t = (z - alpha)/beta."""
-    t = _reduced(z, p)
-    w = np.exp(-np.maximum(t, _TAIL_CLIP))
+    w = _tail_weight(z, p)
     out = (w / p.beta) * np.exp(-w)
     return float(out) if np.isscalar(z) else out
 

@@ -27,9 +27,9 @@ import numpy as np
 
 from .corrections import (
     ValidityReport,
-    corrected_cdf,
-    corrected_pdf,
+    corrected_law,
     validity_check,
+    _MAX_GRID_POINTS,
 )
 from .errors import (
     CycleError,
@@ -380,7 +380,8 @@ def _analytic_mean_std_units(params: GumbelParams, s: float, order: str) -> floa
     lo = params.alpha - 12.0 * params.beta
     hi = params.alpha + 40.0 * params.beta
     z = np.linspace(lo, hi, 20_001)
-    return float(np.trapezoid(z * corrected_pdf(z, params, s, order), z))
+    _, pdf = corrected_law(z, params, s, order)
+    return float(np.trapezoid(z * pdf, z))
 
 
 def graph_delay_analysis(
@@ -402,6 +403,8 @@ def graph_delay_analysis(
     """
     if z_steps < 2:
         raise DomainError(f"z_steps must be >= 2 (got {z_steps})")
+    if z_steps > _MAX_GRID_POINTS:
+        raise DomainError(f"z_steps must be <= {_MAX_GRID_POINTS} (got {z_steps})")
     ps = enumerate_paths(g, cap=cap)
     cov = path_covariance(ps)
     n_paths = ps.n_paths
@@ -433,8 +436,7 @@ def graph_delay_analysis(
         z_std = np.linspace(
             moments.mean - 6.0 * moments.std, moments.mean + 8.0 * moments.std, z_steps
         )
-        cdf = corrected_cdf(z_std, params, s_val, order)
-        pdf = corrected_pdf(z_std, params, s_val, order)
+        cdf, pdf = corrected_law(z_std, params, s_val, order)
         validity = validity_check(z_std, cdf, pdf, max_abs_eps)
         pdf /= sigma_star
         analytic_mean = mu_star + sigma_star * _analytic_mean_std_units(

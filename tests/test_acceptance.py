@@ -13,8 +13,7 @@ from scipy import integrate
 
 from corrmax import (
     McConfig,
-    corrected_cdf,
-    corrected_pdf,
+    corrected_law,
     EpsilonMatrix,
     enumerate_paths,
     gumbel_cdf,
@@ -82,9 +81,9 @@ def test_criterion_02_reduction_identity():
         z = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 1000)
         for order in ("first", "second", "complete"):
             worst = max(worst, float(np.max(np.abs(
-                corrected_cdf(z, p, 0.0, order) - gumbel_cdf(z, p)))))
+                corrected_law(z, p, 0.0, order)[0] - gumbel_cdf(z, p)))))
             worst = max(worst, float(np.max(np.abs(
-                corrected_pdf(z, p, 0.0, order) - gumbel_pdf(z, p)))))
+                corrected_law(z, p, 0.0, order)[1] - gumbel_pdf(z, p)))))
     report(2, "S=0 reduces all corrected CDFs/PDFs to Gumbel within 1e-15",
            worst <= 1e-15, f"max dev {worst:.2e}")
 
@@ -93,7 +92,7 @@ def test_criterion_03_mean_error_bound():
     p = scaling_constants(100)
     s = correlation_sum(ar1_epsilon(100, 0.35))
     analytic, quad_err = integrate.quad(
-        lambda z: z * corrected_pdf(z, p, s, "first"),
+        lambda z: z * corrected_law(z, p, s, "first")[1],
         p.alpha - 12 * p.beta, p.alpha + 40 * p.beta, limit=400,
     )
     assert quad_err < 1e-8
@@ -124,7 +123,7 @@ def test_criterion_05_second_order_beats_gumbel():
         s = correlation_sum(ar1_epsilon(100, rho))
         [res] = sample_max_sweep(100, [rho], McConfig(seed=42, reps=10_000))
         l1_second = hist_l1_distance(
-            res, lambda t: corrected_pdf(t, p, s, "second")
+            res, lambda t: corrected_law(t, p, s, "second")[1]
         )
         l1_gumbel = hist_l1_distance(res, lambda t: gumbel_pdf(t, p))
         ok = ok and (l1_second < l1_gumbel)
@@ -141,8 +140,7 @@ def test_criterion_06_breakdown_reproduction():
                        p100.alpha + 40 * p100.beta, 2000)
     s100 = correlation_sum(eps100)
     rep100 = validity_check(
-        z100, corrected_cdf(z100, p100, s100, "second"),
-        corrected_pdf(z100, p100, s100, "second"), eps100.max_abs(),
+        z100, *corrected_law(z100, p100, s100, "second"), eps100.max_abs(),
     )
     flagged100 = (not rep100.cdf_bounded) or (not rep100.cdf_monotone)
 
@@ -152,8 +150,7 @@ def test_criterion_06_breakdown_reproduction():
                        p250.alpha + 40 * p250.beta, 2000)
     s250 = correlation_sum(eps250)
     rep250 = validity_check(
-        z250, corrected_cdf(z250, p250, s250, "complete"),
-        corrected_pdf(z250, p250, s250, "complete"), eps250.max_abs(),
+        z250, *corrected_law(z250, p250, s250, "complete"), eps250.max_abs(),
     )
     fewer = len(rep250.z_violations) < len(rep100.z_violations)
 
@@ -174,10 +171,10 @@ def test_criterion_07_derivative_consistency():
         z = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 1000)
         for s in rng.uniform(-5.0, 5.0, size=3):
             for order in ("first", "second", "complete"):
-                fd = central_diff(lambda t: corrected_cdf(t, p, s, order), z)
+                fd = central_diff(lambda t: corrected_law(t, p, s, order)[0], z)
                 worst = max(worst, float(np.max(np.abs(
-                    corrected_pdf(z, p, s, order) - fd))))
-    report(7, "corrected_pdf matches CDF finite differences within 1e-6",
+                    corrected_law(z, p, s, order)[1] - fd))))
+    report(7, "corrected pdf matches CDF finite differences within 1e-6",
            worst <= 1e-6, f"max dev {worst:.2e}")
 
 

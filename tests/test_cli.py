@@ -431,6 +431,11 @@ class TestOutputPath:
          "entries must be finite"),
         (["dist", "first", "--n", "2", "--eps-file", "COV_2X3"],
          "cov must be square (got shape (2, 3))"),
+        (["dist", "first", "--n", "10", "--rho", "0.1", "--steps", "1000000000000000"],
+         "--steps must be <= 1000000"),
+        (["graph", "analyze", "GRAPHS/diamond.txt", "--z-steps", "1000001",
+          "--reps", "100", "--seed", "1"],
+         "z_steps must be <= 1000000 (got 1000001)"),
     ], ids=["dist_z_range", "dist_steps", "dist_no_rho", "dist_rho_range",
             "mc_sweep_range", "mc_no_rho", "mc_rho_range", "noniid_grid",
             "mc_sweep_fields", "graph_cov_cap", "mc_overflow",
@@ -438,7 +443,8 @@ class TestOutputPath:
             "noniid_sigma_inf", "noniid_delta_mu_inf", "noniid_delta_sigma_nan",
             "graph_analyze_stats_overflow", "noniid_frozen_overflow",
             "noniid_sigma_zero", "mc_too_wide", "noniid_too_wide",
-            "noniid_frozen_too_wide", "dist_eps_non_finite", "dist_cov_non_square"])
+            "noniid_frozen_too_wide", "dist_eps_non_finite", "dist_cov_non_square",
+            "dist_steps_cap", "graph_z_steps_cap"])
     def test_usage_error(self, tmp_path, capsys, graphs_dir, args, message):
         subs = {"GRAPHS": str(graphs_dir)}
         for name, text in {

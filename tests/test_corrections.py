@@ -10,8 +10,7 @@ from corrmax import (
     DomainError,
     EpsilonMatrix,
     McConfig,
-    corrected_cdf,
-    corrected_pdf,
+    corrected_law,
     gumbel_cdf,
     gumbel_pdf,
     sample_max_sweep,
@@ -123,7 +122,7 @@ class TestCorrectedCdf:
         p = scaling_constants(n)
         z = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 1000)
         np.testing.assert_allclose(
-            corrected_cdf(z, p, 0.0, order), gumbel_cdf(z, p),
+            corrected_law(z, p, 0.0, order)[0], gumbel_cdf(z, p),
             rtol=0, atol=1e-15,
         )
 
@@ -131,12 +130,12 @@ class TestCorrectedCdf:
     def test_upper_limit_is_one(self, order):
         p = scaling_constants(100)
         s = correlation_sum(ar1_epsilon(100, 0.5))
-        assert corrected_cdf(60.0, p, s, order) == pytest.approx(1.0, abs=1e-15)
+        assert corrected_law(60.0, p, s, order)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_bad_order(self):
         p = scaling_constants(10)
         with pytest.raises(DomainError):
-            corrected_cdf(1.0, p, 0.0, "third")
+            corrected_law(1.0, p, 0.0, "third")
 
     def test_order_consistency_where_x_small(self):
         p = scaling_constants(100)
@@ -144,9 +143,9 @@ class TestCorrectedCdf:
         for s in (50.0, -10.0):
             x = np.exp(-z * z) * s / (4.0 * np.pi)
             mask = np.abs(x) <= 1.0
-            f1 = corrected_cdf(z, p, s, "first")[mask]
-            f2 = corrected_cdf(z, p, s, "second")[mask]
-            fc = corrected_cdf(z, p, s, "complete")[mask]
+            f1 = corrected_law(z, p, s, "first")[0][mask]
+            f2 = corrected_law(z, p, s, "second")[0][mask]
+            fc = corrected_law(z, p, s, "complete")[0][mask]
             # slack of one ulp: where both gaps underflow float resolution
             # the comparison is decided by rounding noise
             assert np.all(np.abs(f2 - fc) <= np.abs(f1 - fc) + 3e-16)
@@ -164,14 +163,14 @@ class TestCorrectedCdf:
         [res] = sample_max_sweep(100, [0.35], McConfig(seed=42, reps=10_000))
         grid = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 400)
         emp = ecdf_values(np.sort(res.samples), grid)
-        sup_first = np.max(np.abs(emp - corrected_cdf(grid, p, s, "first")))
+        sup_first = np.max(np.abs(emp - corrected_law(grid, p, s, "first")[0]))
         sup_gumbel = np.max(np.abs(emp - gumbel_cdf(grid, p)))
         assert sup_first < 0.04
         assert sup_first < sup_gumbel
 
     def test_second_order_coefficient_identity(self):
         """The quadruple sum over eps_ij eps_kl factorizes into S^2, which
-        is why corrected_cdf only needs S."""
+        is why corrected_law only needs S."""
         rng = np.random.default_rng(17)
         for _ in range(3):
             a = rng.uniform(-0.15, 0.15, size=(5, 5))
@@ -197,7 +196,7 @@ class TestCorrectedPdf:
         p = scaling_constants(100)
         z = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 500)
         np.testing.assert_allclose(
-            corrected_pdf(z, p, 0.0, order), gumbel_pdf(z, p),
+            corrected_law(z, p, 0.0, order)[1], gumbel_pdf(z, p),
             rtol=0, atol=1e-15,
         )
 
@@ -207,9 +206,9 @@ class TestCorrectedPdf:
         p = scaling_constants(100)
         z = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 301)
         for s in rng.uniform(-5.0, 5.0, size=4):
-            fd = central_diff(lambda t: corrected_cdf(t, p, s, order), z)
+            fd = central_diff(lambda t: corrected_law(t, p, s, order)[0], z)
             np.testing.assert_allclose(
-                corrected_pdf(z, p, s, order), fd, rtol=0, atol=1e-6
+                corrected_law(z, p, s, order)[1], fd, rtol=0, atol=1e-6
             )
 
     def test_second_order_closer_to_histogram(self):
@@ -217,7 +216,7 @@ class TestCorrectedPdf:
         s = correlation_sum(ar1_epsilon(100, 0.5))
         [res] = sample_max_sweep(100, [0.5], McConfig(seed=42, reps=10_000))
         l1_second = hist_l1_distance(
-            res, lambda t: corrected_pdf(t, p, s, "second")
+            res, lambda t: corrected_law(t, p, s, "second")[1]
         )
         l1_gumbel = hist_l1_distance(res, lambda t: gumbel_pdf(t, p))
         assert l1_second < l1_gumbel
@@ -227,17 +226,69 @@ class TestCorrectedPdf:
         s = correlation_sum(ar1_epsilon(100, 0.3))
         z = np.linspace(p.alpha - 10 * p.beta, p.alpha + 40 * p.beta, 40_001)
         for order in ("first", "second", "complete"):
-            total = np.trapezoid(corrected_pdf(z, p, s, order), z)
+            total = np.trapezoid(corrected_law(z, p, s, order)[1], z)
             assert total == pytest.approx(1.0, abs=5e-3)
 
 
+def reference_law(z, p, s, order):
+    """Each order's (cdf, pdf), written out as separate expressions with
+    the Gumbel tail clip at (z - alpha)/beta = -40."""
+    z = np.asarray(z, dtype=float)
+    w = np.exp(-np.maximum((z - p.alpha) / p.beta, -40.0))
+    psi = np.exp(-w)
+    x = np.exp(-z * z) * (float(s) / (4.0 * np.pi))
+    wb = w / p.beta
+    if order == "first":
+        return psi * (1.0 + x), psi * (wb * (1.0 + x) - 2.0 * z * x)
+    if order == "second":
+        return (psi * (1.0 + x + 0.5 * x * x),
+                psi * (wb * (1.0 + x + 0.5 * x * x) - 2.0 * z * (x + x * x)))
+    return np.exp(x - w), np.exp(x - w) * (wb - 2.0 * z * x)
+
+
+class TestCorrectedLaw:
+    @pytest.mark.parametrize("order", ["first", "second", "complete"])
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000, 10**5, 10**9])
+    def test_bits_match_the_written_out_expressions(self, n, order):
+        """Bit for bit, over a grid reaching past the tail clip and
+        holding -0.0, for S of both signs and both signed zeros."""
+        p = scaling_constants(n)
+        z = np.concatenate([
+            np.linspace(p.alpha - 60.0 * p.beta, p.alpha + 80.0 * p.beta, 7000),
+            [-0.0, 0.0, p.alpha - 40.0 * p.beta],
+        ])
+        for s in (0.0, -0.0, 1e-3, 5.0, 250.0, -12.5):
+            cdf, pdf = corrected_law(z, p, s, order)
+            ref_cdf, ref_pdf = reference_law(z, p, s, order)
+            assert cdf.tobytes() == ref_cdf.tobytes()
+            assert pdf.tobytes() == ref_pdf.tobytes()
+
+    def test_rejects_non_finite_z(self):
+        p = scaling_constants(10)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="z must be finite"):
+                corrected_law(np.array([0.0, bad]), p, 0.0, "first")
+
+
 class TestValidityCheck:
+    @pytest.mark.parametrize("cdf, pdf, bounded, nonnegative, flagged", [
+        ([np.nan] * 3, [np.nan] * 3, False, False, (0.0, 1.0, 2.0)),
+        ([0.1, 0.5, 0.9], [0.1, np.inf, 0.1], True, False, (1.0,)),
+        ([0.1, 0.5, 0.9], [0.1, 0.2, np.nan], True, False, (2.0,)),
+        ([0.1, np.inf, np.inf], [0.1, 0.1, 0.1], False, True, (1.0, 2.0)),
+        ([-np.inf, 0.5, 0.9], [0.1, 0.1, -np.inf], False, False, (0.0, 2.0)),
+    ], ids=["all_nan", "pdf_inf", "pdf_nan", "cdf_inf", "minus_inf"])
+    def test_non_finite_values_fail(self, cdf, pdf, bounded, nonnegative, flagged):
+        rep = validity_check([0.0, 1.0, 2.0], cdf, pdf, 0.1)
+        assert rep.cdf_bounded is bounded
+        assert rep.pdf_nonnegative is nonnegative
+        assert rep.z_violations == flagged
+
     def test_zero_s_passes_everything(self):
         p = scaling_constants(100)
         eps = ar1_epsilon(100, 0.0)
         z = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 500)
-        rep = validity_check(z, corrected_cdf(z, p, 0.0, "second"),
-                             corrected_pdf(z, p, 0.0, "second"), eps.max_abs())
+        rep = validity_check(z, *corrected_law(z, p, 0.0, "second"), eps.max_abs())
         assert rep.smallness_ok
         assert rep.cdf_monotone and rep.cdf_bounded and rep.pdf_nonnegative
         assert rep.z_violations == ()
@@ -251,8 +302,7 @@ class TestValidityCheck:
         eps = ar1_epsilon(100, 0.9)
         s = correlation_sum(eps)
         z = np.linspace(p.alpha - 12 * p.beta, p.alpha + 40 * p.beta, 3000)
-        rep = validity_check(z, corrected_cdf(z, p, s, "complete"),
-                             corrected_pdf(z, p, s, "complete"), eps.max_abs())
+        rep = validity_check(z, *corrected_law(z, p, s, "complete"), eps.max_abs())
         assert not rep.smallness_ok
         assert not rep.cdf_bounded
         assert not rep.cdf_monotone
@@ -264,8 +314,7 @@ class TestValidityCheck:
         z = np.linspace(p.alpha - 1.0, p.alpha + 1.0, 50)
         s = correlation_sum(eps)
         assert validity_check(
-            z, corrected_cdf(z, p, s, "second"), corrected_pdf(z, p, s, "second"),
-            eps.max_abs(),
+            z, *corrected_law(z, p, s, "second"), eps.max_abs(),
         ).smallness_ok
 
     def test_grid_validation(self):
@@ -273,16 +322,14 @@ class TestValidityCheck:
         eps = ar1_epsilon(10, 0.1)
         z = np.array([1.0, 0.5])
         with pytest.raises(DomainError):
-            validity_check(z, corrected_cdf(z, p, 0.0), corrected_pdf(z, p, 0.0),
-                           eps.max_abs())
+            validity_check(z, *corrected_law(z, p, 0.0, "first"), eps.max_abs())
         z = np.array([1.0])
         with pytest.raises(DomainError):
-            validity_check(z, corrected_cdf(z, p, 0.0), corrected_pdf(z, p, 0.0),
-                           eps.max_abs())
+            validity_check(z, *corrected_law(z, p, 0.0, "first"), eps.max_abs())
         z = np.array([0.5, 1.0, 1.5])
         with pytest.raises(DimensionMismatch):
-            validity_check(z, corrected_cdf(z[:2], p, 0.0), corrected_pdf(z, p, 0.0),
-                           eps.max_abs())
+            validity_check(z, corrected_law(z[:2], p, 0.0, "first")[0],
+                           corrected_law(z, p, 0.0, "first")[1], eps.max_abs())
 
 
 class TestCorrelatedPdfFirstOrder:

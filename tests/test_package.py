@@ -146,9 +146,25 @@ def test_diagnostics_read_their_callers_values():
     trees = dict(_package_trees())
     [check] = [node for node in ast.walk(trees["corrections.py"])
                if isinstance(node, ast.FunctionDef) and node.name == "validity_check"]
-    assert _called_names(check) & {"corrected_cdf", "corrected_pdf"} == set()
+    assert "corrected_law" in _called_names(trees["cli.py"])
+    assert "corrected_law" not in _called_names(check)
     binners = [name for name, tree in trees.items() if "histogram" in _called_names(tree)]
     assert binners == ["cli.py"]
+
+
+def test_orders_are_looked_up_not_compared():
+    """The orders are rows of ``corrections._LAWS``: no comparison in the
+    package, ``==`` or ``in`` a tuple alike, involves an order's name."""
+    names = {"first", "second", "complete"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for operand in ast.walk(node)
+        if isinstance(operand, ast.Constant) and operand.value in names
+    ]
+    assert found == []
 
 
 def test_readme_quick_start_runs():
