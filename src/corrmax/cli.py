@@ -75,14 +75,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fields(obj) -> dict:
+    """The dataclass instance ``obj`` as the shallow dict of its fields."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _dump_json(obj, fh, indent: str = "") -> None:
     """Write to ``fh`` the bytes json writes with ``indent=2, sort_keys=True``.
 
-    Keys must be ``str``.  NumPy arrays are written as nested lists, one
-    row at a time.  A row of finite Python floats is formatted in a single
-    join of ``float.__repr__``, json's own format for finite floats;
-    everything else goes through ``json.dumps`` or the recursion.
+    Keys must be ``str``.  A dataclass instance is written as the dict of
+    its fields, and NumPy arrays as nested lists, one row at a time.  A row
+    of finite Python floats is formatted in a single join of
+    ``float.__repr__``, json's own format for finite floats; everything
+    else goes through ``json.dumps`` or the recursion.
     """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = _fields(obj)
     if isinstance(obj, np.ndarray) and obj.ndim == 1:
         obj = obj.tolist()
     if not isinstance(obj, (dict, list, tuple, np.ndarray)):
@@ -216,6 +224,12 @@ def _load_epsilon(path: str) -> EpsilonMatrix:
 
 
 def _cmd_dist(args):
+    # nan or inf in either end, or a span that overflows, gives a non-finite span
+    if not math.isfinite(args.z_max - args.z_min):
+        raise DomainError(
+            f"--z-min and --z-max must be finite with a finite span "
+            f"(got {args.z_min}, {args.z_max})"
+        )
     if args.z_max <= args.z_min:
         raise DomainError("--z-max must exceed --z-min")
     if args.steps < 2:
@@ -259,12 +273,10 @@ def _cmd_dist(args):
         ".json": {
             "kind": args.kind,
             "order": order,
-            "n": params.n,
-            "alpha": params.alpha,
-            "beta": params.beta,
+            **_fields(params),
             "s": s,
             "clamped": bool(args.clamp),
-            "validity": dataclasses.asdict(report),
+            "validity": report,
         },
     }
 
@@ -328,27 +340,7 @@ def _cmd_graph(args):
         analysis = graph_delay_analysis(
             graph, cfg, order=args.order, cap=args.cap, z_steps=args.z_steps
         )
-        doc = {
-            "n_paths": analysis.n_paths,
-            "lengths": list(analysis.lengths),
-            "path_means": analysis.path_means,
-            "path_stds": analysis.path_stds,
-            "covariance": analysis.covariance,
-            "s": analysis.s,
-            "order": analysis.order,
-            "nominal_mean": analysis.nominal_mean,
-            "nominal_std": analysis.nominal_std,
-            "gumbel": None if analysis.gumbel is None
-            else dataclasses.asdict(analysis.gumbel),
-            "z": analysis.z_grid,
-            "cdf": analysis.cdf,
-            "pdf": analysis.pdf,
-            "validity": None if analysis.validity is None
-            else dataclasses.asdict(analysis.validity),
-            "analytic_mean": analysis.analytic_mean,
-            "mc": _stats_dict(analysis.mc),
-            "mc_mean_gap": analysis.mc_mean_gap,
-        }
+        doc = {**_fields(analysis), "mc": _stats_dict(analysis.mc)}
         return args.out or f"{stem}_analysis", args.seed, {".json": doc}
 
     ps = enumerate_paths(graph, cap=args.cap)

@@ -63,10 +63,14 @@ def scaling_constants(n: int) -> GumbelParams:
     """Compute (alpha, beta) for the maximum of n IID standard Gaussians.
 
     Raises:
-        DomainError: for n < 2 (the location diverges at n = 1).
+        DomainError: for n < 2 (the location diverges at n = 1), and for
+            n > 2**53, the largest count a float holds exactly; by 2**54,
+            1 - 1/n rounds to 1.
     """
     if int(n) != n or n < 2:
         raise DomainError(f"n must be an integer >= 2 (got {n!r})")
+    if n > 2**53:
+        raise DomainError(f"n must be <= 2**53 (got {n!r})")
     n = int(n)
     alpha = std_normal_quantile(1.0 - 1.0 / n)
     beta = np.sqrt(2.0 * np.pi) / (n * phi_kernel(alpha))

@@ -26,8 +26,9 @@ float upper bound, monotone in the uniform, rules the others out exactly,
 so each maximum has the bits of the full evaluation.  Where few components
 remain, it draws only the quantile third of each stream and reads the
 remaining components' mean and deviation words by random access (see
-``non_iid_experiment``).  A stream whose uniform buffer would hold more than ``_MAX_CHUNK_FLOATS``
-floats is refused before anything is allocated.
+``non_iid_experiment``).  A run whose uniform buffer or sample array
+would hold more than ``_MAX_CHUNK_FLOATS`` floats is refused before
+anything is allocated.
 """
 from __future__ import annotations
 
@@ -62,8 +63,9 @@ _RHO_GROUP = 64
 
 # Largest buffer of uniforms that one ``_chunk_uniforms`` call may fill, in
 # floats (1 GiB of uniforms); wider streams are refused at each sampler's
-# entry.  It bounds the stream only: evaluating a chunk allocates several
-# more arrays of the same shape.
+# entry.  Evaluating a chunk allocates several more arrays of the same
+# shape.  The same cap bounds a sampler's sample array: ``McConfig.reps``
+# floats, or rho points times reps for a sweep.
 _MAX_CHUNK_FLOATS = 2**27
 
 # Bound on |ndtri(u)| over the open uniforms: ndtri(2**-54) = -8.29 and
@@ -90,8 +92,10 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise DomainError(f"reps must be >= 1 (got {self.reps})")
+        if not 1 <= self.reps <= _MAX_CHUNK_FLOATS:
+            raise DomainError(
+                f"reps must lie in [1, {_MAX_CHUNK_FLOATS}] (got {self.reps})"
+            )
         if not (0 <= self.seed < 2**64):
             raise DomainError("seed must be a 64-bit unsigned integer")
         if self.workers < 1:
@@ -279,6 +283,11 @@ def sample_max_sweep(n: int, rhos, cfg: McConfig, sigma: float = 1.0) -> list[Mc
         if not (0.0 <= r <= 1.0):
             raise DomainError(f"rho must lie in [0, 1] (got {r})")
     _check_width(cfg.reps, int(n))
+    if len(rhos) * cfg.reps > _MAX_CHUNK_FLOATS:
+        raise DomainError(
+            f"reps too large for the sweep: {len(rhos)} rho points x {cfg.reps} "
+            f"reps exceed the cap of {_MAX_CHUNK_FLOATS} floats"
+        )
     rho = np.array(rhos, dtype=float)
     c = sigma * np.sqrt(1.0 - rho * rho)
     maxima = np.empty((len(rho), cfg.reps), dtype=float)

@@ -351,7 +351,10 @@ def path_covariance(ps: PathSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GraphAnalysis:
-    """Full report of the path-based maximum-delay analysis."""
+    """Full report of the path-based maximum-delay analysis.
+
+    Its fields are the keys of the ``graph analyze`` report.
+    """
 
     n_paths: int
     lengths: tuple[int, ...]
@@ -363,16 +366,13 @@ class GraphAnalysis:
     nominal_mean: float
     nominal_std: float
     gumbel: GumbelParams | None
-    z_grid: np.ndarray
+    z: np.ndarray
     cdf: np.ndarray
     pdf: np.ndarray
     validity: ValidityReport | None
     analytic_mean: float
     mc: McResult
-
-    @property
-    def mc_mean_gap(self) -> float:
-        return float(self.mc.mean - self.analytic_mean)
+    mc_mean_gap: float
 
 
 def _analytic_mean_std_units(params: GumbelParams, s: float, order: str) -> float:
@@ -457,6 +457,6 @@ def graph_delay_analysis(
         n_paths=n_paths, lengths=ps.lengths, path_means=ps.means, path_stds=ps.stds,
         covariance=cov, s=s_val, order=order,
         nominal_mean=mu_star, nominal_std=sigma_star, gumbel=params,
-        z_grid=z, cdf=cdf, pdf=pdf,
-        validity=validity, analytic_mean=analytic_mean, mc=mc,
+        z=z, cdf=cdf, pdf=pdf, validity=validity, analytic_mean=analytic_mean,
+        mc=mc, mc_mean_gap=float(mc.mean - analytic_mean),
     )

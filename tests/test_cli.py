@@ -1,6 +1,8 @@
 """Tests for the command-line interface (in-process invocation)."""
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from corrmax import (
+    GraphAnalysis,
     McConfig,
     enumerate_paths,
     load_graph,
@@ -16,10 +19,12 @@ from corrmax import (
     normalize_source_sink,
     path_covariance,
     sample_max_sweep,
+    scaling_constants,
+    validity_check,
 )
 import corrmax.cli
 import corrmax.timing_graph
-from corrmax.cli import _attach_negative_values, _write_json, main
+from corrmax.cli import _attach_negative_values, _dump_json, _write_json, main
 from conftest import cascade64_text
 
 
@@ -225,6 +230,25 @@ class TestGraph:
         assert len(doc["covariance"]) == 8
         assert doc["mc"]["count"] == 1000
         assert "mc_mean_gap" in doc and "validity" in doc
+
+    @pytest.mark.parametrize("text, n_paths", [
+        ("s a 1 0.1\ns b 2 0.2\na t 1 0.1\nb t 1 0.1\n", 2),
+        ("a b 1 0.1\nb c 1 0.1\n", 1),
+    ], ids=["two_paths", "one_path"])
+    def test_report_keys_are_graph_analysis_fields(self, tmp_path, text, n_paths):
+        """The report is GraphAnalysis written by its fields; a one-path
+        graph writes its null gumbel and validity too."""
+        g = tmp_path / "g.txt"
+        g.write_text(text)
+        assert run(["graph", "analyze", str(g), "--reps", "200", "--out", "an",
+                    "--outdir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "an.json").read_text())
+        assert set(doc) == {f.name for f in dataclasses.fields(GraphAnalysis)}
+        assert doc["n_paths"] == n_paths
+        if n_paths == 1:
+            assert doc["gumbel"] is None and doc["validity"] is None
+        else:
+            assert set(doc["gumbel"]) == {"n", "alpha", "beta"}
 
     def test_analyze_normalizes_once(self, tmp_path, monkeypatch):
         """Two sources and two sinks: the graph is normalized once, by
@@ -436,6 +460,28 @@ class TestOutputPath:
         (["graph", "analyze", "GRAPHS/diamond.txt", "--z-steps", "1000001",
           "--reps", "100", "--seed", "1"],
          "z_steps must be <= 1000000 (got 1000001)"),
+        (["mc", "--n", "10", "--rho", "0.5", "--reps", "100000000000", "--seed", "1"],
+         "reps must lie in [1, 134217728] (got 100000000000)"),
+        (["noniid", "--n-grid", "10", "--reps", "100000000000", "--seed", "1"],
+         "reps must lie in [1, 134217728] (got 100000000000)"),
+        (["graph", "analyze", "GRAPHS/diamond.txt", "--reps", "100000000000"],
+         "reps must lie in [1, 134217728] (got 100000000000)"),
+        # 9901 points x 20,000 reps cross the cap; neither does alone
+        (["mc", "--n", "10", "--rho-sweep", "0:0.99:0.0001", "--reps", "20000",
+          "--seed", "1"],
+         "reps too large for the sweep: 9901 rho points x 20000 reps exceed "
+         "the cap of 134217728 floats"),
+        (["dist", "first", "--n", "10", "--rho", "0.1", "--z-max", "inf"],
+         "--z-min and --z-max must be finite with a finite span (got -1.0, inf)"),
+        (["dist", "first", "--n", "10", "--rho", "0.1", "--z-min", "-1e308",
+          "--z-max", "1e308"],
+         "--z-min and --z-max must be finite with a finite span "
+         "(got -1e+308, 1e+308)"),
+        (["dist", "first", "--n", "10", "--rho", "0.1", "--z-min", "nan"],
+         "--z-min and --z-max must be finite with a finite span (got nan, 6.0)"),
+        (["dist", "gumbel", "--n", "36028797018963968"],
+         "n must be <= 2**53 (got 36028797018963968)"),
+        (["dist", "gumbel", "--n", str(10**400)], f"n must be <= 2**53 (got {10**400})"),
     ], ids=["dist_z_range", "dist_steps", "dist_no_rho", "dist_rho_range",
             "mc_sweep_range", "mc_no_rho", "mc_rho_range", "noniid_grid",
             "mc_sweep_fields", "graph_cov_cap", "mc_overflow",
@@ -444,7 +490,10 @@ class TestOutputPath:
             "graph_analyze_stats_overflow", "noniid_frozen_overflow",
             "noniid_sigma_zero", "mc_too_wide", "noniid_too_wide",
             "noniid_frozen_too_wide", "dist_eps_non_finite", "dist_cov_non_square",
-            "dist_steps_cap", "graph_z_steps_cap"])
+            "dist_steps_cap", "graph_z_steps_cap", "mc_reps_cap", "noniid_reps_cap",
+            "graph_reps_cap", "mc_sweep_reps_cap", "dist_z_max_inf",
+            "dist_z_span_overflow", "dist_z_min_nan", "dist_n_rounds_p_to_1",
+            "dist_n_overflows_float"])
     def test_usage_error(self, tmp_path, capsys, graphs_dir, args, message):
         subs = {"GRAPHS": str(graphs_dir)}
         for name, text in {
@@ -588,6 +637,17 @@ class TestJsonWriter:
         _write_json(path, doc)
         expected = json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("report", [
+        validity_check([0.0, 1.0, 2.0], [0.2, 0.1, 1.5], [1.0, -1.0, 0.5], 0.4),
+        validity_check([0.0, 1.0, 2.0], [0.1, 0.5, 0.9], [0.3, 0.4, 0.3], 0.1),
+        scaling_constants(100),
+    ], ids=["validity_with_violations", "validity_ok", "gumbel_params"])
+    def test_dataclass_written_as_its_fields(self, report):
+        fh = io.StringIO()
+        _dump_json(report, fh)
+        assert fh.getvalue() == json.dumps(
+            dataclasses.asdict(report), indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("doc", [{1: 2.0}, {"a": [{None: 1}]}])
     def test_non_str_key_raises(self, tmp_path, doc):

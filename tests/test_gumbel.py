@@ -1,6 +1,8 @@
 """Tests for the limiting Gumbel law of IID Gaussian maxima."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -34,6 +36,14 @@ class TestScalingConstants:
     def test_small_n_rejected(self, bad):
         with pytest.raises(DomainError):
             scaling_constants(bad)
+
+    def test_large_n_bound(self):
+        """Up to 2**53 the constants are finite; above it n is refused by name."""
+        p = scaling_constants(2**53)
+        assert 8.0 < p.alpha < 8.3 and p.beta > 0.0
+        message = "n must be <= 2**53 (got 9007199254740993)"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            scaling_constants(2**53 + 1)
 
     @pytest.mark.parametrize("n", [2, 10, 100, 1000, 10_000])
     def test_recomputation_consistency(self, n):
@@ -75,6 +85,12 @@ class TestGumbelCdf:
         p = scaling_constants(100)
         assert gumbel_cdf(p.alpha - 41.0 * p.beta, p) == 0.0
         assert gumbel_cdf(float("-inf"), p) == 0.0
+
+    @pytest.mark.parametrize("law", [gumbel_cdf, gumbel_pdf])
+    @pytest.mark.parametrize("z", [float("nan"), np.array([0.0, np.nan, 1.0])])
+    def test_nan_rejected(self, law, z):
+        with pytest.raises(DomainError, match="^z must not be NaN$"):
+            law(z, scaling_constants(100))
 
 
 class TestGumbelPdf:

@@ -48,8 +48,11 @@ class TestModels:
             sample_max_sweep(10, [0.5], cfg, sigma=0.0)
 
     def test_mc_config_validation(self):
+        McConfig(seed=1, reps=2**27)  # the sample-array cap, _MAX_CHUNK_FLOATS
         with pytest.raises(DomainError):
             McConfig(seed=1, reps=0)
+        with pytest.raises(DomainError, match=r"\[1, 134217728\] \(got 134217729\)"):
+            McConfig(seed=1, reps=2**27 + 1)
         with pytest.raises(DomainError):
             McConfig(seed=-1)
         with pytest.raises(DomainError):

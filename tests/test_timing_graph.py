@@ -323,8 +323,10 @@ class TestGraphDelayAnalysis:
         # MC truth: the longest path dominates, so the mean sits near 6
         assert 5.9 < analysis.mc.mean < 6.3
         assert np.isfinite(analysis.mc_mean_gap)
+        gap = analysis.mc.mean - analysis.analytic_mean
+        assert analysis.mc_mean_gap.hex() == gap.hex()  # bit for bit
         assert analysis.validity is not None
-        assert len(analysis.z_grid) == len(analysis.cdf) == len(analysis.pdf)
+        assert len(analysis.z) == len(analysis.cdf) == len(analysis.pdf)
 
     def test_single_path_bypasses_corrections(self):
         g = parse_graph("a b 1 0.1\nb c 1 0.1\n")
@@ -334,16 +336,16 @@ class TestGraphDelayAnalysis:
         assert analysis.analytic_mean == 2.0
         assert abs(analysis.mc.mean - 2.0) < 3.0 * analysis.mc.stderr
         # CDF is the path's normal law
-        mid = np.searchsorted(analysis.z_grid, 2.0)
+        mid = np.searchsorted(analysis.z, 2.0)
         assert analysis.cdf[mid] == pytest.approx(0.5, abs=0.01)
 
         # A zero-variance path: the law is a step at its mean.
         step = graph_delay_analysis(parse_graph("a b 1 0\n"), McConfig(seed=6, reps=100))
         assert step.n_paths == 1
         assert step.gumbel is None and step.validity is None
-        np.testing.assert_array_equal(step.cdf, (step.z_grid >= 1.0).astype(float))
+        np.testing.assert_array_equal(step.cdf, (step.z >= 1.0).astype(float))
         assert step.cdf[0] == 0.0 and step.cdf[-1] == 1.0
-        np.testing.assert_array_equal(step.pdf, np.zeros_like(step.z_grid))
+        np.testing.assert_array_equal(step.pdf, np.zeros_like(step.z))
         assert step.analytic_mean == 1.0
         assert step.mc_mean_gap == 0.0
 
