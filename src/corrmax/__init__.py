@@ -62,7 +62,6 @@ from .timing_graph import (
     enumerate_paths,
     graph_delay_analysis,
     load_graph,
-    normalize_source_sink,
     parse_graph,
     path_covariance,
 )

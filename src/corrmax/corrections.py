@@ -138,7 +138,8 @@ def _complete(z, w, psi, x, wb):
     return cdf, cdf * (wb - 2.0 * z * x)
 
 
-# order -> (cdf, pdf) from the shared terms z, w, Psi_N = e^(-w), x, w/beta.
+# order -> (cdf, pdf) from the shared terms z (clipped to [-40, 40]), w,
+# Psi_N = e^(-w), x, w/beta.
 _LAWS = {"first": _first, "second": _second, "complete": _complete}
 ORDERS = tuple(_LAWS)
 
@@ -157,8 +158,11 @@ def corrected_law(z, p: GumbelParams, s: float, order: str):
     if not np.all(np.isfinite(arr)):
         raise DomainError("z must be finite")
     w = _tail_weight(arr, p)
-    x = np.exp(-arr * arr) * (float(s) / (4.0 * np.pi))
-    return _LAWS[order](arr, w, np.exp(-w), x, w / p.beta)
+    # x is exactly 0 beyond |z| = 27.3, so the z^2 and 2 z x terms read z
+    # clipped to [-40, 40]: the same values, and no overflow to inf * 0.
+    z_x = np.clip(arr, -40.0, 40.0)
+    x = np.exp(-z_x * z_x) * (float(s) / (4.0 * np.pi))
+    return _LAWS[order](z_x, w, np.exp(-w), x, w / p.beta)
 
 
 def validity_check(z_grid, cdf, pdf, max_abs_eps: float) -> ValidityReport:

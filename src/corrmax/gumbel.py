@@ -67,7 +67,7 @@ def scaling_constants(n: int) -> GumbelParams:
             n > 2**53, the largest count a float holds exactly; by 2**54,
             1 - 1/n rounds to 1.
     """
-    if int(n) != n or n < 2:
+    if not -np.inf < n < np.inf or int(n) != n or n < 2:
         raise DomainError(f"n must be an integer >= 2 (got {n!r})")
     if n > 2**53:
         raise DomainError(f"n must be <= 2**53 (got {n!r})")
@@ -79,11 +79,14 @@ def scaling_constants(n: int) -> GumbelParams:
 
 def _tail_weight(z, p: GumbelParams):
     """w = e^(-t), t = (z - alpha)/beta clipped below at _TAIL_CLIP, so that
-    Psi_N = e^(-w).  NaN is rejected; +-inf passes through as a limit."""
+    Psi_N = e^(-w).  NaN is rejected; +-inf, given or reached by t
+    overflowing, passes through as a limit."""
     arr = np.asarray(z, dtype=float)
     if np.any(np.isnan(arr)):
         raise DomainError("z must not be NaN")
-    return np.exp(-np.maximum((arr - p.alpha) / p.beta, _TAIL_CLIP))
+    with np.errstate(over="ignore"):
+        t = (arr - p.alpha) / p.beta
+    return np.exp(-np.maximum(t, _TAIL_CLIP))
 
 
 def gumbel_cdf(z, p: GumbelParams):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyInput
+from .errors import DimensionMismatch, DomainError, EmptyInput
 from .normal import std_normal_cdf, std_normal_quantile
 
 __all__ = [
@@ -318,30 +318,34 @@ def sample_dag_max(mu, sigma, src, dst, cfg: McConfig) -> McResult:
     edge delays.
 
     Edge k runs from node ``src[k]`` to node ``dst[k]`` with delay
-    N(mu[k], sigma[k]^2).  Nodes are numbered in a topological order of a
-    graph with one source and one sink, so ``src[k] < dst[k]``, node 0 is
-    the source and the highest-numbered node is the sink.  Column k of
-    ``_chunk_uniforms`` feeds edge k.  Arrival times start at 0 at the
-    source, and edges are relaxed in order of their source node, which
+    N(mu[k], sigma[k]^2).  Nodes are numbered in a topological order, so
+    ``src[k] < dst[k]``.  Column k of ``_chunk_uniforms`` feeds edge k.
+    Arrival times start at 0 at every source (a node with no incoming edge),
+    edges are relaxed in order of their source node, and a sample is the
+    largest arrival over the sinks (nodes with no outgoing edge), which
     costs O(reps * edges) and needs no path enumeration.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
-    if not np.all(src < dst):
-        raise DomainError("nodes must be numbered so that src < dst on every edge")
+    if len({a.shape for a in (mu, sigma, src, dst)}) != 1 or mu.ndim != 1 or not mu.size:
+        raise DimensionMismatch(
+            "mu, sigma, src and dst must be 1-D with one common length >= 1")
+    if src.min() < 0 or not np.all(src < dst):
+        raise DomainError("nodes must be numbered from 0 so that src < dst on every edge")
     _check_width(cfg.reps, len(mu))
     order = [(k, int(src[k]), int(dst[k])) for k in np.argsort(src, kind="stable")]
+    sources, sinks = np.setdiff1d(src, dst), np.setdiff1d(dst, src)
     samples = np.empty(cfg.reps, dtype=float)
 
     def fill(start, stop):
         u = _chunk_uniforms(cfg.seed, start, stop, len(mu))
         d = (mu + sigma * std_normal_quantile(u)).T
         arrival = np.full((int(dst.max()) + 1, stop - start), -np.inf)
-        arrival[0] = 0.0
+        arrival[sources] = 0.0
         for k, a, b in order:
             np.maximum(arrival[b], arrival[a] + d[k], out=arrival[b])
-        samples[start:stop] = arrival[-1]
+        samples[start:stop] = arrival[sinks].max(axis=0)
 
     _run_chunked(cfg.reps, cfg.workers, fill)
     return empirical_stats(samples)

@@ -13,15 +13,18 @@ the corrected maximum distributions.  The Monte Carlo oracle samples edge
 delays and takes the longest path through the DAG: the exact law of the
 maximum path delay, at O(reps * edges) cost.
 
-Only ``enumerate_paths`` normalizes a graph.  Its ``PathSet`` keeps that
-graph and owns the path means and stds that ``graph paths``, ``cov`` and
-``analyze`` all read; the covariance divides by exactly those stds, the
-report's ``path_stds``.  An overflowing path is a ``DomainError`` (exit 2).
+A graph may have several sources and sinks; no virtual node joins them, so
+paths, lengths and stream columns all refer to the graph as given.  The
+``PathSet`` of ``enumerate_paths`` keeps that graph and owns the path means
+and stds that ``graph paths``, ``cov`` and ``analyze`` all read; the
+covariance divides by exactly those stds, the report's ``path_stds``.  An
+overflowing path is a ``DomainError`` (exit 2).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -49,7 +52,6 @@ __all__ = [
     "GraphAnalysis",
     "parse_graph",
     "load_graph",
-    "normalize_source_sink",
     "enumerate_paths",
     "path_covariance",
     "graph_delay_analysis",
@@ -140,14 +142,10 @@ class TimingGraph:
         with_indeg = {e.dst for e in self.edges}
         return [v for v in self.nodes if v not in with_indeg]
 
-    def sinks(self) -> list[str]:
-        with_outdeg = {e.src for e in self.edges}
-        return [v for v in self.nodes if v not in with_outdeg]
-
 
 @dataclass(frozen=True)
 class PathSet:
-    """Source-to-sink paths of a normalized graph, as indices into
+    """Source-to-sink paths of ``graph``, as indices into
     ``graph.edges``, with each path's delay mean and std, summed once and
     left to right, as Python's ``sum`` would, over the columns of ``_index``:
     the paths padded to P x Lmax with index E, a zero edge.  A path whose
@@ -252,44 +250,11 @@ def load_graph(path) -> TimingGraph:
         return parse_graph(fh.read())
 
 
-def _fresh_name(base: str, taken) -> str:
-    name = base
-    while name in taken:
-        name += "_"
-    return name
-
-
-def normalize_source_sink(g: TimingGraph) -> TimingGraph:
-    """Ensure a single source and a single sink.
-
-    Multiple zero-in-degree (zero-out-degree) nodes are joined to one
-    virtual source (sink) through zero-delay edges.  Already-normalized
-    graphs are returned unchanged, so the transform is idempotent.
-    """
-    sources = g.sources()
-    sinks = g.sinks()
-    if len(sources) == 1 and len(sinks) == 1:
-        return g
-    nodes = list(g.nodes)
-    edges = list(g.edges)
-    taken = set(nodes)
-    if len(sources) > 1:
-        virtual = _fresh_name("__source__", taken)
-        taken.add(virtual)
-        nodes.insert(0, virtual)
-        edges = [Edge(virtual, s, 0.0, 0.0) for s in sources] + edges
-    if len(sinks) > 1:
-        virtual = _fresh_name("__sink__", taken)
-        taken.add(virtual)
-        nodes.append(virtual)
-        edges = edges + [Edge(t, virtual, 0.0, 0.0) for t in sinks]
-    return TimingGraph(nodes=tuple(nodes), edges=tuple(edges))
-
-
 def enumerate_paths(g: TimingGraph, cap: int = DEFAULT_PATH_CAP) -> PathSet:
-    """All source-to-sink paths of ``normalize_source_sink(g)``, which the
-    result keeps, depth first with neighbors in identifier order, so the
-    result is stable across runs and input orderings.
+    """All paths of ``g``, which the result keeps, from a source to a node
+    with no outgoing edge: depth first from each source, sources and
+    neighbors in identifier order, so the result is stable across runs and
+    input orderings.
 
     Raises:
         PathExplosionError: once more than ``cap`` paths have been found.
@@ -298,8 +263,6 @@ def enumerate_paths(g: TimingGraph, cap: int = DEFAULT_PATH_CAP) -> PathSet:
         raise DomainError(f"cap must be >= 1 (got {cap})")
     if not g.edges:
         raise DomainError("graph has no edges")
-    g = normalize_source_sink(g)
-    [source], [sink] = g.sources(), g.sinks()
 
     succs: dict[str, list[tuple[str, int]]] = {v: [] for v in g.nodes}
     for idx, e in enumerate(g.edges):
@@ -308,10 +271,11 @@ def enumerate_paths(g: TimingGraph, cap: int = DEFAULT_PATH_CAP) -> PathSet:
         succs[v].sort(key=lambda pair: pair[0])
 
     # Iterative DFS: timing graphs can be thousands of levels deep, which
-    # would overflow the interpreter recursion limit.
+    # would overflow the interpreter recursion limit.  The bottom iterator
+    # runs over the sources' edges, one source after another.
     paths: list[tuple[int, ...]] = []
     edge_stack: list[int] = []
-    iter_stack = [iter(succs[source])]
+    iter_stack = [chain.from_iterable(succs[v] for v in sorted(g.sources()))]
     while iter_stack:
         try:
             nxt, edge_idx = next(iter_stack[-1])
@@ -321,7 +285,7 @@ def enumerate_paths(g: TimingGraph, cap: int = DEFAULT_PATH_CAP) -> PathSet:
                 edge_stack.pop()
             continue
         edge_stack.append(edge_idx)
-        if nxt == sink:
+        if not succs[nxt]:
             if len(paths) >= cap:
                 raise PathExplosionError(cap=cap, count=len(paths) + 1)
             paths.append(tuple(edge_stack))
@@ -445,12 +409,11 @@ def graph_delay_analysis(
         z = mu_star + sigma_star * z_std
 
     # Sample last, so that input the checks above reject costs no MC.
-    # Stream column k feeds edge k of the normalized graph.
-    norm = ps.graph
-    position = {v: i for i, v in enumerate(norm._topological_order())}
+    # Stream column k feeds edge k of the graph.
+    position = {v: i for i, v in enumerate(g._topological_order())}
     mc = sample_dag_max(
-        [e.mu for e in norm.edges], [e.sigma for e in norm.edges],
-        [position[e.src] for e in norm.edges], [position[e.dst] for e in norm.edges],
+        [e.mu for e in g.edges], [e.sigma for e in g.edges],
+        [position[e.src] for e in g.edges], [position[e.dst] for e in g.edges],
         cfg,
     )
     return GraphAnalysis(

@@ -16,14 +16,12 @@ from corrmax import (
     enumerate_paths,
     load_graph,
     non_iid_experiment,
-    normalize_source_sink,
     path_covariance,
     sample_max_sweep,
     scaling_constants,
     validity_check,
 )
 import corrmax.cli
-import corrmax.timing_graph
 from corrmax.cli import _attach_negative_values, _dump_json, _write_json, main
 from conftest import cascade64_text
 
@@ -129,6 +127,24 @@ class TestDist:
         ]) == 3
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, z_min, z_max", [
+        ("second", "1e307", "1.7e308"),  # 2 z overflowed, and inf * 0 is NaN
+        ("gumbel", "1e200", "1.5e200"),  # z^2 overflowed
+        ("complete", "-1.7e308", "-1e307"),  # (z - alpha) / beta overflowed
+        ("first", "-1e200", "1e200"),
+    ], ids=["second_top", "gumbel_z_squared", "complete_bottom", "first_both"])
+    def test_huge_z_gives_the_limits(self, tmp_path, kind, z_min, z_max):
+        """Past |z| = 40 every curve sits at its limit, cdf 0 or 1 and pdf 0,
+        reached with no overflow warning (an error under pytest)."""
+        rho = [] if kind == "gumbel" else ["--rho", "0.1"]
+        assert run(["dist", kind, "--n", "10", *rho, "--z-min", z_min,
+                    "--z-max", z_max, "--out", "d", "--outdir", str(tmp_path)]) == 0
+        z, cdf, pdf = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1).T
+        far = np.abs(z) > 40.0
+        assert far.sum() >= 699 and np.all(np.isfinite(pdf))
+        np.testing.assert_array_equal(cdf[far], (z[far] > 0).astype(float))
+        np.testing.assert_array_equal(pdf[far], 0.0)
 
     def test_validation_exit_codes(self, tmp_path):
         base = ["--outdir", str(tmp_path)]
@@ -250,23 +266,20 @@ class TestGraph:
         else:
             assert set(doc["gumbel"]) == {"n", "alpha", "beta"}
 
-    def test_analyze_normalizes_once(self, tmp_path, monkeypatch):
-        """Two sources and two sinks: the graph is normalized once, by
-        enumerate_paths."""
+    def test_several_sources_and_sinks_name_real_nodes(self, tmp_path, capsys):
+        """Two sources and two sinks: ``paths`` prints the graph's own nodes
+        and edge counts, and ``analyze`` reports its four paths."""
         g = tmp_path / "two_by_two.txt"
         g.write_text("a m 1 0.2\nb m 1 0.3\nm x 1 0.1\nm y 1 0.4\n")
-        calls = []
-
-        def counting(graph):
-            calls.append(graph)
-            return normalize_source_sink(graph)
-
-        monkeypatch.setattr(corrmax.timing_graph, "normalize_source_sink", counting)
+        assert run(["graph", "paths", str(g), "--outdir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split(": ")[-1] for l in lines] == [
+            "a -> m -> x", "a -> m -> y", "b -> m -> x", "b -> m -> y"]
+        assert all("length 2," in l for l in lines)
         assert run(["graph", "analyze", str(g), "--reps", "200",
                     "--outdir", str(tmp_path)]) == 0
-        assert len(calls) == 1
         doc = json.loads((tmp_path / "two_by_two_analysis.json").read_text())
-        assert doc["n_paths"] == 4
+        assert doc["n_paths"] == 4 and doc["lengths"] == [2, 2, 2, 2]
 
     def test_report_covariance_divides_by_path_stds(self, tmp_path, graphs_dir):
         """The report's path_stds are exactly what its covariance divides the

@@ -32,7 +32,7 @@ class TestScalingConstants:
         assert p.alpha == pytest.approx(alpha, abs=1e-12)
         assert p.beta == pytest.approx(beta, rel=1e-12)
 
-    @pytest.mark.parametrize("bad", [1, 0, -5])
+    @pytest.mark.parametrize("bad", [1, 0, -5, float("inf"), float("nan")])
     def test_small_n_rejected(self, bad):
         with pytest.raises(DomainError):
             scaling_constants(bad)

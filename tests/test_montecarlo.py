@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from corrmax import (
+    DimensionMismatch,
     DomainError,
     EmptyInput,
     McConfig,
@@ -336,6 +337,33 @@ class TestSampleDagMax:
         with pytest.raises(DomainError):
             sample_dag_max([1.0, 1.0], [0.1, 0.1], [0, 2], [2, 1],
                            McConfig(seed=1, reps=10))
+
+    @pytest.mark.parametrize("src, dst", [([-1], [0]), ([-3, 0], [0, 1])])
+    def test_rejects_negative_node_numbers(self, src, dst):
+        with pytest.raises(DomainError, match="numbered from 0"):
+            sample_dag_max([1.0] * len(src), [0.1] * len(src), src, dst,
+                           McConfig(seed=1, reps=10))
+
+    def test_several_sources_and_sinks(self):
+        """Sources a, b and sinks x, y around one node m: each sample is the
+        max over the four paths of the left-to-right sums of the stream's
+        edge delays, bit for bit."""
+        mu, sigma = np.array([1.0, 1.2, 0.5, 0.7]), np.array([0.1, 0.2, 0.1, 0.3])
+        res = sample_dag_max(mu, sigma, [0, 1, 2, 2], [2, 2, 3, 4],
+                             McConfig(seed=21, reps=1500))
+        d = mu + sigma * std_normal_quantile(_chunk_uniforms(21, 0, 1500, 4))
+        paths = [(0, 2), (0, 3), (1, 2), (1, 3)]
+        expected = np.max([d[:, a] + d[:, b] for a, b in paths], axis=0)
+        np.testing.assert_array_equal(res.samples, expected)
+
+    @pytest.mark.parametrize("mu, sigma, src, dst", [
+        ([1.0, 2.0], [0.1], [0], [1]),
+        ([1.0], [0.1], [0, 1], [1, 2]),
+        ([], [], [], []),
+    ], ids=["extra_mu", "extra_edges", "empty"])
+    def test_rejects_unequal_lengths(self, mu, sigma, src, dst):
+        with pytest.raises(DimensionMismatch):
+            sample_dag_max(mu, sigma, src, dst, McConfig(seed=1, reps=10))
 
 
 class TestEmpiricalStats:

@@ -33,24 +33,42 @@ def _exported_names() -> set[str]:
     }
 
 
-def _referenced_names() -> set[str]:
-    """Every ``Name`` and ``Attribute`` in the package's other modules."""
-    used = set()
+def _referenced_names() -> tuple[set[str], set[str]]:
+    """Every ``Name`` and every ``Attribute`` name in the package's other
+    modules, as two sets."""
+    names, attributes = set(), set()
     for name, tree in _package_trees():
         if name == "__init__.py":
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def _public_members(classes: set[str]) -> set[str]:
+    """Public methods and properties defined in the bodies of ``classes``."""
+    return {
+        stmt.name
+        for _, tree in _package_trees()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in classes
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+    }
 
 
 def test_every_public_name_is_used_in_the_package():
+    """Every exported name, and every public method or property of an
+    exported class, has a caller outside ``__init__.py``."""
     exported = _exported_names()
     assert NO_CALLER_NEEDED <= exported
-    assert exported - _referenced_names() - NO_CALLER_NEEDED == set()
+    names, attributes = _referenced_names()
+    assert exported - names - attributes - NO_CALLER_NEEDED == set()
+    # A member is reached as ``x.member``; a local of the same name is no use.
+    assert _public_members(exported) - attributes == set()
 
 
 def test_run_settings_have_one_owner():
@@ -179,21 +197,3 @@ def test_readme_quick_start_runs():
     )
     assert result.returncode == 0, result.stderr
 
-
-def test_paths_own_their_normalization():
-    """``enumerate_paths`` is the one caller of ``normalize_source_sink``, so
-    every path set indexes the normalized graph it keeps; the CLI imports
-    neither the normalization nor a per-path moment function."""
-    callers = [
-        f"{name}:{node.name}"
-        for name, tree in _package_trees()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-        and "normalize_source_sink" in _called_names(node)
-    ]
-    assert callers == ["timing_graph.py:enumerate_paths"]
-    cli = ast.parse((PACKAGE_DIR / "cli.py").read_text())
-    imported = {alias.name for node in ast.walk(cli)
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                for alias in node.names}
-    assert imported & {"normalize_source_sink", "accumulated_delay_params"} == set()

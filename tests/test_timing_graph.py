@@ -19,7 +19,6 @@ from corrmax import (
     enumerate_paths,
     graph_delay_analysis,
     load_graph,
-    normalize_source_sink,
     parse_graph,
     path_covariance,
     std_normal_quantile,
@@ -122,38 +121,6 @@ class TestParseGraph:
             parse_graph('{"nodes": []}')
 
 
-class TestNormalizeSourceSink:
-    def test_already_normalized_unchanged(self):
-        g = parse_graph("a b 1 0.1\nb c 1 0.1\n")
-        assert normalize_source_sink(g) is g
-
-    def test_two_sources_get_virtual_source(self):
-        g = parse_graph("a t 1 0.1\nb t 1 0.1\n")
-        norm = normalize_source_sink(g)
-        assert len(norm.sources()) == 1
-        virtual = norm.sources()[0]
-        added = [e for e in norm.edges if e.src == virtual]
-        assert {e.dst for e in added} == {"a", "b"}
-        assert all(e.mu == 0.0 and e.sigma == 0.0 for e in added)
-
-    def test_two_sinks_get_virtual_sink(self):
-        g = parse_graph("s a 1 0.1\ns b 1 0.1\n")
-        norm = normalize_source_sink(g)
-        assert len(norm.sinks()) == 1
-
-    def test_idempotent(self):
-        g = parse_graph("a t 1 0.1\nb t 1 0.1\ns a 1 0.1\n")
-        once = normalize_source_sink(g)
-        twice = normalize_source_sink(once)
-        assert once == twice
-
-    def test_virtual_name_collision(self):
-        g = parse_graph("__source__ t 1 0.1\nb t 1 0.1\n")
-        norm = normalize_source_sink(g)
-        assert len(norm.sources()) == 1
-        assert norm.sources()[0] != "__source__"
-
-
 class TestEnumeratePaths:
     def test_single_edge(self):
         g = parse_graph("a b 1 0.1\n")
@@ -196,14 +163,27 @@ class TestEnumeratePaths:
         with pytest.raises(DomainError, match="graph has no edges"):
             enumerate_paths(TimingGraph(nodes=("a",), edges=()))
 
-    def test_enumerates_the_normalization(self):
-        """Enumerating a graph equals enumerating its normalization, whose
-        edges the path set keeps."""
-        g = parse_graph("a c 1 0.1\nb c 1.2 0.2\nc d 0.5 0.1\nc e 0.7 0.3\n")
-        norm = normalize_source_sink(g)
+    def test_several_sources_and_sinks_as_given(self):
+        """Two sources and two sinks: paths run from each source to each
+        sink over the graph's own edges, and the path set keeps the graph."""
+        g = parse_graph("a m 1 0.2\nb m 1 0.3\nm x 1 0.1\nm y 1 0.4\n")
         ps = enumerate_paths(g)
-        assert ps == enumerate_paths(norm)
-        assert ps.graph == norm and len(norm.edges) > len(g.edges)
+        assert ps.graph is g
+        assert ps.paths == ((0, 2), (0, 3), (1, 2), (1, 3))
+        assert ps.lengths == (2, 2, 2, 2)
+        assert [ps.node_sequence(i) for i in range(4)] == [
+            ["a", "m", "x"], ["a", "m", "y"], ["b", "m", "x"], ["b", "m", "y"]]
+
+    def test_node_without_edges_has_no_path(self):
+        g = TimingGraph(nodes=("a", "b", "c"), edges=(Edge("a", "b", 1.0, 0.1),))
+        assert enumerate_paths(g).paths == ((0,),)
+
+    def test_reserved_looking_names_are_ordinary_nodes(self):
+        g = parse_graph("__source__ t 1 0.1\nb t 1 0.1\nt __sink__ 1 0.1\n")
+        ps = enumerate_paths(g)
+        assert [ps.node_sequence(i) for i in range(2)] == [
+            ["__source__", "t", "__sink__"], ["b", "t", "__sink__"]]
+        assert ps.lengths == (2, 2)
 
 
 class TestAccumulatedDelayParams:
@@ -422,9 +402,9 @@ def _edge_params(g: TimingGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def _enumerated_max(g: TimingGraph, seed: int, reps: int) -> np.ndarray:
     """Max over enumerated paths of the left-to-right sums of the edge delays
-    that the stream gives the normalized graph's edges (column k, edge k)."""
+    that the stream gives the graph's edges (column k, edge k)."""
     ps = enumerate_paths(g)
-    mu, sigma = _edge_params(ps.graph)
+    mu, sigma = _edge_params(g)
     d = mu + sigma * std_normal_quantile(_chunk_uniforms(seed, 0, reps, len(mu)))
     sums = [np.add.accumulate(d[:, list(p)], axis=1)[:, -1] for p in ps.paths]
     return np.max(sums, axis=0)
@@ -442,10 +422,10 @@ class TestGraphMonteCarlo:
     @pytest.mark.parametrize("text", [
         "a t 1 0.1\nb t 1 0.1\n",
         "a c 1 0.1\nb c 1.2 0.2\nc d 0.5 0.1\nc e 0.7 0.3\n",
-    ])
-    def test_virtual_edges_take_their_stream_columns(self, text):
+        "s a 1 0.2\ns b 1.1 0.3\na x 1 0.1\na y 0.9 0.4\nb y 1 0.25\n",
+    ], ids=["two_sources", "two_by_two", "two_sinks"])
+    def test_stream_column_k_feeds_edge_k_of_the_graph(self, text):
         g = parse_graph(text)
-        assert len(normalize_source_sink(g).edges) > len(g.edges)
         mc = graph_delay_analysis(g, McConfig(seed=17, reps=1500)).mc
         np.testing.assert_array_equal(mc.samples, _enumerated_max(g, 17, 1500))
 
