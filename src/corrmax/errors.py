@@ -24,7 +24,7 @@ class GraphError(CorrmaxError):
 
 class ParseError(GraphError, ValueError):
     """A graph file, its JSON document or an ``--eps-file`` matrix could
-    not be parsed."""
+    not be read or parsed."""
 
 
 class CycleError(GraphError, ValueError):

@@ -73,24 +73,23 @@ class Edge:
 
 @dataclass(frozen=True)
 class TimingGraph:
-    """Directed acyclic graph with delay-carrying edges.
+    """Directed acyclic graph with delay-carrying edges, given by its edges.
 
-    Nodes are kept in first-appearance order; construction rejects
-    self-loops, duplicate (src, dst) pairs, negative delay parameters,
-    and cycles.
+    ``nodes`` are the edge endpoints in topological order: Kahn's algorithm
+    over the endpoints in first-appearance order, ready nodes taken last in
+    first out.  Edge k runs from node ``src[k]`` to node ``dst[k]``, so
+    ``src[k] < dst[k]``.  Construction rejects self-loops, duplicate
+    (src, dst) pairs, non-finite or negative delay parameters, and cycles.
     """
 
-    nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
+    nodes: tuple[str, ...] = field(init=False)
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        known = set(self.nodes)
-        if len(known) != len(self.nodes):
-            raise DomainError("node names must be unique")
         seen = set()
         for e in self.edges:
-            if e.src not in known or e.dst not in known:
-                raise DomainError(f"edge {e.src}->{e.dst} references unknown node")
             if e.src == e.dst:
                 raise DomainError(f"self-loop on node {e.src!r} is not allowed")
             if (e.src, e.dst) in seen:
@@ -99,33 +98,13 @@ class TimingGraph:
             if not (np.isfinite(e.mu) and np.isfinite(e.sigma)):
                 raise DomainError(f"edge {e.src}->{e.dst} has non-finite delay")
             if e.mu < 0.0 or e.sigma < 0.0:
-                raise DomainError(
-                    f"edge {e.src}->{e.dst} has negative mu or sigma"
-                )
-        self._topological_order()
-
-    @classmethod
-    def from_edge_list(cls, edge_list) -> "TimingGraph":
-        """Build from (src, dst, mu, sigma) tuples, nodes in file order."""
-        nodes: list[str] = []
-        seen_nodes = set()
-        edges = []
-        for src, dst, mu, sigma in edge_list:
-            for name in (str(src), str(dst)):
-                if name not in seen_nodes:
-                    seen_nodes.add(name)
-                    nodes.append(name)
-            edges.append(Edge(str(src), str(dst), float(mu), float(sigma)))
-        return cls(nodes=tuple(nodes), edges=tuple(edges))
-
-    def _topological_order(self) -> list[str]:
-        """Kahn's order of the nodes; raises CycleError on a cycle."""
-        indeg = {v: 0 for v in self.nodes}
-        succs: dict[str, list[str]] = {v: [] for v in self.nodes}
+                raise DomainError(f"edge {e.src}->{e.dst} has negative mu or sigma")
+        succs = {v: [] for v in chain.from_iterable((e.src, e.dst) for e in self.edges)}
+        indeg = dict.fromkeys(succs, 0)
         for e in self.edges:
             indeg[e.dst] += 1
             succs[e.src].append(e.dst)
-        ready = [v for v in self.nodes if indeg[v] == 0]
+        ready = [v for v in indeg if indeg[v] == 0]
         order = []
         while ready:
             v = ready.pop()
@@ -134,13 +113,15 @@ class TimingGraph:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     ready.append(w)
-        if len(order) != len(self.nodes):
+        if len(order) != len(indeg):
             raise CycleError("edge set contains a directed cycle")
-        return order
-
-    def sources(self) -> list[str]:
-        with_indeg = {e.dst for e in self.edges}
-        return [v for v in self.nodes if v not in with_indeg]
+        rank = {v: i for i, v in enumerate(order)}
+        src = np.array([rank[e.src] for e in self.edges], dtype=int)
+        dst = np.array([rank[e.dst] for e in self.edges], dtype=int)
+        # The instance is frozen: its derived fields are set once, here.
+        object.__setattr__(self, "nodes", tuple(order))
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
 
 
 @dataclass(frozen=True)
@@ -218,36 +199,46 @@ def parse_graph(text: str) -> TimingGraph:
             )
     if not edge_list:
         raise ParseError("no edges found in graph input")
-    return TimingGraph.from_edge_list(edge_list)
+    return TimingGraph(tuple(edge_list))
 
 
-def _json_edge_list(text: str) -> list[tuple[str, str, float, float]]:
-    """Checked edges of a JSON graph document; edge K is ``edges[K]``."""
+def _json_edge_list(text: str) -> list[Edge]:
+    """Checked edges of a JSON graph document; edge K is ``edges[K]``.
+
+    Names must be JSON strings and delays JSON numbers; every number reads
+    as a float, so an integer too large for one is infinite.
+    """
     try:
-        edge_list = [
-            (str(e["from"]), str(e["to"]), float(e["mu"]), float(e["sigma"]))
-            for e in json.loads(text)["edges"]
-        ]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        fields = [(e["from"], e["to"], e["mu"], e["sigma"])
+                  for e in json.loads(text, parse_int=float)["edges"]]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"malformed JSON graph document: {exc}") from exc
-    return [_checked_edge(f"edge {k}", *e) for k, e in enumerate(edge_list)]
+    return [_checked_edge(f"edge {k}", *e) for k, e in enumerate(fields)]
 
 
-def _checked_edge(
-    where: str, src: str, dst: str, mu: float, sigma: float
-) -> tuple[str, str, float, float]:
-    """The edge as a tuple, or ParseError prefixed with its location."""
+def _checked_edge(where: str, src, dst, mu, sigma) -> Edge:
+    """The edge, or ParseError prefixed with its location: names must be
+    strings and delays floats, finite and >= 0."""
+    if not (isinstance(src, str) and isinstance(dst, str)):
+        raise ParseError(f"{where}: FROM and TO must be strings")
+    if not (isinstance(mu, float) and isinstance(sigma, float)):
+        raise ParseError(f"{where}: MU and SIGMA must be numbers")
     if src == dst:
         raise ParseError(f"{where}: self-loop on node {src!r}")
     if not (np.isfinite(mu) and np.isfinite(sigma)) or mu < 0 or sigma < 0:
         raise ParseError(f"{where}: MU and SIGMA must be finite and >= 0")
-    return src, dst, mu, sigma
+    return Edge(src, dst, mu, sigma)
 
 
 def load_graph(path) -> TimingGraph:
-    """Read and parse a graph file."""
-    with open(path, "r") as fh:
-        return parse_graph(fh.read())
+    """Read and parse a graph file; one that cannot be read as text is a
+    ``ParseError`` that names it."""
+    try:
+        with open(path, "r") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read graph file {path}: {exc}") from exc
+    return parse_graph(text)
 
 
 def enumerate_paths(g: TimingGraph, cap: int = DEFAULT_PATH_CAP) -> PathSet:
@@ -275,7 +266,8 @@ def enumerate_paths(g: TimingGraph, cap: int = DEFAULT_PATH_CAP) -> PathSet:
     # runs over the sources' edges, one source after another.
     paths: list[tuple[int, ...]] = []
     edge_stack: list[int] = []
-    iter_stack = [chain.from_iterable(succs[v] for v in sorted(g.sources()))]
+    sources = sorted(set(g.nodes).difference(e.dst for e in g.edges))
+    iter_stack = [chain.from_iterable(succs[v] for v in sources)]
     while iter_stack:
         try:
             nxt, edge_idx = next(iter_stack[-1])
@@ -410,12 +402,8 @@ def graph_delay_analysis(
 
     # Sample last, so that input the checks above reject costs no MC.
     # Stream column k feeds edge k of the graph.
-    position = {v: i for i, v in enumerate(g._topological_order())}
     mc = sample_dag_max(
-        [e.mu for e in g.edges], [e.sigma for e in g.edges],
-        [position[e.src] for e in g.edges], [position[e.dst] for e in g.edges],
-        cfg,
-    )
+        [e.mu for e in g.edges], [e.sigma for e in g.edges], g.src, g.dst, cfg)
     return GraphAnalysis(
         n_paths=n_paths, lengths=ps.lengths, path_means=ps.means, path_stds=ps.stds,
         covariance=cov, s=s_val, order=order,

@@ -343,13 +343,45 @@ class TestGraph:
          "MU and SIGMA must be finite and >= 0"),
         ({"from": "b", "to": "c", "mu": float("inf"), "sigma": 0.1},
          "MU and SIGMA must be finite and >= 0"),
-    ], ids=["self_loop", "negative_sigma", "infinite_mu"])
+        ({"from": "b", "to": "c", "mu": 10**400, "sigma": 0.1},
+         "MU and SIGMA must be finite and >= 0"),
+        ({"from": None, "to": "c", "mu": 1.0, "sigma": 0.1},
+         "FROM and TO must be strings"),
+        ({"from": "b", "to": 3, "mu": 1.0, "sigma": 0.1},
+         "FROM and TO must be strings"),
+        ({"from": "b", "to": "c", "mu": True, "sigma": 0.1},
+         "MU and SIGMA must be numbers"),
+        ({"from": "b", "to": "c", "mu": 1.0, "sigma": "0.1"},
+         "MU and SIGMA must be numbers"),
+    ], ids=["self_loop", "negative_sigma", "infinite_mu", "huge_integer_mu",
+            "null_from", "number_to", "boolean_mu", "string_sigma"])
     def test_json_edge_errors_exit_3(self, tmp_path, capsys, edge, message):
         doc = {"edges": [{"from": "a", "to": "b", "mu": 1.0, "sigma": 0.1}, edge]}
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))
         assert run(["graph", "paths", str(f), "--outdir", str(tmp_path)]) == 3
         assert capsys.readouterr().err == f"error: edge 1: {message}\n"
+
+    @pytest.mark.parametrize("args", [
+        ["graph", "paths", "DIR"],
+        ["graph", "analyze", "BINARY", "--reps", "100"],
+        ["dist", "first", "--n", "2", "--eps-file", "DIR"],
+        ["dist", "first", "--n", "2", "--eps-file", "EMPTY"],
+    ], ids=["graph_directory", "graph_binary", "eps_directory", "eps_empty"])
+    def test_unreadable_input_exit_3(self, tmp_path, capsys, args):
+        """A directory, a file that is not text, or an empty matrix file is
+        one error line and exit 3; an empty file warns nothing (a
+        ``UserWarning`` fails the test)."""
+        (tmp_path / "binary.txt").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+        (tmp_path / "empty.txt").write_text("")
+        subs = {"DIR": str(tmp_path), "BINARY": str(tmp_path / "binary.txt"),
+                "EMPTY": str(tmp_path / "empty.txt")}
+        out = tmp_path / "out"
+        assert run([subs.get(a, a) for a in args] + ["--outdir", str(out)]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.startswith("error: ")
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert not out.exists()
 
     def test_cap_exit_4(self, tmp_path):
         f = tmp_path / "cascade.txt"
@@ -414,12 +446,12 @@ class TestOutputPath:
         (["dist", "first", "--n", "100"],
          "--rho or --eps-file required for corrected distributions"),
         (["dist", "first", "--n", "100", "--rho", "1.5"],
-         "--rho must lie in [0, 1)"),
+         "rho must lie in [0, 1) (got 1.5)"),
         (["mc", "--n", "10", "--rho-sweep", "0.5:1.5:0.5", "--seed", "1"],
-         "--rho-sweep values must lie in [0, 1]"),
+         "rho must lie in [0, 1] (got 1.5)"),
         (["mc", "--n", "10", "--seed", "1"], "--rho or --rho-sweep is required"),
         (["mc", "--n", "10", "--rho", "1.5", "--seed", "1"],
-         "--rho must lie in [0, 1]"),
+         "rho must lie in [0, 1] (got 1.5)"),
         (["noniid", "--n-grid", "ten", "--seed", "1"],
          "--n-grid must be a comma-separated integer list"),
         (["mc", "--n", "10", "--rho-sweep", "0.1:0.9", "--seed", "1"],
@@ -582,7 +614,7 @@ class TestNegativeValues:
         (["mc", "--n", "5", "--rho", "0.3", "--sigma", "-1e-3", "--seed", "1"],
          "sigma must be positive (got -0.001)"),
         (["mc", "--n", "5", "--rho", "-5e-1", "--seed", "1"],
-         "--rho must lie in [0, 1]"),
+         "rho must lie in [0, 1] (got -0.5)"),
         (["noniid", "--n-grid", "5", "--mu", "-inf", "--seed", "1"],
          "mu, sigma, delta_mu and delta_sigma must be finite "
          "(got -inf, 1.0, 0.0, 0.0)"),

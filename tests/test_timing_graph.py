@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrmax import (
     CycleError,
@@ -21,6 +22,7 @@ from corrmax import (
     load_graph,
     parse_graph,
     path_covariance,
+    sample_dag_max,
     std_normal_quantile,
 )
 from corrmax.montecarlo import _chunk_uniforms
@@ -52,19 +54,53 @@ def reference_permutation(ps: PathSet) -> list[int]:
 
 
 class TestTimingGraph:
-    @pytest.mark.parametrize("nodes, edges, message", [
-        (("a", "b", "a"), (), "node names must be unique"),
-        (("a",), (Edge("a", "b", 1.0, 0.1),), "edge a->b references unknown node"),
-        (("a",), (Edge("a", "a", 1.0, 0.1),), "self-loop on node 'a'"),
-        (("a", "b"), (Edge("a", "b", 1.0, np.nan),), "edge a->b has non-finite delay"),
-        (("a", "b"), (Edge("a", "b", -1.0, 0.1),), "edge a->b has negative mu or sigma"),
-    ], ids=["duplicate_node", "unknown_endpoint", "self_loop", "non_finite",
-            "negative"])
-    def test_constructor_rejects(self, nodes, edges, message):
+    @pytest.mark.parametrize("edges, message", [
+        ((Edge("a", "a", 1.0, 0.1),), "self-loop on node 'a'"),
+        ((Edge("a", "b", 1.0, np.nan),), "edge a->b has non-finite delay"),
+        ((Edge("a", "b", -1.0, 0.1),), "edge a->b has negative mu or sigma"),
+    ], ids=["self_loop", "non_finite", "negative"])
+    def test_constructor_rejects(self, edges, message):
         """The parsers reject these inputs first; the constructor checks
         them again for graphs built directly."""
         with pytest.raises(DomainError, match=message):
-            TimingGraph(nodes=nodes, edges=edges)
+            TimingGraph(edges)
+
+    def test_nodes_are_numbered_in_kahn_order(self):
+        """Kahn's algorithm over the endpoints in first-appearance order
+        (a, c, b, d): of the ready a and b, the last, b, comes first."""
+        g = TimingGraph((Edge("a", "c", 1.0, 0.1), Edge("b", "c", 1.0, 0.1),
+                         Edge("c", "d", 1.0, 0.1)))
+        assert g.nodes == ("b", "a", "c", "d")
+        assert g.src.tolist() == [1, 0, 2]
+        assert g.dst.tolist() == [2, 2, 3]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_numbering_of_random_dags(self, data):
+        """On a random DAG, named at random and with its edges shuffled, the
+        numbering runs every edge forward between its own endpoints, the MC
+        oracle reads it as the path enumeration does, and a reversed edge
+        closes a cycle."""
+        names = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=2,
+                                   max_size=7, unique=True))
+        pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        delays = st.floats(0.0, 4.0)
+        edges = tuple(Edge(a, b, data.draw(delays), data.draw(delays))
+                      for a, b in data.draw(st.permutations(chosen)))
+        g = TimingGraph(edges)
+        assert np.all(g.src < g.dst)
+        assert [(g.nodes[i], g.nodes[j]) for i, j in zip(g.src, g.dst)] == \
+               [(e.src, e.dst) for e in edges]
+        assert set(g.nodes) == {v for e in edges for v in (e.src, e.dst)}
+        assert len(g.nodes) == len(set(g.nodes))
+        mu, sigma = _edge_params(g)
+        mc = sample_dag_max(mu, sigma, g.src, g.dst, McConfig(seed=7, reps=64))
+        np.testing.assert_array_equal(mc.samples, _enumerated_max(g, 7, 64))
+
+        back = data.draw(st.sampled_from(edges))
+        with pytest.raises(CycleError):
+            TimingGraph(edges + (Edge(back.dst, back.src, 1.0, 0.1),))
 
 
 class TestParseGraph:
@@ -161,7 +197,7 @@ class TestEnumeratePaths:
 
     def test_edgeless_graph_rejected(self):
         with pytest.raises(DomainError, match="graph has no edges"):
-            enumerate_paths(TimingGraph(nodes=("a",), edges=()))
+            enumerate_paths(TimingGraph(()))
 
     def test_several_sources_and_sinks_as_given(self):
         """Two sources and two sinks: paths run from each source to each
@@ -173,10 +209,6 @@ class TestEnumeratePaths:
         assert ps.lengths == (2, 2, 2, 2)
         assert [ps.node_sequence(i) for i in range(4)] == [
             ["a", "m", "x"], ["a", "m", "y"], ["b", "m", "x"], ["b", "m", "y"]]
-
-    def test_node_without_edges_has_no_path(self):
-        g = TimingGraph(nodes=("a", "b", "c"), edges=(Edge("a", "b", 1.0, 0.1),))
-        assert enumerate_paths(g).paths == ((0,),)
 
     def test_reserved_looking_names_are_ordinary_nodes(self):
         g = parse_graph("__source__ t 1 0.1\nb t 1 0.1\nt __sink__ 1 0.1\n")
