@@ -26,6 +26,7 @@ import os
 import sys
 import warnings
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,9 @@ _EXIT_CAP = 4
 
 _MAX_SWEEP_POINTS = 10_000
 
+# Rows of a symmetric matrix that ``_dump_symmetric`` formats as one block.
+_BLOCK = 32
+
 # Above this many Freedman-Diaconis bins (a near-constant sample beside one
 # outlier asks for tens of millions) the histogram uses Sturges.
 _MAX_BINS = 10_000
@@ -88,7 +92,10 @@ def _dump_json(obj, fh, indent: str = "") -> None:
     its fields, and NumPy arrays as nested lists, one row at a time.  A row
     of finite Python floats is formatted in a single join of
     ``float.__repr__``, json's own format for finite floats; everything
-    else goes through ``json.dumps`` or the recursion.
+    else goes through ``json.dumps`` or the recursion.  A square, finite
+    float64 array equal to its transpose bit for bit (a path covariance) is
+    written by ``_dump_symmetric``, which formats each off-diagonal pair
+    once and needs less extra memory than the array itself.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = _fields(obj)
@@ -99,6 +106,9 @@ def _dump_json(obj, fh, indent: str = "") -> None:
         return
     if len(obj) == 0:
         fh.write("{}" if isinstance(obj, dict) else "[]")
+        return
+    if isinstance(obj, np.ndarray) and _is_symmetric(obj):
+        _dump_symmetric(obj, fh, indent)
         return
     inner = indent + "  "
     sep = ",\n" + inner
@@ -121,6 +131,46 @@ def _dump_json(obj, fh, indent: str = "") -> None:
     fh.write("\n" + indent + brackets[1])
 
 
+def _is_symmetric(a: np.ndarray) -> bool:
+    """Whether ``a`` is a square, finite float64 matrix equal to its
+    transpose bit for bit, so that 0.0 and -0.0 differ."""
+    return (a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype == np.float64
+            and bool(np.isfinite(a).all())
+            and np.array_equal(a.view(np.int64), a.T.view(np.int64)))
+
+
+def _dump_symmetric(a: np.ndarray, fh, indent: str) -> None:
+    """``_dump_json`` of a nonempty matrix for which ``_is_symmetric`` holds,
+    calling ``float.__repr__`` once per entry on or above the diagonal
+    blocks.
+
+    Rows go in blocks of ``_BLOCK``.  Row i of the block that starts at row
+    r0 formats ``a[i, r0:]``.  Its entries in each later column block wait
+    as one comma-joined string (a float repr holds no comma) until that
+    block's rows split them into their columns 0 .. r0 - 1, and each row
+    frees its split strings once written.  At most about P²/4 entries wait
+    at once, as short strings: less memory than one P×P float64 array.
+    """
+    p = len(a)
+    inner = indent + "  "
+    entry_sep = ",\n" + inner + "  "
+    waiting = [[] for _ in range(0, p, _BLOCK)]  # per block, one string per earlier row
+    fh.write("[\n" + inner)
+    for b, r0 in enumerate(range(0, p, _BLOCK)):
+        r1 = min(r0 + _BLOCK, p)
+        left = list(zip(*[t.split(",") for t in waiting[b]])) or [()] * (r1 - r0)
+        waiting[b] = None
+        left.reverse()  # popped in row order
+        for i in range(r0, r1):
+            reprs = list(map(float.__repr__, a[i, r0:].tolist()))
+            for later, c0 in enumerate(range(r1 - r0, p - r0, _BLOCK), start=b + 1):
+                waiting[later].append(",".join(reprs[c0:c0 + _BLOCK]))
+            fh.write((",\n" + inner if i else "") + "[\n" + inner + "  "
+                     + entry_sep.join(chain(left.pop(), reprs))
+                     + "\n" + inner + "]")
+    fh.write("\n" + indent + "]")
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
         _dump_json(obj, fh)
@@ -138,8 +188,14 @@ def _output_dir(args) -> Path:
     """The directory named by ``--outdir``, ``$CORRMAX_OUTDIR`` or ".".
 
     Checked before the command computes anything: a path that is, or runs
-    through, an existing non-directory is a usage error.
+    through, an existing non-directory is a usage error, and so is an
+    ``--out`` prefix that holds a path separator.
     """
+    if args.out and any(sep and sep in args.out for sep in (os.sep, os.altsep)):
+        raise DomainError(
+            f"--out must be a file name prefix without a path separator "
+            f"(got {args.out!r})"
+        )
     out = Path(args.outdir if args.outdir is not None
                else os.environ.get(OUTDIR_ENV, "."))
     for existing in (out, *out.parents):
@@ -478,11 +534,11 @@ def main(argv=None) -> int:
         outputs = args.func(args)
         if outputs is not None:
             _write_outputs(out, args, *outputs)
-    except (CorrmaxError, FileNotFoundError) as exc:
+    except CorrmaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, PathExplosionError):
             return _EXIT_CAP
-        if isinstance(exc, (GraphError, FileNotFoundError)):
+        if isinstance(exc, GraphError):
             return _EXIT_PARSE
         return _EXIT_USAGE
     return _EXIT_OK

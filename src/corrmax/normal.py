@@ -14,7 +14,6 @@ the lower tail; the quantile is ``ndtri``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -51,6 +50,8 @@ def std_normal_cdf(x):
     Accepts +-inf (returning 1/0).  Evaluated as erfc(-x/sqrt(2))/2 so the
     lower tail keeps full relative accuracy instead of cancelling to 0.
     """
+    from scipy import special  # deferred: its import costs more than a short command
+
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)):
         raise DomainError("x must not be NaN")
@@ -73,6 +74,8 @@ def std_normal_quantile(p):
     Raises:
         DomainError: if any p is outside the open interval (0, 1).
     """
+    from scipy import special  # deferred, as in std_normal_cdf
+
     arr = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("p must lie strictly inside (0, 1)")

@@ -211,7 +211,7 @@ def _json_edge_list(text: str) -> list[Edge]:
     try:
         fields = [(e["from"], e["to"], e["mu"], e["sigma"])
                   for e in json.loads(text, parse_int=float)["edges"]]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed JSON graph document: {exc}") from exc
     return [_checked_edge(f"edge {k}", *e) for k, e in enumerate(fields)]
 
@@ -300,9 +300,10 @@ def path_covariance(ps: PathSet) -> np.ndarray:
     np.put_along_axis(weights, ps._index, sigmas[ps._index], axis=1)
     weights = weights[:, :-1]  # drop the padding edge
     gram = weights @ weights.T
-    matrix = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0)
-    np.fill_diagonal(matrix, 1.0)
-    return matrix
+    # Where denom is 0 the path has only zero-sigma edges: its gram row is +0.0.
+    np.divide(gram, denom, out=gram, where=denom > 0.0)
+    np.fill_diagonal(gram, 1.0)
+    return gram
 
 
 @dataclass(frozen=True)

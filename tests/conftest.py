@@ -1,6 +1,7 @@
 """Shared oracles and helpers for the test suite."""
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,18 @@ def block8_text(prefix: str = "", src: str = "s", dst: str = "t") -> str:
         (c1, dst), (c2, dst),
     ]
     return "\n".join(f"{u} {v} 1.0 0.1" for u, v in edges) + "\n"
+
+
+def cascade_text(stages: int, seed: int) -> str:
+    """Edge-list text of a binary cascade with 2**(stages - 1) paths: each
+    stage fans every node out to the next two, and each edge's mu and sigma
+    are drawn uniformly from [0.8, 1.2] and [0.05, 0.15]."""
+    rng = random.Random(seed)
+    layers = [["s"], *([f"L{k}_0", f"L{k}_1"] for k in range(1, stages)), ["t"]]
+    return "".join(
+        f"{u} {v} {rng.uniform(0.8, 1.2)!r} {rng.uniform(0.05, 0.15)!r}\n"
+        for prev, layer in zip(layers, layers[1:]) for u in prev for v in layer
+    )
 
 
 def cascade64_text() -> str:

@@ -22,8 +22,15 @@ from corrmax import (
     validity_check,
 )
 import corrmax.cli
-from corrmax.cli import _attach_negative_values, _dump_json, _write_json, main
-from conftest import cascade64_text
+from corrmax.cli import (
+    _BLOCK,
+    _attach_negative_values,
+    _dump_json,
+    _is_symmetric,
+    _write_json,
+    main,
+)
+from conftest import cascade64_text, cascade_text
 
 
 def run(args: list[str]) -> int:
@@ -335,6 +342,10 @@ class TestGraph:
                     "--outdir", str(tmp_path)]) == 3
         assert run(["graph", "paths", str(tmp_path / "missing.txt"),
                     "--outdir", str(tmp_path)]) == 3
+        nested = tmp_path / "nested.json"
+        nested.write_text('{"edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert run(["graph", "paths", str(nested),
+                    "--outdir", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("edge, message", [
         ({"from": "b", "to": "b", "mu": 1.0, "sigma": 0.1},
@@ -527,6 +538,9 @@ class TestOutputPath:
         (["dist", "gumbel", "--n", "36028797018963968"],
          "n must be <= 2**53 (got 36028797018963968)"),
         (["dist", "gumbel", "--n", str(10**400)], f"n must be <= 2**53 (got {10**400})"),
+        (["graph", "cov", "GRAPHS/diamond.txt", "--out", "nodir/x"],
+         "--out must be a file name prefix without a path separator "
+         "(got 'nodir/x')"),
     ], ids=["dist_z_range", "dist_steps", "dist_no_rho", "dist_rho_range",
             "mc_sweep_range", "mc_no_rho", "mc_rho_range", "noniid_grid",
             "mc_sweep_fields", "graph_cov_cap", "mc_overflow",
@@ -538,7 +552,7 @@ class TestOutputPath:
             "dist_steps_cap", "graph_z_steps_cap", "mc_reps_cap", "noniid_reps_cap",
             "graph_reps_cap", "mc_sweep_reps_cap", "dist_z_max_inf",
             "dist_z_span_overflow", "dist_z_min_nan", "dist_n_rounds_p_to_1",
-            "dist_n_overflows_float"])
+            "dist_n_overflows_float", "out_with_separator"])
     def test_usage_error(self, tmp_path, capsys, graphs_dir, args, message):
         subs = {"GRAPHS": str(graphs_dir)}
         for name, text in {
@@ -654,8 +668,28 @@ _ARRAYS = arrays(
                           st.tuples(st.integers(0, 4), st.integers(0, 4))),
     elements=_FLOATS,
 )
+
+
+@st.composite
+def _symmetric(draw):
+    """A matrix A + A.T, bitwise symmetric, from empty to past two of the
+    writer's row blocks, with a few mirrored pairs set: an equal pair keeps
+    it symmetric, while a 0.0/-0.0 pair, NaN or an infinity sends it down
+    the row path."""
+    n = draw(st.integers(0, 2 * _BLOCK + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    a = a + a.T
+    pairs = _FLOATS.map(lambda x: (x, x)) | st.sampled_from([(0.0, -0.0), (-0.0, 0.0)])
+    if n:
+        index = st.integers(0, n - 1)
+        for i, j, (x, y) in draw(st.lists(st.tuples(index, index, pairs), max_size=3)):
+            a[i, j], a[j, i] = x, y
+    return a
+
+
 _DOCS = st.recursive(
-    _SCALARS | _ARRAYS | st.lists(_FLOATS, min_size=1),
+    _SCALARS | _ARRAYS | _symmetric() | st.lists(_FLOATS, min_size=1),
     lambda children: st.lists(children) | st.lists(children).map(tuple)
     | st.dictionaries(st.text(), children),
     max_leaves=30,
@@ -683,6 +717,16 @@ class TestJsonWriter:
         expected = json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == expected.encode()
 
+    def test_symmetric_branch_takes_only_bitwise_symmetric_finite_float64(self):
+        a = np.arange(9.0).reshape(3, 3)
+        a = a + a.T
+        assert _is_symmetric(a)
+        signed_zero, nan = a.copy(), a.copy()
+        signed_zero[0, 1], signed_zero[1, 0] = 0.0, -0.0
+        nan[2, 2] = np.nan
+        for other in (signed_zero, nan, a[:2], a.astype(np.float32)):
+            assert not _is_symmetric(other)
+
     @pytest.mark.parametrize("report", [
         validity_check([0.0, 1.0, 2.0], [0.2, 0.1, 1.5], [1.0, -1.0, 0.5], 0.4),
         validity_check([0.0, 1.0, 2.0], [0.1, 0.5, 0.9], [0.3, 0.4, 0.3], 0.1),
@@ -703,14 +747,32 @@ class TestJsonWriter:
         ["graph", "analyze", "GRAPHS/cascade64.txt", "--reps", "1000"],
         ["dist", "second", "--n", "100", "--rho", "0.3"],
         ["mc", "--n", "50", "--rho", "0.35", "--seed", "3", "--reps", "2000"],
+        # 256 paths: a covariance of several row blocks
+        ["graph", "analyze", "CASCADE256", "--reps", "1000"],
     ])
     def test_cli_files_equal_stdlib_format(self, tmp_path, graphs_dir, args):
         """Every JSON file the CLI writes is json's own indented, key-sorted
         rendering of what it parses to (floats round-trip through repr)."""
-        args = [a.replace("GRAPHS", str(graphs_dir)) for a in args]
+        cascade = tmp_path / "inputs" / "cascade256.txt"
+        cascade.parent.mkdir()
+        cascade.write_text(cascade_text(9, seed=21))
+        args = [a.replace("GRAPHS", str(graphs_dir)).replace("CASCADE256", str(cascade))
+                for a in args]
         assert run(args + ["--outdir", str(tmp_path)]) == 0
         written = sorted(tmp_path.glob("*.json"))
         assert len(written) == 2  # the data file and its manifest
         for path in written:
             text = path.read_text()
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("stages", [7, 9], ids=["64_paths", "256_paths"])
+    def test_report_covariance_reads_back_bit_for_bit(self, tmp_path, stages):
+        """The analyze report's covariance, written a row block at a time,
+        parses back to the in-process matrix entry for entry."""
+        graph = tmp_path / "cascade.txt"
+        graph.write_text(cascade_text(stages, seed=stages))
+        assert run(["graph", "analyze", str(graph), "--reps", "100", "--out", "r",
+                    "--outdir", str(tmp_path)]) == 0
+        written = np.array(json.loads((tmp_path / "r.json").read_text())["covariance"])
+        expected = path_covariance(enumerate_paths(load_graph(graph)))
+        assert written.view(np.int64).tolist() == expected.view(np.int64).tolist()

@@ -197,3 +197,22 @@ def test_readme_quick_start_runs():
     )
     assert result.returncode == 0, result.stderr
 
+
+
+def test_short_commands_do_not_import_scipy_special():
+    """``scipy.special`` loads on the first normal CDF or quantile, so
+    importing the CLI and listing paths never pay for it."""
+    code = (
+        "import sys\n"
+        "import corrmax.cli\n"
+        "assert 'scipy.special' not in sys.modules, 'import'\n"
+        "assert corrmax.cli.main(['graph', 'paths', sys.argv[1]]) == 0\n"
+        "assert 'scipy.special' not in sys.modules, 'graph paths'\n"
+    )
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(REPO_ROOT / "graphs" / "diamond.txt")],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

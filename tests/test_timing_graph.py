@@ -155,6 +155,8 @@ class TestParseGraph:
             parse_graph('{"edges": [{"from": "a"}]}')
         with pytest.raises(ParseError):
             parse_graph('{"nodes": []}')
+        with pytest.raises(ParseError, match="maximum recursion depth"):
+            parse_graph('{"edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
 
 
 class TestEnumeratePaths:
@@ -300,6 +302,31 @@ class TestPathCovariance:
         pc = path_covariance(ps)
         np.testing.assert_array_equal(np.diag(pc), 1.0)
         assert pc[0, 1] == 0.0
+
+    @pytest.mark.parametrize("source", [
+        "diamond.txt", "block8.txt", "shared_nodes_7.txt", "cascade64.txt",
+        "s a 1 0\na t 1 0\na b 1 0.1\nb t 1 0.1\ns c 1 0.2\nc t 1 0.1\n",
+        "s a 1 2.2227587494850775e-162\na t 1 0\na b 1 2.3e-162\n"
+        "b t 1 1e-162\ns c 1 1e-162\nc t 1 0.1\n",
+    ], ids=["diamond", "block8", "shared_nodes_7", "cascade64",
+            "zero_variance_path", "subnormal_variances"])
+    def test_bitwise_symmetric_and_equal_to_a_zeroed_quotient(self, graphs_dir, source):
+        """The in-place quotient has the bits of the gram over the std
+        products written into a zeroed array, and equals its transpose bit
+        for bit."""
+        g = (load_graph(graphs_dir / source) if source.endswith(".txt")
+             else parse_graph(source))
+        ps = enumerate_paths(g)
+        pc = path_covariance(ps)
+        weights = np.zeros((ps.n_paths, len(g.edges)))
+        for i, path in enumerate(ps.paths):
+            weights[i, list(path)] = [g.edges[k].sigma for k in path]
+        gram = weights @ weights.T
+        denom = np.outer(ps.stds, ps.stds)
+        expected = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0)
+        np.fill_diagonal(expected, 1.0)
+        assert pc.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert pc.view(np.int64).tolist() == pc.T.view(np.int64).tolist()
 
     def test_brute_force_edge_noise_oracle(self, graphs_dir):
         """Analytic entries match the covariance of simulated standardized
