@@ -8,9 +8,10 @@ One subcommand per experiment family:
 * ``noniid`` maximum statistics under non-identical component parameters
 
 Commands emit data files (CSV/JSON), never images; every run writes a
-manifest sidecar recording the command, parameters, seed, and tool
-version.  Each ``_cmd_*`` only computes: it returns its file prefix, seed
-and ``{suffix: content}``, and ``main`` writes them all through
+manifest sidecar recording the command, parameters, seed, tool version,
+and the versions of Python, numpy and the C library.  Each ``_cmd_*``
+only computes: it returns its file prefix, seed and
+``{suffix: content}``, and ``main`` writes them all through
 ``_write_outputs`` once the command has succeeded.  With a fixed seed,
 the data files are bitwise reproducible for any worker count.  Exit
 codes: 0 success, 2 argument/validation error, 3 input parse error,
@@ -66,6 +67,9 @@ _EXIT_PARSE = 3
 _EXIT_CAP = 4
 
 _MAX_SWEEP_POINTS = 10_000
+
+# Longest file name, in bytes, that common file systems accept.
+_NAME_MAX = 255
 
 # Rows of a symmetric matrix that ``_dump_symmetric`` formats as one block.
 _BLOCK = 32
@@ -208,6 +212,15 @@ def _output_dir(args) -> Path:
     return out
 
 
+def _versions() -> dict:
+    """The libraries the sample bits rest on: numpy's Philox and arithmetic,
+    and the C library's ``log`` and ``exp`` behind ``normal.py``."""
+    libc = (os.confstr("CS_GNU_LIBC_VERSION")
+            if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}) else None)
+    return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+            "libc": libc}
+
+
 def _write_outputs(out: Path, args, prefix: str, seed, files: dict) -> None:
     """Write what a command computed into ``out``: each
     ``{suffix: content}`` entry as ``<prefix><suffix>`` (a dict as JSON, a
@@ -215,8 +228,16 @@ def _write_outputs(out: Path, args, prefix: str, seed, files: dict) -> None:
     file on stdout.
 
     The only code that creates the output directory, so a run that fails
-    before it leaves none behind.
+    before it leaves none behind.  A file name longer than ``_NAME_MAX``
+    bytes is a usage error raised before the directory is made.
     """
+    for name in (f"{prefix}{suffix}" for suffix in (*files, ".manifest.json")):
+        size = len(os.fsencode(name))
+        if size > _NAME_MAX:
+            raise DomainError(
+                f"output file name {name[:24]}... is {size} bytes, over the "
+                f"limit of {_NAME_MAX}; choose a shorter --out"
+            )
     out.mkdir(parents=True, exist_ok=True)
     for suffix, content in files.items():
         if isinstance(content, dict):
@@ -233,6 +254,7 @@ def _write_outputs(out: Path, args, prefix: str, seed, files: dict) -> None:
         "parameters": params,
         "seed": seed,
         "tool_version": __version__,
+        "versions": _versions(),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     })
     print(f"wrote {out / (prefix + next(iter(files)))}")

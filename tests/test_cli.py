@@ -4,6 +4,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -52,6 +54,15 @@ class TestDist:
         manifest = json.loads((tmp_path / "g.manifest.json").read_text())
         assert manifest["command"] == "dist"
         assert manifest["tool_version"]
+
+    def test_manifest_records_versions(self, tmp_path):
+        assert run(["dist", "gumbel", "--n", "10", "--out", "g",
+                    "--outdir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "g.manifest.json").read_text())
+        libc = (os.confstr("CS_GNU_LIBC_VERSION")
+                if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}) else None)
+        assert manifest["versions"] == {
+            "python": platform.python_version(), "numpy": np.__version__, "libc": libc}
 
     def test_first_with_zero_rho_equals_gumbel(self, tmp_path):
         run(["dist", "gumbel", "--n", "100", "--out", "a",
@@ -541,6 +552,13 @@ class TestOutputPath:
         (["graph", "cov", "GRAPHS/diamond.txt", "--out", "nodir/x"],
          "--out must be a file name prefix without a path separator "
          "(got 'nodir/x')"),
+        (["graph", "cov", "GRAPHS/diamond.txt", "--out", "x" * 300],
+         f"output file name {'x' * 24}... is 304 bytes, over the limit of 255; "
+         "choose a shorter --out"),
+        # x.csv fits in 255 bytes, x.manifest.json does not
+        (["graph", "cov", "GRAPHS/diamond.txt", "--out", "x" * 250],
+         f"output file name {'x' * 24}... is 264 bytes, over the limit of 255; "
+         "choose a shorter --out"),
     ], ids=["dist_z_range", "dist_steps", "dist_no_rho", "dist_rho_range",
             "mc_sweep_range", "mc_no_rho", "mc_rho_range", "noniid_grid",
             "mc_sweep_fields", "graph_cov_cap", "mc_overflow",
@@ -552,7 +570,8 @@ class TestOutputPath:
             "dist_steps_cap", "graph_z_steps_cap", "mc_reps_cap", "noniid_reps_cap",
             "graph_reps_cap", "mc_sweep_reps_cap", "dist_z_max_inf",
             "dist_z_span_overflow", "dist_z_min_nan", "dist_n_rounds_p_to_1",
-            "dist_n_overflows_float", "out_with_separator"])
+            "dist_n_overflows_float", "out_with_separator", "out_too_long",
+            "manifest_name_too_long"])
     def test_usage_error(self, tmp_path, capsys, graphs_dir, args, message):
         subs = {"GRAPHS": str(graphs_dir)}
         for name, text in {

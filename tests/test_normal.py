@@ -1,6 +1,7 @@
 """Tests for the standard-normal special functions."""
 from __future__ import annotations
 
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -14,6 +15,7 @@ from corrmax import (
     std_normal_quantile,
 )
 from corrmax.montecarlo import _chunk_uniforms
+from corrmax.normal import _EXPM2, _MAXLOG
 from conftest import bisect_quantile
 
 
@@ -119,3 +121,73 @@ class TestStdNormalQuantile:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             std_normal_quantile(bad)
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    differ = np.flatnonzero(actual.view(np.int64) != expected.view(np.int64))
+    assert differ.size == 0, (differ.size, actual.flat[differ[:5]], expected.flat[differ[:5]])
+
+
+def with_neighbours(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+class TestBitsEqualScipy:
+    """The ports in ``normal.py`` reproduce ``scipy.special`` bit for bit."""
+
+    def test_quantile_on_sampler_uniforms(self):
+        u = _chunk_uniforms(42, 0, 1024, 1000)
+        assert_same_bits(std_normal_quantile(u), special.ndtri(u))
+
+    def test_quantile_on_every_binade_of_both_tails(self):
+        rng = np.random.default_rng(3)
+        lower = np.concatenate([np.ldexp(1.0 + rng.random(64), e) for e in range(-1074, -1)])
+        lower = np.concatenate([[2.0**-1074], lower[lower > 0.0]])
+        upper = 1.0 - lower[lower >= 2.0**-53]
+        p = np.concatenate([lower, upper[upper < 1.0]])
+        assert np.all((p > 0.0) & (p < 1.0))
+        assert_same_bits(std_normal_quantile(p), special.ndtri(p))
+
+    def test_quantile_at_branch_edges(self):
+        # y = e^-2 and 1 - e^-2 bound the central branch; near y = e^-32,
+        # x = sqrt(-2 log y) crosses 8 and the tail polynomial changes.
+        crossing = math.exp(-32.0) * (1.0 + np.linspace(-1e-13, 1e-13, 201))
+        x = np.sqrt(-2.0 * np.array([math.log(y) for y in crossing]))
+        assert np.any(x < 8.0) and np.any(x >= 8.0)
+        p = np.concatenate([with_neighbours([_EXPM2, 1.0 - _EXPM2, 0.5]), crossing])
+        assert_same_bits(std_normal_quantile(p), special.ndtri(p))
+
+    def test_cdf_on_its_whole_range(self):
+        edges = np.sqrt(2.0) * np.array([1.0, 8.0, math.sqrt(_MAXLOG)])
+        x = np.concatenate([
+            np.linspace(-40.0, 40.0, 200_001),
+            with_neighbours(np.concatenate([edges, -edges, [1.0, -1.0, 8.0, -8.0]])),
+            [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -5e-324],
+        ])
+        assert_same_bits(std_normal_cdf(x), 0.5 * special.erfc(-x / np.sqrt(2.0)))
+
+    @pytest.mark.parametrize("make", [float, np.float64, np.array],
+                             ids=["float", "float64", "0-d"])
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.99, 1e-20])
+    def test_scalar_and_0d_quantile_give_floats(self, make, p):
+        q = std_normal_quantile(make(p))
+        assert type(q) is float
+        assert_same_bits(q, special.ndtri(p))
+
+    @pytest.mark.parametrize("make", [float, np.float64, np.array],
+                             ids=["float", "float64", "0-d"])
+    @pytest.mark.parametrize("x", [-40.0, -2.0, 0.5, 3.0, np.inf])
+    def test_scalar_and_0d_cdf_give_floats(self, make, x):
+        c = std_normal_cdf(make(x))
+        assert type(c) is float
+        assert_same_bits(c, 0.5 * special.erfc(-x / np.sqrt(2.0)))
+
+    def test_shapes_are_kept(self):
+        u = np.full((3, 0, 2), 0.5)
+        assert std_normal_quantile(u).shape == (3, 0, 2)
+        p = np.array([[0.01, 0.5], [0.9, 0.999]])
+        assert_same_bits(std_normal_quantile(p), special.ndtri(p))
+        assert_same_bits(std_normal_cdf(p.T), 0.5 * special.erfc(-p.T / np.sqrt(2.0)))

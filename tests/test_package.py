@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from conftest import REPO_ROOT
 
 PACKAGE_DIR = REPO_ROOT / "src" / "corrmax"
@@ -93,17 +95,21 @@ def test_run_settings_have_one_owner():
     assert owners == {"montecarlo.py:McConfig"}
 
 
+def _imported_packages(tree) -> set[str]:
+    """Top-level names of every module that ``tree`` imports, at any depth."""
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    return {m.split(".")[0] for m in modules}
+
+
 def test_no_module_imports_csv():
     """CSV files are written by ``cli._write_csv``, not the csv module."""
     for name, tree in _package_trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            assert "csv" not in [m.split(".")[0] for m in modules], name
+        assert "csv" not in _imported_packages(tree), name
 
 
 def _open_mode(call: ast.Call):
@@ -198,21 +204,35 @@ def test_readme_quick_start_runs():
     assert result.returncode == 0, result.stderr
 
 
+def test_no_module_imports_scipy():
+    """``normal.py`` ports the two Cephes routines the package needs, so
+    scipy is a test dependency only."""
+    for name, tree in _package_trees():
+        assert "scipy" not in _imported_packages(tree), name
 
-def test_short_commands_do_not_import_scipy_special():
-    """``scipy.special`` loads on the first normal CDF or quantile, so
-    importing the CLI and listing paths never pay for it."""
+
+@pytest.mark.parametrize("args", [
+    ["dist", "second", "--n", "50", "--rho", "0.3"],
+    ["mc", "--n", "20", "--rho", "0.5", "--reps", "300", "--seed", "1"],
+    ["noniid", "--n-grid", "5,20", "--delta-mu", "0.2", "--reps", "300", "--seed", "1"],
+    ["graph", "analyze", "GRAPH", "--reps", "300", "--seed", "1"],
+    ["graph", "paths", "GRAPH"],
+], ids=["dist", "mc", "noniid", "graph_analyze", "graph_paths"])
+def test_commands_run_without_scipy(tmp_path, args):
+    """With ``import scipy`` made to fail, ``python -m corrmax`` still runs
+    every command that evaluates Phi or its inverse, and ``graph paths``."""
+    graph = str(REPO_ROOT / "graphs" / "diamond.txt")
+    argv = ["corrmax"] + [graph if a == "GRAPH" else a for a in args]
     code = (
-        "import sys\n"
-        "import corrmax.cli\n"
-        "assert 'scipy.special' not in sys.modules, 'import'\n"
-        "assert corrmax.cli.main(['graph', 'paths', sys.argv[1]]) == 0\n"
-        "assert 'scipy.special' not in sys.modules, 'graph paths'\n"
+        "import runpy, sys\n"
+        "sys.modules['scipy'] = None\n"
+        f"sys.argv = {argv + ['--outdir', str(tmp_path)]!r}\n"
+        "runpy.run_module('corrmax', run_name='__main__', alter_sys=True)\n"
     )
     paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     result = subprocess.run(
-        [sys.executable, "-c", code, str(REPO_ROOT / "graphs" / "diamond.txt")],
-        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+        capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
