@@ -457,6 +457,10 @@ def _add_common_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outdir", help=f"output directory (or ${OUTDIR_ENV})")
 
 
+_WORKERS_HELP = ("worker processes, clamped to the usable CPUs and to the "
+                 "1024-repetition chunks")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrmax",
@@ -488,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--sigma", type=float, default=1.0)
     p_mc.add_argument("--reps", type=int, default=10_000)
     p_mc.add_argument("--seed", type=int, required=True)
-    p_mc.add_argument("--workers", type=int, default=1)
+    p_mc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     _add_common_output(p_mc)
     p_mc.set_defaults(func=_cmd_mc)
 
@@ -500,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--order", choices=ORDERS, default="second")
     p_graph.add_argument("--reps", type=int, default=10_000)
     p_graph.add_argument("--seed", type=int, default=0)
-    p_graph.add_argument("--workers", type=int, default=1)
+    p_graph.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_graph.add_argument("--z-steps", type=int, default=501)
     _add_common_output(p_graph)
     p_graph.set_defaults(func=_cmd_graph)
@@ -514,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_non.add_argument("--delta-sigma", type=float, default=0.0)
     p_non.add_argument("--reps", type=int, default=10_000)
     p_non.add_argument("--seed", type=int, required=True)
-    p_non.add_argument("--workers", type=int, default=1)
+    p_non.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_non.add_argument("--freeze-deviations", action="store_true",
                        help="draw per-component deviations once per n")
     _add_common_output(p_non)

@@ -32,8 +32,10 @@ anything is allocated.
 """
 from __future__ import annotations
 
+import math
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +60,7 @@ _CHUNK_REPS = 1024
 _ROW_BLOCK = 64
 
 # Most rho points that share one block recurrence; caps its buffers at
-# 3 * _RHO_GROUP * _CHUNK_REPS floats per thread whatever the sweep length.
+# 2 * _RHO_GROUP * _CHUNK_REPS floats per worker whatever the sweep length.
 _RHO_GROUP = 64
 
 # Largest buffer of uniforms that one ``_chunk_uniforms`` call may fill, in
@@ -233,32 +235,89 @@ def _check_width(reps: int, width: int) -> None:
         )
 
 
-def _thread_count(workers: int, chunks: int) -> int:
-    """Threads worth starting: no more than requested, CPUs, or chunks."""
-    return max(1, min(workers, os.cpu_count() or 1, chunks))
-
-
-def _run_chunked(reps: int, workers: int, fill) -> None:
-    """Call ``fill(start, stop)`` for every chunk of repetitions.
-
-    ``fill`` must write the results of repetitions [start, stop) into its
-    caller's arrays using only per-repetition streams, which keeps them
-    independent of the execution order and of the thread count.  Overflow
-    stays inf or nan, without numpy's warnings, for ``empirical_stats``.
-    """
-    def quiet_fill(a, b):  # in the chunk's thread: np.errstate is per thread
-        with np.errstate(over="ignore", invalid="ignore"):
-            fill(a, b)
-
-    chunks = [(a, min(a + _CHUNK_REPS, reps)) for a in range(0, reps, _CHUNK_REPS)]
-    threads = _thread_count(workers, len(chunks))
-    if threads == 1:
-        for a, b in chunks:
-            quiet_fill(a, b)
+def _worker_count(workers: int, chunks: int) -> int:
+    """Processes worth running: no more than requested, CPUs this process
+    may use, or chunks; 1 where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for f in [pool.submit(quiet_fill, a, b) for a, b in chunks]:
-                f.result()
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, cpus, chunks))
+
+
+def _run_chunked(shape, workers: int, fill) -> np.ndarray:
+    """An array of ``shape`` whose last axis is the repetition, holding
+    ``fill(start, stop)`` in ``out[..., start:stop]`` for every chunk.
+
+    ``fill`` must compute the results of repetitions [start, stop) from
+    per-repetition streams only, which keeps them independent of the
+    execution order and of the worker count.  Overflow stays inf or nan,
+    without numpy's warnings, for ``empirical_stats``.
+
+    With w > 1 workers, worker k > 0 is a forked child that runs chunks
+    k::w into an anonymous shared mapping and leaves by ``os._exit``; the
+    parent runs chunks 0::w, then reaps every child.  Processes, not
+    threads, because the quantile's ``math.log`` loop and the stream's
+    per-row Philox reset hold the GIL.  The children call no BLAS, so the
+    BLAS threads that a fork does not copy are never missed.  A child that
+    exits non-zero, or a fork that fails, leaves its chunks to the parent,
+    which reruns them after its own, so a chunk that fails raises in the
+    parent as it would on one worker.  A child whose parent is gone stops
+    between chunks; on any exception the parent kills and reaps every
+    child before it re-raises.
+    """
+    reps = shape[-1]
+    chunks = [(a, min(a + _CHUNK_REPS, reps)) for a in range(0, reps, _CHUNK_REPS)]
+    procs = _worker_count(workers, len(chunks))
+
+    def run(own):
+        for a, b in own:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[..., a:b] = fill(a, b)
+
+    if procs == 1:
+        # A shared mapping's first touch costs more; one process needs none.
+        out = np.empty(shape)
+        run(chunks)
+        return out
+    size = math.prod(shape)  # 0 for a sweep over no rho; mmap refuses length 0
+    out = np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), count=size).reshape(shape)
+    parent, children, failed = os.getpid(), {}, []
+    try:
+        for k in range(1, procs):
+            try:
+                pid = os.fork()
+            except OSError:  # no room for another process: the parent runs its chunks
+                failed += chunks[k::procs]
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    for chunk in chunks[k::procs]:
+                        if os.getppid() != parent:  # orphaned: nobody reads out
+                            break
+                        run([chunk])
+                    else:
+                        code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = chunks[k::procs]
+        run(chunks[0::procs])
+        for pid in list(children):
+            if os.waitpid(pid, 0)[1]:
+                failed += children[pid]
+            del children[pid]
+    except BaseException:
+        if os.getpid() != parent:  # a child interrupted before its own try
+            os._exit(1)
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    run(sorted(failed))
+    return out
 
 
 def sample_max_sweep(n: int, rhos, cfg: McConfig, sigma: float = 1.0) -> list[McResult]:
@@ -290,16 +349,17 @@ def sample_max_sweep(n: int, rhos, cfg: McConfig, sigma: float = 1.0) -> list[Mc
         )
     rho = np.array(rhos, dtype=float)
     c = sigma * np.sqrt(1.0 - rho * rho)
-    maxima = np.empty((len(rho), cfg.reps), dtype=float)
 
     def fill(start, stop):
         # Row i of z holds step i of every repetition's chain.
         z = std_normal_quantile(_chunk_uniforms(cfg.seed, start, stop, n)).T
+        maxima = np.empty((len(rho), stop - start))
         shape = (min(_RHO_GROUP, len(rho)), stop - start)
-        x_buf, step_buf, max_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+        x_buf, step_buf = np.empty(shape), np.empty(shape)
         for g in range(0, len(rho), _RHO_GROUP):
             rho_g, c_g = rho[g : g + _RHO_GROUP, None], c[g : g + _RHO_GROUP, None]
-            x, step, running_max = (buf[: len(rho_g)] for buf in (x_buf, step_buf, max_buf))
+            x, step = x_buf[: len(rho_g)], step_buf[: len(rho_g)]
+            running_max = maxima[g : g + len(rho_g)]
             np.multiply(sigma, z[0], out=x)
             running_max[:] = x
             for zi in z[1:]:
@@ -307,9 +367,9 @@ def sample_max_sweep(n: int, rhos, cfg: McConfig, sigma: float = 1.0) -> list[Mc
                 np.multiply(c_g, zi, out=step)
                 x += step
                 np.maximum(running_max, x, out=running_max)
-            maxima[g : g + len(rho_g), start:stop] = running_max
+        return maxima
 
-    _run_chunked(cfg.reps, cfg.workers, fill)
+    maxima = _run_chunked((len(rho), cfg.reps), cfg.workers, fill)
     return [empirical_stats(row) for row in maxima]
 
 
@@ -336,7 +396,6 @@ def sample_dag_max(mu, sigma, src, dst, cfg: McConfig) -> McResult:
     _check_width(cfg.reps, len(mu))
     order = [(k, int(src[k]), int(dst[k])) for k in np.argsort(src, kind="stable")]
     sources, sinks = np.setdiff1d(src, dst), np.setdiff1d(dst, src)
-    samples = np.empty(cfg.reps, dtype=float)
 
     def fill(start, stop):
         u = _chunk_uniforms(cfg.seed, start, stop, len(mu))
@@ -345,10 +404,9 @@ def sample_dag_max(mu, sigma, src, dst, cfg: McConfig) -> McResult:
         arrival[sources] = 0.0
         for k, a, b in order:
             np.maximum(arrival[b], arrival[a] + d[k], out=arrival[b])
-        samples[start:stop] = arrival[sinks].max(axis=0)
+        return arrival[sinks].max(axis=0)
 
-    _run_chunked(cfg.reps, cfg.workers, fill)
-    return empirical_stats(samples)
+    return empirical_stats(_run_chunked((cfg.reps,), cfg.workers, fill))
 
 
 def empirical_stats(samples) -> McResult:
@@ -517,13 +575,11 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
             with np.errstate(over="ignore", invalid="ignore"):  # as in _run_chunked
                 k = (probe + pruned_max(*read(0, probe))[1]) / probe
             sparse = (k + 1) * _RANDOM_READ_WORDS < 2 * n
-        samples = np.empty(cfg.reps, dtype=float)
 
         def fill(start, stop):
-            samples[start:stop] = pruned_max(*read(start, stop, sparse))[0]
+            return pruned_max(*read(start, stop, sparse))[0]
 
-        _run_chunked(cfg.reps, cfg.workers, fill)
-        return empirical_stats(samples)
+        return empirical_stats(_run_chunked((cfg.reps,), cfg.workers, fill))
 
     # Streams 2k feed the repetitions of grid point k; streams 2k+1 are
     # reserved for its frozen deviations, so the spaces never collide.

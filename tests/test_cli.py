@@ -187,6 +187,19 @@ class TestMc:
             assert (tmp_path / "w1" / name).read_bytes() == \
                    (tmp_path / "w8" / name).read_bytes()
 
+    def test_overflow_reads_the_same_on_two_workers(self, tmp_path, capfd):
+        """Three chunks: with --workers 2 a forked child runs the second,
+        and the run fails as one worker does, on one line of stderr."""
+        captured = []
+        for workers in ("1", "2"):
+            assert run(["mc", "--n", "5", "--rho", "0.3", "--sigma", "1e308",
+                        "--reps", "2100", "--seed", "1", "--workers", workers,
+                        "--outdir", str(tmp_path / workers)]) == 2
+            captured.append(capfd.readouterr())
+        assert captured[0] == captured[1]
+        assert captured[0].out == "" and captured[0].err.count("\n") == 1
+        assert captured[0].err.startswith("error: samples must be finite (")
+
     def test_stats_content(self, tmp_path):
         run(["mc", "--n", "1", "--rho", "0.5", "--reps", "4000",
              "--seed", "11", "--out", "m", "--outdir", str(tmp_path)])

@@ -25,8 +25,8 @@ from corrmax.montecarlo import (
     _chunk_uniforms,
     _open_uniform,
     _philox_blocks,
-    _thread_count,
     _word_uniforms,
+    _worker_count,
 )
 from corrmax.cli import _MAX_BINS, _histogram, _stats_dict
 from conftest import (
@@ -173,14 +173,102 @@ class TestOpenUniform:
             (k + 0.5) * 2.0**-53)
 
 
-class TestThreadCount:
+class TestWorkerCount:
     def test_never_more_than_cpus_or_chunks(self):
-        cpus = os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
         # --reps 10000000 is 9766 chunks of 1024 repetitions.
-        assert _thread_count(100_000, 9766) == min(cpus, 9766)
-        assert _thread_count(100_000, 1) == 1
-        assert _thread_count(1, 9766) == 1
-        assert _thread_count(2, 3) == min(2, cpus)
+        assert _worker_count(100_000, 9766) == min(cpus, 9766)
+        assert _worker_count(100_000, 1) == 1
+        assert _worker_count(1, 9766) == 1
+        assert _worker_count(2, 3) == min(2, cpus)
+
+    def test_capped_by_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert _worker_count(8, 9766) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _worker_count(8, 9766) == 3
+
+    def test_one_where_fork_is_missing(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert _worker_count(8, 9766) == 1
+
+
+def _dag_samples(workers: int) -> np.ndarray:
+    """Three chunks of a small DAG; with 2 workers a child runs the second."""
+    cfg = McConfig(seed=5, reps=2500, workers=workers)
+    return sample_dag_max(*_complete_dag(4), cfg).samples
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    @pytest.mark.parametrize("sampler", [
+        lambda cfg: sample_max_sweep(20, [0.3, 0.7], cfg)[1].samples,
+        lambda cfg: sample_dag_max(*_complete_dag(4), cfg).samples,
+        lambda cfg: non_iid_experiment((30,), cfg, delta_mu=0.2)[0].samples,
+    ], ids=["sweep", "dag", "noniid"])
+    def test_no_child_outlives_a_run(self, monkeypatch, sampler):
+        one = sampler(McConfig(seed=5, reps=2500))
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        two = sampler(McConfig(seed=5, reps=2500, workers=2))
+        assert len(forks) == _worker_count(2, 3) - 1
+        _assert_no_child_left()
+        assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("error", [DomainError, KeyboardInterrupt])
+    @pytest.mark.parametrize("failing", [0, 1024], ids=["parent_chunk", "child_chunk"])
+    def test_failed_chunk_raises_as_on_one_worker(self, monkeypatch, error, failing):
+        chunk_uniforms = corrmax.montecarlo._chunk_uniforms
+
+        def failing_at(seed, start, stop, *args):
+            if start == failing:
+                raise error(f"chunk at {start} failed")
+            return chunk_uniforms(seed, start, stop, *args)
+
+        monkeypatch.setattr(corrmax.montecarlo, "_chunk_uniforms", failing_at)
+        for workers in (1, 2):
+            with pytest.raises(error, match=f"^chunk at {failing} failed$"):
+                _dag_samples(workers)
+            _assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", [None, "orphaned", "fork_fails"])
+    def test_parent_recomputes_only_the_chunks_of_failed_children(
+        self, monkeypatch, failure
+    ):
+        """A child that finds its parent gone runs no chunk and exits
+        non-zero, and a fork that fails starts none; either way the parent
+        runs that worker's chunks itself after its own."""
+        one = _dag_samples(1)
+        starts, chunk_uniforms = [], corrmax.montecarlo._chunk_uniforms
+
+        def recorded(seed, start, stop, *args):
+            starts.append(start)  # a child appends to its own copy
+            return chunk_uniforms(seed, start, stop, *args)
+
+        monkeypatch.setattr(corrmax.montecarlo, "_chunk_uniforms", recorded)
+        if failure == "orphaned":
+            monkeypatch.setattr(os, "getppid", lambda: -1)
+        elif failure == "fork_fails":
+            def no_room():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", no_room)
+        assert np.array_equal(_dag_samples(2), one)
+        _assert_no_child_left()
+        own = [0, 1024, 2048][:: _worker_count(2, 3)]
+        children = [a for a in (0, 1024, 2048) if a not in own]
+        assert starts == own + (children if failure else [])
 
 
 class TestSampleAr1Chain:

@@ -112,6 +112,25 @@ def test_no_module_imports_csv():
         assert "csv" not in _imported_packages(tree), name
 
 
+def _fork_calls(node) -> list[ast.Call]:
+    """Calls of ``fork`` or ``x.fork`` anywhere inside ``node``."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and "fork" in (getattr(call.func, "attr", None), getattr(call.func, "id", None))]
+
+
+def test_one_owner_of_parallelism():
+    """``montecarlo._run_chunked`` is the one function that starts workers,
+    and it forks them: no module imports a thread or process pool."""
+    for name, tree in _package_trees():
+        assert not {"concurrent", "multiprocessing", "threading"} \
+            & _imported_packages(tree), name
+        owner = [call for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) and func.name == "_run_chunked"
+                 for call in _fork_calls(func)] if name == "montecarlo.py" else []
+        assert set(_fork_calls(tree)) == set(owner), name
+        assert owner or name != "montecarlo.py"
+
+
 def _open_mode(call: ast.Call):
     """The mode argument of an ``open(...)`` call; "r" when omitted."""
     if len(call.args) > 1:
