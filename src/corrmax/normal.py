@@ -83,6 +83,11 @@ _Q2 = (
     2.89247864745380683936E-6, 6.79019408009981274425E-9,
 )
 
+# Elements that ``_ndtri_inplace`` evaluates at once.  Each temporary of
+# ``_ndtri`` then holds at most 2**14 floats (128 KiB), whatever the size of
+# the buffer it overwrites.
+_QUANTILE_BLOCK = 2**14
+
 # --- Cephes ndtr.c (erfc, erf) -----------------------------------------------
 
 _MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX): exp(-a*a) underflows past it
@@ -192,6 +197,27 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
     return x
 
 
+def _ndtri_inplace(buf: np.ndarray) -> np.ndarray:
+    """Overwrite the C-contiguous float64 array ``buf`` with its ``ndtri``,
+    ``_QUANTILE_BLOCK`` elements at a time, and return it.
+
+    Each block is checked before it is evaluated, so a value outside the
+    open interval (0, 1) raises ``DomainError`` with the blocks before it
+    already overwritten.  Every element goes through the same operations
+    as in one ``_ndtri`` call over the whole buffer, so the bits are equal.
+
+    Raises:
+        DomainError: if any value is NaN, infinite, or outside (0, 1).
+    """
+    flat = buf.reshape(-1)  # a view, since buf is C-contiguous
+    for a in range(0, flat.size, _QUANTILE_BLOCK):
+        block = flat[a : a + _QUANTILE_BLOCK]
+        if not np.all((block > 0.0) & (block < 1.0)):  # False for NaN too
+            raise DomainError("p must lie strictly inside (0, 1)")
+        block[:] = _ndtri(block)
+    return buf
+
+
 def _erfc(a: np.ndarray) -> np.ndarray:
     """Cephes ``erfc`` of a 1-D array without NaN, ``erf`` inlined for |a| < 1."""
     out = np.empty_like(a)
@@ -256,7 +282,5 @@ def std_normal_quantile(p):
     Raises:
         DomainError: if any p is outside the open interval (0, 1).
     """
-    arr = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("p must lie strictly inside (0, 1)")
-    return _match_input(_ndtri(arr.ravel()).reshape(arr.shape))
+    # A fresh C-ordered copy, so the caller's array is never written.
+    return _match_input(_ndtri_inplace(np.array(p, dtype=float, order="C")))

@@ -60,6 +60,9 @@ __all__ = [
 
 DEFAULT_PATH_CAP = 10_000
 
+# Rows of the path covariance divided at once by their denominators.
+_COV_ROWS = 64
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -294,14 +297,17 @@ def path_covariance(ps: PathSet) -> np.ndarray:
     a path with zero total variance correlates with nothing and keeps a
     unit diagonal by convention.
     """
-    denom = np.outer(ps.stds, ps.stds)
     sigmas = np.array([e.sigma for e in ps.graph.edges] + [0.0])
     weights = np.zeros((ps.n_paths, len(sigmas)))
     np.put_along_axis(weights, ps._index, sigmas[ps._index], axis=1)
     weights = weights[:, :-1]  # drop the padding edge
     gram = weights @ weights.T
+    # Divided in row blocks, so no P x P matrix of denominators is held.
     # Where denom is 0 the path has only zero-sigma edges: its gram row is +0.0.
-    np.divide(gram, denom, out=gram, where=denom > 0.0)
+    for a in range(0, ps.n_paths, _COV_ROWS):
+        rows = gram[a : a + _COV_ROWS]
+        denom = np.outer(ps.stds[a : a + _COV_ROWS], ps.stds)
+        np.divide(rows, denom, out=rows, where=denom > 0.0)
     np.fill_diagonal(gram, 1.0)
     return gram
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,6 +453,50 @@ class TestSampleDagMax:
     def test_rejects_unequal_lengths(self, mu, sigma, src, dst):
         with pytest.raises(DimensionMismatch):
             sample_dag_max(mu, sigma, src, dst, McConfig(seed=1, reps=10))
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkMemory:
+    """A chunk holds one float array of its shape: the normal quantile
+    overwrites the chunk's uniforms in place, in blocks of 2**14 elements.
+    One chunk of 1024 repetitions x 2000 columns is 16.4 MB; evaluated into
+    new chunk-sized arrays, as it once was, the peaks were 6.2 chunks (sweep)
+    and 6.3 (DAG)."""
+
+    CHUNK = 1024 * 2000 * 8
+
+    def test_sweep_peaks_at_one_chunk(self):
+        """Beside the chunk: the drawing's 64 rows of raw words (0.06 chunk)
+        or the quantile's block temporaries (about a dozen of 128 KiB, 0.1
+        chunk), never both, and the recurrence's few 1024-float rows.
+        Measured 1.06 chunks; bound 1.25."""
+        peak = traced_peak(lambda: sample_max_sweep(2000, [0.5], McConfig(seed=1, reps=1024)))
+        assert peak <= 1.25 * self.CHUNK
+
+    @pytest.mark.parametrize("parallel", [1, 10], ids=["chain", "bundles"])
+    def test_dag_peaks_at_one_chunk_and_its_arrivals(self, parallel):
+        """2000 edges, ``parallel`` of them from each node to the next: the
+        chunk and the nodes x 1024 arrival times (1.0005 chunks for the
+        chain, 0.1 for the bundles) beside the same temporaries as the
+        sweep.  Measured 2.02 chunks on the chain; bound the two plus 0.25
+        chunk.  The bundles fail it if the quantile copies the chunk."""
+        # A first call imports numpy.ma (about 1.9 MB, via np.setdiff1d),
+        # which is no part of a chunk's memory.
+        sample_dag_max([1.0], [0.1], [0], [1], McConfig(seed=1, reps=1))
+        src = np.arange(2000) // parallel
+        arrival = (src[-1] + 2) * 1024 * 8
+        peak = traced_peak(lambda: sample_dag_max(
+            np.ones(2000), np.full(2000, 0.1), src, src + 1, McConfig(seed=1, reps=1024)))
+        assert peak <= self.CHUNK + arrival + 0.25 * self.CHUNK
 
 
 class TestEmpiricalStats:

@@ -1,6 +1,7 @@
 """Tests for the standard-normal special functions."""
 from __future__ import annotations
 
+import itertools
 import math
 from decimal import Decimal, getcontext
 
@@ -15,7 +16,7 @@ from corrmax import (
     std_normal_quantile,
 )
 from corrmax.montecarlo import _chunk_uniforms
-from corrmax.normal import _EXPM2, _MAXLOG
+from corrmax.normal import _EXPM2, _MAXLOG, _QUANTILE_BLOCK, _ndtri, _ndtri_inplace
 from conftest import bisect_quantile
 
 
@@ -191,3 +192,61 @@ class TestBitsEqualScipy:
         p = np.array([[0.01, 0.5], [0.9, 0.999]])
         assert_same_bits(std_normal_quantile(p), special.ndtri(p))
         assert_same_bits(std_normal_cdf(p.T), 0.5 * special.erfc(-p.T / np.sqrt(2.0)))
+
+
+B = _QUANTILE_BLOCK
+
+
+def uniforms_with_tails(size: int) -> np.ndarray:
+    """Sampler uniforms with far-tail values at both sides of every block
+    edge, so the tails that ``_ndtri`` gathers straddle the edges."""
+    u = _chunk_uniforms(7, 0, 1, size)[0] if size else np.empty(0)
+    edges = [i for k in range(1, size // B + 1) for i in (k * B - 1, k * B)]
+    for i, value in zip([0, size - 1, *edges], itertools.cycle(
+            [1e-300, 1.0 - 2.0**-53, _EXPM2, np.nextafter(1.0 - _EXPM2, 1.0),
+             math.exp(-32.0)])):
+        if 0 <= i < size:
+            u[i] = value
+    return u
+
+
+class TestBlockedQuantile:
+    """``_ndtri_inplace`` overwrites a buffer block by block with the bits
+    of one unblocked evaluation, and ``std_normal_quantile`` runs it on a
+    copy."""
+
+    @pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_bits_equal_unblocked_ndtri(self, size):
+        p = uniforms_with_tails(size)
+        assert size < 2 or (np.any(p < _EXPM2) and np.any(p > 1.0 - _EXPM2))
+        expected = special.ndtri(p)
+        assert_same_bits(_ndtri(p), expected)
+        assert_same_bits(std_normal_quantile(p), expected)
+        buf = p.copy()
+        assert _ndtri_inplace(buf) is buf
+        assert_same_bits(buf, expected)
+
+    def test_in_place_equals_on_a_copy_for_any_shape(self):
+        p = uniforms_with_tails(3 * B + 7)[:-1].reshape(2, -1, 3)
+        buf = p.copy()
+        _ndtri_inplace(buf)
+        assert_same_bits(buf, std_normal_quantile(p))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 1.0, -0.2, 1.7])
+    @pytest.mark.parametrize("at", [0, B, 3 * B + 6])
+    def test_bad_value_in_any_block_raises(self, bad, at):
+        p = uniforms_with_tails(3 * B + 7)
+        p[at] = bad
+        with pytest.raises(DomainError, match="strictly inside"):
+            _ndtri_inplace(p.copy())
+        with pytest.raises(DomainError, match="strictly inside"):
+            std_normal_quantile(p)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_leaves_the_callers_array_untouched(self, layout):
+        base = uniforms_with_tails(2 * (B + 3) * 3).reshape(2 * (B + 3), 3)
+        p = {"C": base, "F": np.asfortranarray(base), "strided": base[::2, ::-1]}[layout]
+        before = p.copy()
+        q = std_normal_quantile(p)
+        assert_same_bits(p, before)
+        assert_same_bits(q, special.ndtri(before))

@@ -26,7 +26,7 @@ from corrmax import (
     std_normal_quantile,
 )
 from corrmax.montecarlo import _chunk_uniforms
-from conftest import cascade64_text, path_moments_reference
+from conftest import cascade64_text, cascade_text, path_moments_reference
 
 # Unit-diagonal covariance of the four paths of the shared-edge example
 # graph, in the order (1-2-4-6-7, 1-2-4-3-5-6-7, 1-2-4-5-6-7, 1-3-5-6-7).
@@ -308,12 +308,17 @@ class TestPathCovariance:
         "s a 1 0\na t 1 0\na b 1 0.1\nb t 1 0.1\ns c 1 0.2\nc t 1 0.1\n",
         "s a 1 2.2227587494850775e-162\na t 1 0\na b 1 2.3e-162\n"
         "b t 1 1e-162\ns c 1 1e-162\nc t 1 0.1\n",
+        cascade_text(9, 4),
+        cascade_text(8, 5) + "s t 1 0\ns u 1 0.1\nu L7_0 1 0.2\n",
     ], ids=["diamond", "block8", "shared_nodes_7", "cascade64",
-            "zero_variance_path", "subnormal_variances"])
+            "zero_variance_path", "subnormal_variances", "cascade_256_paths",
+            "cascade_130_paths"])
     def test_bitwise_symmetric_and_equal_to_a_zeroed_quotient(self, graphs_dir, source):
-        """The in-place quotient has the bits of the gram over the std
-        products written into a zeroed array, and equals its transpose bit
-        for bit."""
+        """The quotient, divided in place 64 rows at a time, has the bits of
+        the gram over the full outer product of the stds written into a
+        zeroed array, and equals its transpose bit for bit.  The cascades
+        span several row blocks.  The second's partial last block holds a
+        zero-variance path and one that shares an edge with 64 others."""
         g = (load_graph(graphs_dir / source) if source.endswith(".txt")
              else parse_graph(source))
         ps = enumerate_paths(g)
