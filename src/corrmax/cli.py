@@ -260,14 +260,32 @@ def _write_outputs(out: Path, args, prefix: str, seed, files: dict) -> None:
     print(f"wrote {out / (prefix + next(iter(files)))}")
 
 
+def _iqr(samples: np.ndarray) -> np.float64:
+    """``np.subtract(*np.percentile(samples, [75, 25]))`` of finite 1-D
+    samples, with its bits: numpy's linear interpolation between the order
+    statistics, without the ``np.unique`` call through which
+    ``np.percentile`` imports ``numpy.ma``."""
+    v = (samples.size - 1) * np.array([0.75, 0.25])
+    lo = np.floor(v)
+    t = v - lo
+    lo = lo.astype(np.intp)
+    hi = np.minimum(lo + 1, samples.size - 1)
+    s = np.partition(samples, np.concatenate([lo, hi]))
+    a, b = s[lo], s[hi]
+    d = b - a
+    q = np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+    return q[0] - q[1]
+
+
 def _histogram(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width (bin_edges, counts) over [min, max]: as many bins as the
     Freedman-Diaconis rule asks for, or as Sturges' rule asks for when
-    Freedman-Diaconis asks for more than ``_MAX_BINS``."""
-    iqr = np.subtract(*np.percentile(samples, [75, 25]))
-    fd_width = 2.0 * iqr * samples.size ** (-1.0 / 3.0)
-    bins = "sturges" if fd_width and np.ptp(samples) / fd_width > _MAX_BINS else "fd"
-    counts, edges = np.histogram(samples, bins=bins)
+    Freedman-Diaconis asks for more than ``_MAX_BINS``.  The count is the
+    one ``np.histogram(samples, bins="fd")`` computes, from ``_iqr``."""
+    fd_width = 2.0 * _iqr(samples) * samples.size ** (-1.0 / 3.0)
+    fd_bins = np.ceil(np.ptp(samples) / fd_width) if fd_width else 1
+    counts, edges = np.histogram(
+        samples, bins="sturges" if fd_bins > _MAX_BINS else int(fd_bins))
     return edges, counts
 
 

@@ -267,8 +267,8 @@ def _run_chunked(shape, workers: int, fill) -> np.ndarray:
     With w > 1 workers, worker k > 0 is a forked child that runs chunks
     k::w into an anonymous shared mapping and leaves by ``os._exit``; the
     parent runs chunks 0::w, then reaps every child.  Processes, not
-    threads, because the quantile's ``math.log`` loop and the stream's
-    per-row Philox reset hold the GIL.  The children call no BLAS, so the
+    threads, because the stream's per-row Philox reset holds the GIL (the
+    quantile's numpy loops release it).  The children call no BLAS, so the
     BLAS threads that a fork does not copy are never missed.  A child that
     exits non-zero, or a fork that fails, leaves its chunks to the parent,
     which reruns them after its own, so a chunk that fails raises in the
@@ -381,6 +381,17 @@ def sample_max_sweep(n: int, rhos, cfg: McConfig, sigma: float = 1.0) -> list[Mc
     return [empirical_stats(row) for row in maxima]
 
 
+def _ends(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted sources (nodes with no incoming edge) and sinks (nodes
+    with no outgoing edge) of the edges ``src[k] -> dst[k]`` over nodes
+    numbered from 0.  Boolean masks over the node numbers, so unlike
+    ``np.setdiff1d`` nothing imports ``numpy.ma``."""
+    has_in, has_out = np.zeros((2, int(dst.max()) + 1), dtype=bool)
+    has_in[dst] = True
+    has_out[src] = True
+    return np.flatnonzero(has_out & ~has_in), np.flatnonzero(has_in & ~has_out)
+
+
 def sample_dag_max(mu, sigma, src, dst, cfg: McConfig) -> McResult:
     """Longest source-to-sink path delays of a DAG with independent normal
     edge delays.
@@ -403,7 +414,7 @@ def sample_dag_max(mu, sigma, src, dst, cfg: McConfig) -> McResult:
         raise DomainError("nodes must be numbered from 0 so that src < dst on every edge")
     _check_width(cfg.reps, len(mu))
     order = [(k, int(src[k]), int(dst[k])) for k in np.argsort(src, kind="stable")]
-    sources, sinks = np.setdiff1d(src, dst), np.setdiff1d(dst, src)
+    sources, sinks = _ends(src, dst)
 
     def fill(start, stop):
         q = _ndtri_inplace(_chunk_uniforms(cfg.seed, start, stop, len(mu)))

@@ -14,10 +14,27 @@ the lower tail; the quantile is ``ndtri``.
 The ports follow Moshier's Cephes library (*Methods and Programs for
 Mathematical Functions*, 1989), which ``scipy.special`` also runs: the
 same coefficient tables, branch points and operation order, with every
-logarithm and exponential taken from the C library through ``math.log``
-and ``math.exp``.  numpy's own ``log`` and ``exp`` may use SIMD loops that
-round differently.  So the results equal ``scipy.special.ndtri`` and
-``scipy.special.erfc`` bit for bit, without importing scipy.
+logarithm and exponential taken from the C library's ``log`` and ``exp``.
+So the results equal ``scipy.special.ndtri`` and ``scipy.special.erfc``
+bit for bit, without importing scipy.
+
+numpy's float ``log`` and ``exp`` may use SIMD loops that round
+differently, but its complex128 loops call the C library's ``clog`` and
+``cexp``, which reach the same ``log`` and ``exp`` on the arguments used
+here.  ``_log`` and ``_exp`` keep the real part of those loops over a whole
+array.  With a zero imaginary part, glibc's ``clog(x)`` is
+``log(hypot(x, 0)) = log(x)`` for DBL_MIN <= x < 0.5 and for x >= 2 (on
+[0.5, 2) it may take a ``log1p`` branch instead), and ``cexp(x)`` is
+``exp(x) * 1`` for x <= 709.  The arguments stay inside those branches:
+
+- ``ndtri``'s first logarithm gets y in (0, e^-2];
+- its second gets sqrt(-2 log y) in [2, 38.6], exactly 2.0 at y = e^-2;
+- ``erfc``'s exponential gets -a^2 in [-MAXLOG, -1].
+
+The one exception is a subnormal y, which ``clog`` rescales before its
+logarithm.  ``_log`` sends those elements, and only those, through
+``math.log``.  The samplers never produce one: their uniforms are at least
+2^-54, so only a caller's p below DBL_MIN reaches that path.
 """
 from __future__ import annotations
 
@@ -35,6 +52,7 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+_DBL_MIN = np.finfo(float).tiny  # the smallest normal double
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 # --- Cephes ndtri.c ----------------------------------------------------------
@@ -158,10 +176,19 @@ def _ratio(x: np.ndarray, w: np.ndarray, num, den) -> np.ndarray:
     return out
 
 
-def _libm(f, x: np.ndarray) -> np.ndarray:
-    """``f`` (``math.log`` or ``math.exp``, the C library's) over a
-    contiguous 1-D array."""
-    return np.fromiter(map(f, memoryview(x)), dtype=float, count=x.size)
+def _log(x: np.ndarray) -> np.ndarray:
+    """The C library's ``log`` of a 1-D array of positive doubles that lie
+    below 0.5 or at least 2 (see the module docstring)."""
+    out = np.log(x, dtype=complex).real
+    sub = np.flatnonzero(x < _DBL_MIN)  # clog rescales these first
+    if sub.size:
+        out[sub] = [math.log(v) for v in x[sub].tolist()]
+    return out
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """The C library's ``exp`` of a 1-D array of doubles up to 709."""
+    return np.exp(x, dtype=complex).real
 
 
 def _ndtri(y0: np.ndarray) -> np.ndarray:
@@ -183,8 +210,8 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
         upper = upper[tail]
         yt = y0[tail]
         yt = np.where(upper, 1.0 - yt, yt)
-        xt = np.sqrt(-2.0 * _libm(math.log, yt))
-        x0 = xt - _libm(math.log, xt) / xt
+        xt = np.sqrt(-2.0 * _log(yt))
+        x0 = xt - _log(xt) / xt
         z = 1.0 / xt
         # Q1 has a root at z = 0.1138 (x = 8.79), where P2/Q2 applies instead.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -231,7 +258,7 @@ def _erfc(a: np.ndarray) -> np.ndarray:
     mid = ~(small | under)
     b = a[mid]
     x = np.abs(b)
-    e = _libm(math.exp, -b * b)
+    e = _exp(-b * b)
     y = np.where(x < 8.0, _ratio(x, e, _P, _Q), _ratio(x, e, _R, _S))
     out[mid] = np.where(b < 0.0, 2.0 - y, y)
     return out

@@ -24,13 +24,16 @@ from corrmax.montecarlo import (
     _MAX_CHUNK_FLOATS,
     _check_width,
     _chunk_uniforms,
+    _ends,
     _open_uniform,
     _philox_blocks,
     _word_uniforms,
     _worker_count,
 )
-from corrmax.cli import _MAX_BINS, _histogram, _stats_dict
+from corrmax.cli import _MAX_BINS, _histogram, _iqr, _stats_dict
+from corrmax.timing_graph import load_graph
 from conftest import (
+    GRAPHS_DIR,
     dkw_band_halfwidth,
     ecdf_values,
     exact_iid_max_moments,
@@ -445,6 +448,19 @@ class TestSampleDagMax:
         expected = np.max([d[:, a] + d[:, b] for a, b in paths], axis=0)
         np.testing.assert_array_equal(res.samples, expected)
 
+    @pytest.mark.parametrize("graph", sorted(p.name for p in GRAPHS_DIR.glob("*.txt")))
+    def test_ends_equal_setdiff1d_on_every_shipped_graph(self, graph):
+        g = load_graph(GRAPHS_DIR / graph)
+        sources, sinks = _ends(g.src, g.dst)
+        np.testing.assert_array_equal(sources, np.setdiff1d(g.src, g.dst), strict=True)
+        np.testing.assert_array_equal(sinks, np.setdiff1d(g.dst, g.src), strict=True)
+
+    def test_ends_with_several_sources_sinks_and_unused_numbers(self):
+        src, dst = np.array([0, 1, 2, 2, 5]), np.array([2, 2, 3, 4, 7])
+        sources, sinks = _ends(src, dst)
+        np.testing.assert_array_equal(sources, np.setdiff1d(src, dst), strict=True)
+        np.testing.assert_array_equal(sinks, np.setdiff1d(dst, src), strict=True)
+
     @pytest.mark.parametrize("mu, sigma, src, dst", [
         ([1.0, 2.0], [0.1], [0], [1]),
         ([1.0], [0.1], [0, 1], [1, 2]),
@@ -489,8 +505,8 @@ class TestChunkMemory:
         chain, 0.1 for the bundles) beside the same temporaries as the
         sweep.  Measured 2.02 chunks on the chain; bound the two plus 0.25
         chunk.  The bundles fail it if the quantile copies the chunk."""
-        # A first call imports numpy.ma (about 1.9 MB, via np.setdiff1d),
-        # which is no part of a chunk's memory.
+        # A first call loads lazily imported numpy code (about 1 MB), which
+        # is no part of a chunk's memory.
         sample_dag_max([1.0], [0.1], [0], [1], McConfig(seed=1, reps=1))
         src = np.arange(2000) // parallel
         arrival = (src[-1] + 2) * 1024 * 8
@@ -532,6 +548,23 @@ class TestEmpiricalStats:
         hist = _histogram(empirical_stats(samples).samples)
         np.testing.assert_array_equal(hist[0], edges)
         np.testing.assert_array_equal(hist[1], counts)
+
+    def test_iqr_has_the_bits_of_np_percentile(self):
+        rng = np.random.default_rng(26)
+        for size in [*range(1, 40), 1023, 1024, 1025, 99_999]:
+            for samples in (rng.gumbel(size=size), rng.integers(-2, 3, size) * 0.5,
+                            np.full(size, -0.0), 1e300 * rng.standard_normal(size)):
+                expected = np.subtract(*np.percentile(samples, [75, 25]))
+                assert _iqr(samples).view(np.int64) == expected.view(np.int64), size
+
+    @pytest.mark.parametrize("size", [2, 3, 17, 1000, 10_001])
+    def test_bins_are_numpys_freedman_diaconis_bit_for_bit(self, size):
+        samples = np.random.default_rng(size).gumbel(size=size)
+        samples[: size // 3] = np.round(samples[: size // 3], 1)  # ties
+        counts, edges = np.histogram(samples, bins="fd")
+        hist = _histogram(empirical_stats(samples).samples)
+        np.testing.assert_array_equal(hist[0].view(np.int64), edges.view(np.int64))
+        np.testing.assert_array_equal(hist[1], counts, strict=True)
 
     def test_near_constant_sample_with_outlier_falls_back_to_sturges(self):
         rng = np.random.default_rng(0)

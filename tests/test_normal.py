@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -16,7 +17,10 @@ from corrmax import (
     std_normal_quantile,
 )
 from corrmax.montecarlo import _chunk_uniforms
-from corrmax.normal import _EXPM2, _MAXLOG, _QUANTILE_BLOCK, _ndtri, _ndtri_inplace
+import corrmax.normal
+from corrmax.normal import (
+    _EXPM2, _MAXLOG, _QUANTILE_BLOCK, _exp, _log, _ndtri, _ndtri_inplace,
+)
 from conftest import bisect_quantile
 
 
@@ -250,3 +254,80 @@ class TestBlockedQuantile:
         q = std_normal_quantile(p)
         assert_same_bits(p, before)
         assert_same_bits(q, special.ndtri(before))
+
+
+DBL_MIN = np.finfo(float).tiny
+
+
+def libm(f, x) -> np.ndarray:
+    """``f`` (``math.log`` or ``math.exp``) element by element."""
+    return np.array([f(v) for v in np.asarray(x, dtype=float).tolist()])
+
+
+class TestLibmThroughComplexLoops:
+    """``_log`` and ``_exp`` equal ``math.log`` and ``math.exp`` bit for bit
+    on every argument that ``_ndtri`` and ``_erfc`` give them."""
+
+    def test_log_on_the_lower_tail_domain(self):
+        # y in [2^-54, e^-2]: uniform in log y, and uniform in y.
+        rng = np.random.default_rng(261)
+        y = np.concatenate([np.exp(rng.uniform(-54 * math.log(2.0), -2.0, 500_000)),
+                            rng.uniform(2.0**-54, _EXPM2, 500_000)])
+        assert_same_bits(_log(y), libm(math.log, y))
+
+    def test_log_on_the_second_domain(self):
+        # x = sqrt(-2 log y) in [2, 38.6].
+        x = np.random.default_rng(262).uniform(2.0, 38.6, 1_000_000)
+        assert_same_bits(_log(x), libm(math.log, x))
+
+    def test_exp_on_its_domain(self):
+        # -a^2 in [-MAXLOG, -1] for 1 <= |a| and a^2 <= MAXLOG.
+        x = np.random.default_rng(263).uniform(-709.79, -1.0, 1_000_000)
+        assert_same_bits(_exp(x), libm(math.exp, x))
+
+    def test_edges(self):
+        sub = np.array([5e-324, 1e-310, np.nextafter(DBL_MIN, 0.0)])
+        y = np.concatenate([sub, with_neighbours([DBL_MIN, _EXPM2, 2.0**-54]),
+                            [np.nextafter(0.5, 0.0)]])
+        assert np.sqrt(-2.0 * math.log(_EXPM2)) == 2.0
+        x = np.array([2.0, np.nextafter(2.0, 3.0), 38.6, math.sqrt(-2.0 * math.log(5e-324))])
+        assert_same_bits(_log(y), libm(math.log, y))
+        assert_same_bits(_log(x), libm(math.log, x))
+        e = np.array([-_MAXLOG, np.nextafter(-_MAXLOG, 0.0), -1.0, np.nextafter(-1.0, -2.0)])
+        assert_same_bits(_exp(e), libm(math.exp, e))
+
+    def test_only_subnormals_take_the_per_element_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(corrmax.normal, "math", types.SimpleNamespace(
+            log=lambda v: calls.append(v) or math.log(v)))
+        y = np.array([5e-324, DBL_MIN, 1e-310, 0.1, 2.0**-54, 2.0])
+        assert_same_bits(_log(y), libm(math.log, y))
+        assert calls == [5e-324, 1e-310]
+        # The C library's clog rescales a subnormal, so it needs the path.
+        assert np.log(5e-324, dtype=complex).real != math.log(5e-324)
+
+    @pytest.mark.parametrize("ours, f, hex_inputs", [
+        (_log, math.log, ["0x1.0ca2247eef206p-3", "0x1.b83c3ddc40fc4p-4",
+                          "0x1.0bbe89ea08c11p-4"]),
+        (_log, math.log, ["0x1.0d14038914933p+1", "0x1.0be0d1836d8e4p+5",
+                          "0x1.2091f63de2d9dp+5"]),
+        (_exp, math.exp, ["-0x1.b22b21a93e630p+8", "-0x1.a3ea86f7c6c77p+8",
+                          "-0x1.20e8925b86dc5p+8"]),
+    ], ids=["log_lower_tail", "log_second", "exp"])
+    def test_inputs_on_which_real_numpy_rounds_differently(self, ours, f, hex_inputs):
+        """numpy 2.4's float64 ``log`` and ``exp`` (SIMD loops, on an
+        AVX-512 host) each differ from the C library on these inputs, so a
+        swap of ``_log`` or ``_exp`` to them fails here on such a host."""
+        x = np.array([float.fromhex(h) for h in hex_inputs])
+        assert_same_bits(ours(x), libm(f, x))
+
+    def test_sampler_domain_never_reaches_the_per_element_path(self, monkeypatch):
+        def refuse(v):
+            raise AssertionError(f"per-element call on {v!r}")
+        monkeypatch.setattr(corrmax.normal, "math",
+                            types.SimpleNamespace(log=refuse, exp=refuse))
+        u = _chunk_uniforms(5, 0, 1024, 200)
+        u[0, :3] = [2.0**-54, 1.0 - 2.0**-53, _EXPM2]  # the extreme uniforms
+        assert_same_bits(_ndtri_inplace(u.copy()), special.ndtri(u))
+        x = np.linspace(-37.0, 37.0, 200_001)
+        assert_same_bits(std_normal_cdf(x), 0.5 * special.erfc(-x / np.sqrt(2.0)))

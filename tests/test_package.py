@@ -255,3 +255,30 @@ def test_commands_run_without_scipy(tmp_path, args):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["graph", "analyze", "GRAPH", "--reps", "300", "--seed", "1"],
+    ["mc", "--n", "20", "--rho", "0.5", "--reps", "300", "--seed", "1"],
+], ids=["graph_analyze", "mc"])
+def test_commands_do_not_import_numpy_ma(tmp_path, args):
+    """A fresh interpreter that runs ``graph analyze`` or ``mc`` never
+    loads ``numpy.ma`` (about 10 ms and 1.9 MB), which ``np.setdiff1d`` and
+    ``np.percentile`` import through ``np.unique``."""
+    graph = str(REPO_ROOT / "graphs" / "block8.txt")
+    argv = ["corrmax"] + [graph if a == "GRAPH" else a for a in args]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = {argv + ['--outdir', str(tmp_path)]!r}\n"
+        "try:\n"
+        "    runpy.run_module('corrmax', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print('numpy.ma' in sys.modules)\n"
+    )
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.stdout.splitlines()[-1] == "False", result.stderr
