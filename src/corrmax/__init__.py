@@ -50,7 +50,6 @@ from .montecarlo import (
     McResult,
     empirical_stats,
     non_iid_experiment,
-    rep_rng,
     sample_dag_max,
     sample_max_sweep,
 )

@@ -89,50 +89,14 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _dump_json(obj, fh, indent: str = "") -> None:
-    """Write to ``fh`` the bytes json writes with ``indent=2, sort_keys=True``.
-
-    Keys must be ``str``.  A dataclass instance is written as the dict of
-    its fields, and NumPy arrays as nested lists, one row at a time.  A row
-    of finite Python floats is formatted in a single join of
-    ``float.__repr__``, json's own format for finite floats; everything
-    else goes through ``json.dumps`` or the recursion.  A square, finite
-    float64 array equal to its transpose bit for bit (a path covariance) is
-    written by ``_dump_symmetric``, which formats each off-diagonal pair
-    once and needs less extra memory than the array itself.
-    """
+def _plain(obj):
+    """json's ``default`` hook: an array as nested lists, a dataclass
+    instance as the dict of its fields."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = _fields(obj)
-    if isinstance(obj, np.ndarray) and obj.ndim == 1:
-        obj = obj.tolist()
-    if not isinstance(obj, (dict, list, tuple, np.ndarray)):
-        fh.write(json.dumps(obj))
-        return
-    if len(obj) == 0:
-        fh.write("{}" if isinstance(obj, dict) else "[]")
-        return
-    if isinstance(obj, np.ndarray) and _is_symmetric(obj):
-        _dump_symmetric(obj, fh, indent)
-        return
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        if not all(isinstance(k, str) for k in obj):
-            raise TypeError("JSON object keys must be str")
-        brackets, items = "{}", [(json.dumps(k) + ": ", obj[k]) for k in sorted(obj)]
-    # A finite sum proves every item finite; an overflowing one only sends
-    # the row down the slower, equally exact path.
-    elif set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
-        rows = sep.join(map(float.__repr__, obj))
-        fh.write("[\n" + inner + rows + "\n" + indent + "]")
-        return
-    else:
-        brackets, items = "[]", [("", item) for item in obj]
-    fh.write(brackets[0] + "\n" + inner)
-    for i, (key, item) in enumerate(items):
-        fh.write((sep if i else "") + key)
-        _dump_json(item, fh, inner)
-    fh.write("\n" + indent + brackets[1])
+        return _fields(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _is_symmetric(a: np.ndarray) -> bool:
@@ -144,7 +108,8 @@ def _is_symmetric(a: np.ndarray) -> bool:
 
 
 def _dump_symmetric(a: np.ndarray, fh, indent: str) -> None:
-    """``_dump_json`` of a nonempty matrix for which ``_is_symmetric`` holds,
+    """Write to ``fh`` the bytes json writes with ``indent=2`` for a
+    nonempty matrix for which ``_is_symmetric`` holds, nested at ``indent``,
     calling ``float.__repr__`` once per entry on or above the diagonal
     blocks.
 
@@ -175,10 +140,31 @@ def _dump_symmetric(a: np.ndarray, fh, indent: str) -> None:
     fh.write("\n" + indent + "]")
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_json(path: Path, doc: dict) -> None:
+    """Write ``doc`` as ``json.dump(doc, indent=2, sort_keys=True)`` does,
+    with arrays and dataclass instances read through ``_plain``.
+
+    Keys must be ``str``.  A nonempty top-level value for which
+    ``_is_symmetric`` holds (a path covariance) is written by
+    ``_dump_symmetric``, which formats each off-diagonal pair once and needs
+    less extra memory than the array itself; json writes every other value.
+    json escapes each newline within a string, so every newline it writes
+    starts a line and takes the top level's indent.
+    """
+    if not all(isinstance(k, str) for k in doc):
+        raise TypeError("JSON object keys must be str")
     with open(path, "w") as fh:
-        _dump_json(obj, fh)
-        fh.write("\n")
+        sep = "{\n  "
+        for key in sorted(doc):
+            fh.write(sep + json.dumps(key) + ": ")
+            sep = ",\n  "
+            value = doc[key]
+            if isinstance(value, np.ndarray) and value.size and _is_symmetric(value):
+                _dump_symmetric(value, fh, "  ")
+            else:
+                fh.write(json.dumps(value, indent=2, sort_keys=True, default=_plain)
+                         .replace("\n", "\n  "))
+        fh.write("\n}\n" if doc else "{}\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -491,10 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("kind", choices=("gumbel",) + ORDERS)
     p_dist.add_argument("--n", type=int, required=True,
                         help="number of correlated variables")
-    p_dist.add_argument("--rho", type=float,
-                        help="AR(1) correlation coefficient in [0, 1)")
-    p_dist.add_argument("--eps-file",
-                        help="explicit epsilon/covariance matrix file")
+    correlation = p_dist.add_mutually_exclusive_group()
+    correlation.add_argument("--rho", type=float,
+                             help="AR(1) correlation coefficient in [0, 1)")
+    correlation.add_argument("--eps-file",
+                             help="explicit epsilon/covariance matrix file")
     p_dist.add_argument("--z-min", type=float, default=-1.0)
     p_dist.add_argument("--z-max", type=float, default=6.0)
     p_dist.add_argument("--steps", type=int, default=701)
@@ -505,8 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="Monte Carlo maxima of AR(1) chains")
     p_mc.add_argument("--n", type=int, required=True)
-    p_mc.add_argument("--rho", type=float)
-    p_mc.add_argument("--rho-sweep", help="LO:HI:STEP sweep over rho")
+    rho = p_mc.add_mutually_exclusive_group()
+    rho.add_argument("--rho", type=float)
+    rho.add_argument("--rho-sweep", help="LO:HI:STEP sweep over rho")
     p_mc.add_argument("--sigma", type=float, default=1.0)
     p_mc.add_argument("--reps", type=int, default=10_000)
     p_mc.add_argument("--seed", type=int, required=True)

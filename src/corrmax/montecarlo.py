@@ -3,21 +3,22 @@
 Reproducibility contract: repetition r draws from a Philox counter-based
 stream that is a pure function of (seed, r), so results are bitwise
 identical for any worker count or chunking.  ``rep_rng`` and
-``_open_uniform`` are the reference definition of that stream: word w of
-repetition r is lane w % 4 of the Philox4x64-10 block at counter
-(w // 4 + 1, 0, r, stream).  The samplers read it through
-``_chunk_uniforms``, which builds one Philox per chunk of repetitions and
-sets its counter to each repetition's start in turn, or to the block that
-holds a word offset, collecting the raw words of 64 repetitions before it
-converts them to uniforms in one vectorized step.  ``_word_uniforms``
-reads single words by random access, through a vectorized numpy Philox
-that computes the C generator's blocks.  Both readers and
-``_open_uniform`` share one conversion of a word's top 53 bits to an open
-uniform, so their outputs are bitwise equal to the per-repetition
-definition.  Normal variates are ``ndtri`` of open-interval uniforms,
-the same inverse CDF the analytic layer uses for its scaling constants.
-The sweep and the DAG sampler overwrite each chunk's uniforms with their
-normals in place, 2**14 elements at a time, so a chunk holds one float
+``open_uniform`` in ``tests/conftest.py`` are the reference definition of
+that stream: word w of repetition r is lane w % 4 of the Philox4x64-10
+block at counter (w // 4 + 1, 0, r, stream), and its uniform is
+(k + 0.5) * 2**-53 of the word's top 53 bits k, clamped below 1.  The
+samplers read it through ``_chunk_uniforms``, which builds one Philox per
+chunk of repetitions and sets its counter to each repetition's start in
+turn, or to the block that holds a word offset, collecting the raw words
+of 64 repetitions before it converts them to uniforms in one vectorized
+step.  ``_word_uniforms`` reads single words by random access, through a
+vectorized numpy Philox that computes the C generator's blocks.  Both
+readers share one conversion of a word's top 53 bits to an open uniform,
+and their outputs are bitwise equal to the per-repetition definition.
+Normal variates are ``ndtri`` of open-interval uniforms, the same inverse
+CDF the analytic layer uses for its scaling constants.  The sweep and the
+DAG sampler overwrite each chunk's uniforms with their normals in place,
+2**14 elements at a time, so a chunk holds one float
 array of its shape plus temporaries of O(2**14) floats.  A rho-sweep uses
 common random numbers: each chunk's normals are drawn once, and a single AR(1)
 recurrence advances up to 64 rho points at a time on them as one
@@ -48,7 +49,6 @@ from .normal import _ndtri_inplace, std_normal_cdf, std_normal_quantile
 __all__ = [
     "McConfig",
     "McResult",
-    "rep_rng",
     "sample_max_sweep",
     "sample_dag_max",
     "empirical_stats",
@@ -125,12 +125,6 @@ class McResult:
         return float(self.std / np.sqrt(len(self.samples)))
 
 
-def rep_rng(seed: int, rep: int, stream: int = 0) -> np.random.Generator:
-    """Generator for one repetition: a pure function of (seed, rep, stream)."""
-    counter = (int(stream) << 192) | (int(rep) << 128)
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
-
-
 def _open_from_top_bits(k: np.ndarray) -> np.ndarray:
     """Open uniforms (k + 0.5) * 2**-53 of the 53-bit integers ``k``, held
     as floats and converted in place.
@@ -145,23 +139,17 @@ def _open_from_top_bits(k: np.ndarray) -> np.ndarray:
     return k
 
 
-def _open_uniform(rng: np.random.Generator, size) -> np.ndarray:
-    """Uniforms strictly inside (0, 1), safe for the inverse-CDF transform."""
-    return _open_from_top_bits(
-        rng.integers(0, 2**53, size=size, dtype=np.uint64).astype(float))
-
-
 def _chunk_uniforms(seed: int, start: int, stop: int, width: int,
                     stream: int = 0, offset: int = 0) -> np.ndarray:
     """Open uniforms of repetitions [start, stop), one row each: words
     [offset, offset + width) of each repetition's stream.
 
-    Row r - start equals ``_open_uniform(rep_rng(seed, r, stream),
-    offset + width)[offset:]`` bit for bit.  Word w of repetition r is lane
-    w % 4 of the Philox block at counter (w // 4 + 1, 0, r, stream), so one
-    Philox serves the chunk: before each row its state is reset to a fresh
-    Philox's, empty buffer included, with the counter's first word set to
-    offset // 4 and its third to r.  The row then reads from the block that
+    Row r - start equals the reference ``open_uniform(rep_rng(seed, r,
+    stream), offset + width)[offset:]`` bit for bit.  Word w of repetition
+    r is lane w % 4 of the Philox block at counter (w // 4 + 1, 0, r,
+    stream), so one Philox serves the chunk: before each row its state is
+    reset to a fresh Philox's, empty buffer included, with the counter's
+    first word set to offset // 4 and its third to r.  The row then reads from the block that
     holds word ``offset``, which may lie inside it.  Raw words collect in
     ``_ROW_BLOCK`` rows, keep their top 53 bits one row block at a time,
     and become uniforms in one vectorized step at the end.

@@ -17,7 +17,6 @@ from corrmax import (
     std_normal_quantile,
 )
 from corrmax.cli import _histogram
-from corrmax.montecarlo import _open_uniform
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GRAPHS_DIR = REPO_ROOT / "graphs"
@@ -190,6 +189,22 @@ def char_fn_identity_check(k, mu, sigma, i: int, j: int, h: float) -> float:
     return float(abs(finite_diff - analytic))
 
 
+def rep_rng(seed: int, rep: int, stream: int = 0) -> np.random.Generator:
+    """Reference stream of one repetition, a pure function of (seed, rep,
+    stream): word w is lane w % 4 of the Philox4x64-10 block at counter
+    (w // 4 + 1, 0, rep, stream).  The samplers' readers must equal it."""
+    counter = (int(stream) << 192) | (int(rep) << 128)
+    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
+
+
+def open_uniform(rng: np.random.Generator, size) -> np.ndarray:
+    """Reference open uniforms: (k + 0.5) * 2**-53 of each 53-bit integer k
+    drawn from ``rng``.  For k = 2**53 - 1 the sum rounds to 2**53, which
+    the clamp maps back to 2**53 - 1, so no uniform is 1.0."""
+    k = rng.integers(0, 2**53, size=size, dtype=np.uint64).astype(float)
+    return np.minimum(k + 0.5, 2.0**53 - 1.0) * 2.0**-53
+
+
 def sample_ar1_chain(n: int, rho: float, sigma: float,
                      rng: np.random.Generator) -> np.ndarray:
     """Draw one stationary AR(1) chain of length n from the given stream.
@@ -198,7 +213,7 @@ def sample_ar1_chain(n: int, rho: float, sigma: float,
     applies the recurrence with a fresh standard normal Y_i.  The samplers
     must equal this chain by chain.
     """
-    u = _open_uniform(rng, n)
+    u = open_uniform(rng, n)
     z = std_normal_quantile(u)
     x = np.empty(n, dtype=float)
     x[0] = sigma * z[0]

@@ -14,7 +14,6 @@ from corrmax import (
     McConfig,
     empirical_stats,
     non_iid_experiment,
-    rep_rng,
     sample_dag_max,
     sample_max_sweep,
     std_normal_quantile,
@@ -25,7 +24,6 @@ from corrmax.montecarlo import (
     _check_width,
     _chunk_uniforms,
     _ends,
-    _open_uniform,
     _philox_blocks,
     _word_uniforms,
     _worker_count,
@@ -38,6 +36,8 @@ from conftest import (
     ecdf_values,
     exact_iid_max_moments,
     iid_max_cdf,
+    open_uniform,
+    rep_rng,
     sample_ar1_chain,
 )
 
@@ -84,7 +84,7 @@ class TestChunkUniforms:
             u = _chunk_uniforms(seed, start, start + 3, width, stream)
             assert u.shape == (3, width)
             for i, row in enumerate(u):
-                ref = _open_uniform(rep_rng(seed, start + i, stream), width)
+                ref = open_uniform(rep_rng(seed, start + i, stream), width)
                 np.testing.assert_array_equal(row, ref)
 
     @pytest.mark.parametrize("width", [1, 7, 201, 3003])
@@ -92,7 +92,7 @@ class TestChunkUniforms:
         # 150 rows span three row blocks, the last one partial.
         seed, start = 2**64 - 5, 2**20
         u = _chunk_uniforms(seed, start, start + 150, width, 3)
-        ref = np.array([_open_uniform(rep_rng(seed, start + i, 3), width)
+        ref = np.array([open_uniform(rep_rng(seed, start + i, 3), width)
                         for i in range(150)])
         np.testing.assert_array_equal(u, ref)
 
@@ -103,7 +103,7 @@ class TestChunkUniforms:
         seed, start = 2**64 - 5, 2**20
         u = _chunk_uniforms(seed, start, start + 3, width, 6, offset=offset)
         for i, row in enumerate(u):
-            ref = _open_uniform(rep_rng(seed, start + i, 6), offset + width)
+            ref = open_uniform(rep_rng(seed, start + i, 6), offset + width)
             np.testing.assert_array_equal(row, ref[offset:])
 
 
@@ -137,7 +137,7 @@ class TestRandomAccess:
 
 class TestOpenUniform:
     """The 53-bit word 2**53 - 1, where k + 0.5 rounds to 2**53, gives the
-    uniform 1 - 2**-53 in each reader, not 1.0."""
+    uniform 1 - 2**-53 in each reader and in the reference, not 1.0."""
 
     TOP = 1.0 - 2.0**-53
 
@@ -146,7 +146,7 @@ class TestOpenUniform:
             def integers(self, low, high, size, dtype):
                 return np.full(size, high - 1, dtype=dtype)
 
-        np.testing.assert_array_equal(_open_uniform(AllOnes(), 3), [self.TOP] * 3)
+        np.testing.assert_array_equal(open_uniform(AllOnes(), 3), [self.TOP] * 3)
 
     def test_chunk_uniforms(self, monkeypatch):
         philox = np.random.Philox
@@ -641,10 +641,10 @@ class TestNonIidExperiment:
     def test_frozen_deviations_match_per_repetition_streams(self):
         n, seed = 7, 2**64 - 9
         frozen = rep_rng(seed, 0, stream=1)
-        mu = 0.0 + 0.3 * (2.0 * _open_uniform(frozen, n) - 1.0)
-        sigma = 1.0 + 0.2 * (2.0 * _open_uniform(frozen, n) - 1.0)
+        mu = 0.0 + 0.3 * (2.0 * open_uniform(frozen, n) - 1.0)
+        sigma = 1.0 + 0.2 * (2.0 * open_uniform(frozen, n) - 1.0)
         maxima = [
-            np.max(mu + sigma * std_normal_quantile(_open_uniform(rep_rng(seed, r), n)))
+            np.max(mu + sigma * std_normal_quantile(open_uniform(rep_rng(seed, r), n)))
             for r in range(40)
         ]
         ref = empirical_stats(maxima)
@@ -695,7 +695,7 @@ class TestNonIidExperiment:
         for k, (m, res) in enumerate(zip(grid, results)):
             maxima = []
             for r in range(reps):
-                u = _open_uniform(rep_rng(seed, r, stream=2 * k), 3 * m)
+                u = open_uniform(rep_rng(seed, r, stream=2 * k), 3 * m)
                 mu_i = mu + delta_mu * (2.0 * u[:m] - 1.0)
                 sigma_i = sigma + delta_sigma * (2.0 * u[m : 2 * m] - 1.0)
                 maxima.append(np.max(mu_i + sigma_i * std_normal_quantile(u[2 * m :])))
@@ -731,10 +731,10 @@ class TestNonIidExperiment:
     def test_frozen_deviations_match_over_chunks(self):
         n, seed, reps = 300, 2**64 - 9, 1100
         frozen = rep_rng(seed, 0, stream=1)
-        mu = 0.0 + 1.0 * (2.0 * _open_uniform(frozen, n) - 1.0)
-        sigma = 1.0 + 0.5 * (2.0 * _open_uniform(frozen, n) - 1.0)
+        mu = 0.0 + 1.0 * (2.0 * open_uniform(frozen, n) - 1.0)
+        sigma = 1.0 + 0.5 * (2.0 * open_uniform(frozen, n) - 1.0)
         maxima = [
-            np.max(mu + sigma * std_normal_quantile(_open_uniform(rep_rng(seed, r), n)))
+            np.max(mu + sigma * std_normal_quantile(open_uniform(rep_rng(seed, r), n)))
             for r in range(reps)
         ]
         [res] = non_iid_experiment((n,), McConfig(seed=seed, reps=reps, workers=2),

@@ -13,9 +13,8 @@ from conftest import REPO_ROOT
 
 PACKAGE_DIR = REPO_ROOT / "src" / "corrmax"
 
-# Public without a caller in the package: the reference definition of the
-# Monte Carlo stream and the paper's limit law.
-NO_CALLER_NEEDED = {"rep_rng", "gumbel_cdf", "gumbel_pdf"}
+# Public without a caller in the package: the paper's limit law.
+NO_CALLER_NEEDED = {"gumbel_cdf", "gumbel_pdf"}
 
 
 def _package_trees():
