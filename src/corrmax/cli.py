@@ -329,6 +329,10 @@ def _cmd_dist(args):
 
     params = scaling_constants(args.n)
     if args.kind == "gumbel":
+        if args.rho is not None or args.eps_file is not None:
+            option = "--rho" if args.rho is not None else "--eps-file"
+            raise DomainError(
+                f"{option} does not apply to dist gumbel, the uncorrelated limit")
         s, max_abs_eps = 0.0, 0.0
         order = "first"  # any order: with S = 0 they all reduce to Gumbel
     else:

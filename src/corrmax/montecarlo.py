@@ -1,37 +1,39 @@
 """Seeded Monte Carlo sampling of correlated Gaussian maxima.
 
-Reproducibility contract: repetition r draws from a Philox counter-based
-stream that is a pure function of (seed, r), so results are bitwise
+Reproducibility contract: repetition r of stream s draws from a Philox
+counter-based stream that is a pure function of (seed, s, r) and of the
+stream's width W, its words per repetition, so results are bitwise
 identical for any worker count or chunking.  ``rep_rng`` and
 ``open_uniform`` in ``tests/conftest.py`` are the reference definition of
 that stream: word w of repetition r is lane w % 4 of the Philox4x64-10
-block at counter (w // 4 + 1, 0, r, stream), and its uniform is
-(k + 0.5) * 2**-53 of the word's top 53 bits k, clamped below 1.  The
-samplers read it through ``_chunk_uniforms``, which builds one Philox per
-chunk of repetitions and sets its counter to each repetition's start in
-turn, or to the block that holds a word offset, collecting the raw words
-of 64 repetitions before it converts them to uniforms in one vectorized
-step.  ``_word_uniforms`` reads single words by random access, through a
-vectorized numpy Philox that computes the C generator's blocks.  Both
-readers share one conversion of a word's top 53 bits to an open uniform,
-and their outputs are bitwise equal to the per-repetition definition.
-Normal variates are ``ndtri`` of open-interval uniforms, the same inverse
-CDF the analytic layer uses for its scaling constants.  The sweep and the
-DAG sampler overwrite each chunk's uniforms with their normals in place,
-2**14 elements at a time, so a chunk holds one float
-array of its shape plus temporaries of O(2**14) floats.  A rho-sweep uses
+block at the 256-bit counter (s << 192) + r * ceil(W / 4) + w // 4 + 1,
+and its uniform is (k + 0.5) * 2**-53 of the word's top 53 bits k,
+clamped below 1.  Consecutive repetitions hold consecutive counters, so
+``_chunk_uniforms`` draws a chunk of repetitions as one contiguous run of
+one Philox, keeping the top 53 bits of 64 rows of raw words at a time, and
+converts the chunk to uniforms in one vectorized step.  ``_word_uniforms``
+reads single words by random access, through a vectorized numpy Philox
+that computes the C generator's blocks.  Both readers share one conversion
+of a word's top 53 bits to an open uniform, and their outputs are bitwise
+equal to the reference.  Normal variates are ``ndtri`` of open-interval
+uniforms, the same inverse CDF the analytic layer uses for its scaling
+constants.  The sweep and the DAG sampler overwrite each chunk's uniforms
+with their normals in place, 2**14 elements at a time, so a chunk holds
+one float array of its shape plus temporaries of O(2**14) floats.  A rho-sweep uses
 common random numbers: each chunk's normals are drawn once, and a single AR(1)
 recurrence advances up to 64 rho points at a time on them as one
 (points x chunk) block, with the same per-element operations as one
 chain at a time.  The non-identical experiment evaluates the quantile only
 for the components of a repetition that can still hold its maximum: a
 float upper bound, monotone in the uniform, rules the others out exactly,
-so each maximum has the bits of the full evaluation.  Where few components
-remain, it draws only the quantile third of each stream and reads the
-remaining components' mean and deviation words by random access (see
-``non_iid_experiment``).  A run whose uniform buffer or sample array
-would hold more than ``_MAX_CHUNK_FLOATS`` floats is refused before
-anything is allocated.
+so each maximum has the bits of the full evaluation.  Grid point k reads
+its quantile words from stream 3k, its mean and deviation words from
+stream 3k + 1 and its frozen deviations from stream 3k + 2; where few
+components remain, it reads only the candidates' words of stream 3k + 1,
+by random access (see ``non_iid_experiment``).  A run whose uniform buffer
+or sample array would hold more than ``_MAX_CHUNK_FLOATS`` floats is
+refused before anything is allocated, which also keeps
+r * ceil(W / 4) below 2**52, so no counter carries into its second word.
 """
 from __future__ import annotations
 
@@ -72,10 +74,10 @@ _RHO_GROUP = 64
 # x 1024 rows and the DAG's nodes x 1024 arrival times.  At n = 5000 a
 # chunk is 39 MiB, and ``mc --n 5000 --reps 1024`` peaks near 77 MiB of RSS
 # (Python 3.11, numpy 2.4).
-# ``non_iid_experiment`` holds its 3n-wide buffer (n wide when it reads by
-# random access or freezes deviations) and a boolean mask of the quantile
-# uniforms.  The same cap bounds a sampler's sample array: ``McConfig.reps``
-# floats, or rho points times reps for a sweep.
+# ``non_iid_experiment`` holds an n-wide and a 2n-wide buffer (only the
+# first when it reads by random access or freezes deviations) and a boolean
+# mask of the quantile uniforms.  The same cap bounds a sampler's sample
+# array: ``McConfig.reps`` floats, or rho points times reps for a sweep.
 _MAX_CHUNK_FLOATS = 2**27
 
 # Bound on |ndtri(u)| over the open uniforms: ndtri(2**-54) = -8.29 and
@@ -87,8 +89,12 @@ _Q_MAX = 8.3
 # that its pruning evaluates, k, and reads their mean and deviation words by
 # random access while (k + 1) times _RANDOM_READ_WORDS, the C-stream words
 # that cost as much as one component's two random-access words, stays below
-# the 2n words it skips.  The crossover comes from timing both ways forced,
-# at n from 30 to 1000 and a range of spreads, on a 2-vCPU VM.
+# the 2n words it skips.  Timing both ways forced, at n from 30 to 1000 and
+# five spreads on a 2-vCPU VM, any constant from 44 to 58 loses the least
+# time to wrong picks over three sets of runs; it picks wrong only where the
+# ways differ by at most 12% and the winner changes between sets.  At
+# n = 1000, delta_mu = 0.2 (k = 2), random access takes 93-98 ms per 10,000
+# repetitions, the 2n words 207-228 ms.
 _PROBE_REPS = 64
 _RANDOM_READ_WORDS = 50
 
@@ -140,37 +146,29 @@ def _open_from_top_bits(k: np.ndarray) -> np.ndarray:
 
 
 def _chunk_uniforms(seed: int, start: int, stop: int, width: int,
-                    stream: int = 0, offset: int = 0) -> np.ndarray:
-    """Open uniforms of repetitions [start, stop), one row each: words
-    [offset, offset + width) of each repetition's stream.
+                    stream: int = 0) -> np.ndarray:
+    """Open uniforms of repetitions [start, stop) of a stream ``width``
+    words wide, one row each.
 
     Row r - start equals the reference ``open_uniform(rep_rng(seed, r,
-    stream), offset + width)[offset:]`` bit for bit.  Word w of repetition
-    r is lane w % 4 of the Philox block at counter (w // 4 + 1, 0, r,
-    stream), so one Philox serves the chunk: before each row its state is
-    reset to a fresh Philox's, empty buffer included, with the counter's
-    first word set to offset // 4 and its third to r.  The row then reads from the block that
-    holds word ``offset``, which may lie inside it.  Raw words collect in
-    ``_ROW_BLOCK`` rows, keep their top 53 bits one row block at a time,
-    and become uniforms in one vectorized step at the end.
+    width, stream), width)`` bit for bit.  Repetition r fills the
+    ceil(width / 4) Philox blocks from counter (stream << 192) +
+    r * ceil(width / 4) + 1 on, so the chunk is one contiguous run of a
+    Philox that starts at repetition ``start``.  Its raw words are read
+    ``_ROW_BLOCK`` rows at a time, keep their top 53 bits, and become
+    uniforms in one vectorized step at the end.
     """
-    first, skip = divmod(int(offset), 4)
-    words = 4 * -(-(skip + width) // 4)
-    bitgen = np.random.Philox(key=int(seed), counter=int(stream) << 192)
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    counter[0] = first
+    words = 4 * -(-width // 4)
+    bitgen = np.random.Philox(key=int(seed),
+                              counter=(int(stream) << 192) + int(start) * (words // 4))
     u = np.empty((stop - start, width), dtype=float)
-    raw = np.empty((min(_ROW_BLOCK, stop - start), words), dtype=np.uint64)
-    for a in range(start, stop, _ROW_BLOCK):
-        block = raw[: min(_ROW_BLOCK, stop - a)]
-        for i in range(len(block)):
-            counter[2] = a + i
-            bitgen.state = state
-            block[i] = bitgen.random_raw(words)
+    for a in range(0, stop - start, _ROW_BLOCK):
+        block = u[a : a + _ROW_BLOCK]
+        raw = bitgen.random_raw(len(block) * words).reshape(len(block), words)
         # integers(0, 2**53) on a 64-bit word is the word's top 53 bits.
-        block >>= 11
-        u[a - start : a - start + len(block)] = block[:, skip : skip + width]
+        raw >>= 11
+        block[:] = raw[:, :width]
+        del raw  # the next row block's words replace these, not join them
     return _open_from_top_bits(u)
 
 
@@ -205,16 +203,15 @@ def _philox_blocks(key: int, counter: np.ndarray) -> np.ndarray:
     return np.stack([even[0], odd[0], even[1], odd[1]])
 
 
-def _word_uniforms(seed: int, stream: int, reps: np.ndarray,
-                   words: np.ndarray) -> np.ndarray:
-    """Open uniforms of word ``words[i]`` of repetition ``reps[i]``, by
-    random access: entry i equals
-    ``_chunk_uniforms(seed, reps[i], reps[i] + 1, 1, stream, words[i])[0, 0]``.
+def _word_uniforms(seed: int, reps: np.ndarray, words: np.ndarray,
+                   width: int, stream: int) -> np.ndarray:
+    """Open uniforms of word ``words[i]`` of repetition ``reps[i]`` of a
+    stream ``width`` words wide, by random access: entry i equals
+    ``_chunk_uniforms(seed, reps[i], reps[i] + 1, width, stream)[0, words[i]]``.
     """
     block, lane = np.divmod(words, 4)
     counter = np.zeros((4, len(words)), dtype=np.uint64)
-    counter[0] = block + 1
-    counter[2] = reps
+    counter[0] = reps * -(-width // 4) + block + 1
     counter[3] = stream
     raw = _philox_blocks(seed, counter)[lane, np.arange(len(words))]
     return _open_from_top_bits((raw >> 11).astype(float))
@@ -254,9 +251,10 @@ def _run_chunked(shape, workers: int, fill) -> np.ndarray:
 
     With w > 1 workers, worker k > 0 is a forked child that runs chunks
     k::w into an anonymous shared mapping and leaves by ``os._exit``; the
-    parent runs chunks 0::w, then reaps every child.  Processes, not
-    threads, because the stream's per-row Philox reset holds the GIL (the
-    quantile's numpy loops release it).  The children call no BLAS, so the
+    parent runs chunks 0::w, then reaps every child.  Processes, so that
+    no chunk waits for the GIL: the sweep's recurrence and the DAG's
+    relaxation make one numpy call per step or edge, and each call holds
+    the GIL outside its inner loop.  The children call no BLAS, so the
     BLAS threads that a fork does not copy are never missed.  A child that
     exits non-zero, or a fork that fails, leaves its chunks to the parent,
     which reruns them after its own, so a chunk that fails raises in the
@@ -477,12 +475,12 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
       and nan reach ``empirical_stats`` as before.
     - Reading.  With redrawn deviations, a probe of the first
       ``_PROBE_REPS`` repetitions counts k, the components per repetition
-      that pruning evaluates.  Where (k + 1) * ``_RANDOM_READ_WORDS`` < 2n,
-      chunks draw only words [2n, 3n) of each stream with the C Philox, and
-      the mu and sigma words i and n + i of the evaluated components by
-      random access.  Otherwise all 3n words are drawn.  Both ways apply the
-      same expressions to the same words, so the choice, made before any
-      chunk is drawn, changes no bit.
+      that pruning evaluates.  The chunks draw the n quantile words of
+      stream 3k with the C Philox.  Where (k + 1) * ``_RANDOM_READ_WORDS``
+      < 2n, they read the mu and sigma words i and n + i of stream 3k + 1
+      for the evaluated components only, by random access; otherwise they
+      draw all 2n.  Both ways apply the same expressions to the same words,
+      so the choice, made before any chunk is drawn, changes no bit.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) == 0 or any(n < 1 for n in n_grid):
@@ -521,7 +519,7 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
         proven = (upper(q_c) < x_j) & prunable
         return np.where(proven, std_normal_cdf(np.where(proven, q_c, 0.0)) - 2e-14, 0.0)
 
-    def redrawn(u_mu, u_sigma):  # the full evaluation's (mu_i, sigma_i)
+    def deviated(u_mu, u_sigma):  # the full evaluation's (mu_i, sigma_i)
         return (mu + delta_mu * (2.0 * u_mu - 1.0),
                 sigma + delta_sigma * (2.0 * u_sigma - 1.0))
 
@@ -541,40 +539,33 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
         np.maximum.at(best, rows, component(values, rows, cols))
         return best, len(rows)
 
-    def grid_point(n, stream):
+    def grid_point(n, point):
         if freeze_deviations:
-            xi = 2.0 * _chunk_uniforms(cfg.seed, 0, 1, 2 * n, stream + 1)[0] - 1.0
-            with np.errstate(over="ignore", invalid="ignore"):  # as in _run_chunked
-                mu_frozen = mu + delta_mu * xi[:n]
-                sigma_frozen = sigma + delta_sigma * xi[n:]
+            u_frozen = _chunk_uniforms(cfg.seed, 0, 1, 2 * n, 3 * point + 2)[0]
 
         def read(start, stop, sparse=False):
             """Quantile uniforms of repetitions [start, stop), and a reader
             of the (mu_i, sigma_i, u_i) of the components at rows and
             columns, which gathers from flat row-major arrays."""
-            if freeze_deviations:
-                u_q = _chunk_uniforms(cfg.seed, start, stop, n, stream)
-                flat = u_q.ravel()
-                return u_q, lambda rows, cols: (
-                    mu_frozen[cols], sigma_frozen[cols], flat[rows * n + cols])
-            if not sparse:
-                u = _chunk_uniforms(cfg.seed, start, stop, 3 * n, stream)
-                flat = u.ravel()
-
-                def stream_words(rows, cols):  # words i, n + i and 2n + i
-                    at = rows * (3 * n) + cols
-                    return (*redrawn(flat[at], flat[at + n]), flat[at + 2 * n])
-
-                return u[:, 2 * n :], stream_words
-            u_q = _chunk_uniforms(cfg.seed, start, stop, n, stream, offset=2 * n)
+            u_q = _chunk_uniforms(cfg.seed, start, stop, n, 3 * point)
             flat = u_q.ravel()
+            if freeze_deviations:
+                def mean_words(rows, cols):
+                    return u_frozen[cols], u_frozen[n + cols]
+            elif sparse:
+                def mean_words(rows, cols):  # words i and n + i by random access
+                    return np.split(_word_uniforms(
+                        cfg.seed, np.tile(start + rows, 2),
+                        np.concatenate([cols, n + cols]), 2 * n, 3 * point + 1), 2)
+            else:
+                u_md = _chunk_uniforms(cfg.seed, start, stop, 2 * n, 3 * point + 1).ravel()
 
-            def random_words(rows, cols):  # words i and n + i by random access
-                u = _word_uniforms(cfg.seed, stream, np.tile(start + rows, 2),
-                                   np.concatenate([cols, n + cols]))
-                return (*redrawn(*np.split(u, 2)), flat[rows * n + cols])
+                def mean_words(rows, cols):  # words i and n + i of each row
+                    at = rows * (2 * n) + cols
+                    return u_md[at], u_md[at + n]
 
-            return u_q, random_words
+            return u_q, lambda rows, cols: (
+                *deviated(*mean_words(rows, cols)), flat[rows * n + cols])
 
         sparse = False
         if not freeze_deviations:
@@ -590,6 +581,5 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
 
         return empirical_stats(_run_chunked((cfg.reps,), cfg.workers, fill))
 
-    # Streams 2k feed the repetitions of grid point k; streams 2k+1 are
-    # reserved for its frozen deviations, so the spaces never collide.
-    return [grid_point(n, 2 * k) for k, n in enumerate(n_grid)]
+    # Grid point k reads streams 3k, 3k + 1 and 3k + 2, so no two collide.
+    return [grid_point(n, point) for point, n in enumerate(n_grid)]

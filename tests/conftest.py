@@ -189,11 +189,13 @@ def char_fn_identity_check(k, mu, sigma, i: int, j: int, h: float) -> float:
     return float(abs(finite_diff - analytic))
 
 
-def rep_rng(seed: int, rep: int, stream: int = 0) -> np.random.Generator:
-    """Reference stream of one repetition, a pure function of (seed, rep,
-    stream): word w is lane w % 4 of the Philox4x64-10 block at counter
-    (w // 4 + 1, 0, rep, stream).  The samplers' readers must equal it."""
-    counter = (int(stream) << 192) | (int(rep) << 128)
+def rep_rng(seed: int, rep: int, width: int, stream: int = 0) -> np.random.Generator:
+    """Reference stream of one repetition of a stream ``width`` words wide,
+    a pure function of (seed, rep, width, stream): word w is lane w % 4 of
+    the Philox4x64-10 block at the 256-bit counter
+    (stream << 192) + rep * ceil(width / 4) + w // 4 + 1.  The samplers'
+    readers must equal its first ``width`` words."""
+    counter = (int(stream) << 192) + int(rep) * -(-int(width) // 4)
     return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
 
 

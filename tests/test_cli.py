@@ -492,7 +492,7 @@ class TestOutputPath:
         (["graph", "cov", "GRAPHS/diamond.txt", "--cap", "0"],
          "cap must be >= 1 (got 0)"),
         (["mc", "--n", "5", "--rho", "0.3", "--sigma", "1e308", "--reps", "100",
-          "--seed", "1"], "samples must be finite (10 of 100 are not)"),
+          "--seed", "1"], "samples must be finite (21 of 100 are not)"),
         (["graph", "paths", "OVERFLOW"],
          "path 0: accumulated delay mean or variance overflows"),
         (["graph", "analyze", "OVERFLOW", "--reps", "100"],
@@ -560,6 +560,11 @@ class TestOutputPath:
         (["dist", "gumbel", "--n", "36028797018963968"],
          "n must be <= 2**53 (got 36028797018963968)"),
         (["dist", "gumbel", "--n", str(10**400)], f"n must be <= 2**53 (got {10**400})"),
+        (["dist", "gumbel", "--n", "100", "--rho", "0.999"],
+         "--rho does not apply to dist gumbel, the uncorrelated limit"),
+        # refused before the file is opened, so a missing one reads the same
+        (["dist", "gumbel", "--n", "100", "--eps-file", "no_such_eps.txt"],
+         "--eps-file does not apply to dist gumbel, the uncorrelated limit"),
         (["graph", "cov", "GRAPHS/diamond.txt", "--out", "nodir/x"],
          "--out must be a file name prefix without a path separator "
          "(got 'nodir/x')"),
@@ -581,7 +586,8 @@ class TestOutputPath:
             "dist_steps_cap", "graph_z_steps_cap", "mc_reps_cap", "noniid_reps_cap",
             "graph_reps_cap", "mc_sweep_reps_cap", "dist_z_max_inf",
             "dist_z_span_overflow", "dist_z_min_nan", "dist_n_rounds_p_to_1",
-            "dist_n_overflows_float", "out_with_separator", "out_too_long",
+            "dist_n_overflows_float", "dist_gumbel_rho", "dist_gumbel_eps_file",
+            "out_with_separator", "out_too_long",
             "manifest_name_too_long"])
     def test_usage_error(self, tmp_path, capsys, graphs_dir, args, message):
         subs = {"GRAPHS": str(graphs_dir)}

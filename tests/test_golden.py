@@ -8,7 +8,8 @@ hold a timestamp and are not pinned.  The hashes hold under the Python,
 numpy and C library versions recorded beside them; under other versions
 ``test_pinned_under_these_versions`` fails and names the difference.
 After a deliberate change of bits, re-pin with
-``PYTHONPATH=src python tests/test_golden.py`` and say so in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py``, which prints the runs whose
+hashes it changed, and say so in CHANGES.md.
 """
 from __future__ import annotations
 
@@ -80,7 +81,9 @@ def test_data_files_equal_the_pinned_bits(tmp_path, run):
 if __name__ == "__main__":
     import tempfile
 
+    before = _pinned()["files"]
     with tempfile.TemporaryDirectory() as tmp:
         files = {run: data_file_hashes(args, Path(tmp) / run) for run, args in RUNS.items()}
     GOLDEN.write_text(json.dumps({"versions": _versions(), "files": files},
                                  indent=2, sort_keys=True) + "\n")
+    print("\n".join(f"changed: {run}" for run in sorted(files) if files[run] != before.get(run)))

@@ -66,10 +66,10 @@ class TestModels:
 
 class TestRepRng:
     def test_pure_function_of_seed_and_rep(self):
-        a = rep_rng(42, 7).random(5)
-        b = rep_rng(42, 7).random(5)
-        c = rep_rng(42, 8).random(5)
-        d = rep_rng(43, 7).random(5)
+        a = rep_rng(42, 7, 5).random(5)
+        b = rep_rng(42, 7, 5).random(5)
+        c = rep_rng(42, 8, 5).random(5)
+        d = rep_rng(43, 7, 5).random(5)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
@@ -84,7 +84,7 @@ class TestChunkUniforms:
             u = _chunk_uniforms(seed, start, start + 3, width, stream)
             assert u.shape == (3, width)
             for i, row in enumerate(u):
-                ref = open_uniform(rep_rng(seed, start + i, stream), width)
+                ref = open_uniform(rep_rng(seed, start + i, width, stream), width)
                 np.testing.assert_array_equal(row, ref)
 
     @pytest.mark.parametrize("width", [1, 7, 201, 3003])
@@ -92,19 +92,20 @@ class TestChunkUniforms:
         # 150 rows span three row blocks, the last one partial.
         seed, start = 2**64 - 5, 2**20
         u = _chunk_uniforms(seed, start, start + 150, width, 3)
-        ref = np.array([open_uniform(rep_rng(seed, start + i, 3), width)
+        ref = np.array([open_uniform(rep_rng(seed, start + i, width, 3), width)
                         for i in range(150)])
         np.testing.assert_array_equal(u, ref)
 
-    @pytest.mark.parametrize("offset", [1, 2, 3, 4, 10, 2001])
-    @pytest.mark.parametrize("width", [1, 5, 1000])
-    def test_offset_rows_equal_the_tail_of_longer_streams(self, offset, width):
-        """An offset may fall inside a four-word block."""
-        seed, start = 2**64 - 5, 2**20
-        u = _chunk_uniforms(seed, start, start + 3, width, 6, offset=offset)
-        for i, row in enumerate(u):
-            ref = open_uniform(rep_rng(seed, start + i, 6), offset + width)
-            np.testing.assert_array_equal(row, ref[offset:])
+    @pytest.mark.parametrize("start, stop", [
+        (1, 2), (63, 130), (100, 300), (0, 64), (64, 129), (200, 263)])
+    @pytest.mark.parametrize("width", [1, 5, 8, 1000])
+    def test_rows_equal_those_of_a_longer_draw(self, start, stop, width):
+        """A chunk may start at any repetition, not only at a row block's,
+        and may end inside a row block, on its edge, or one row past it."""
+        seed = 2**64 - 5
+        longer = _chunk_uniforms(seed, 0, 300, width, 6)
+        np.testing.assert_array_equal(_chunk_uniforms(seed, start, stop, width, 6),
+                                      longer[start:stop])
 
 
 class TestRandomAccess:
@@ -132,7 +133,8 @@ class TestRandomAccess:
         pick_rows = rng.integers(0, len(reps), size=200)
         words = rng.integers(0, width, size=200)
         np.testing.assert_array_equal(
-            _word_uniforms(seed, stream, reps[pick_rows], words), rows[pick_rows, words])
+            _word_uniforms(seed, reps[pick_rows], words, width, stream),
+            rows[pick_rows, words])
 
 
 class TestOpenUniform:
@@ -149,24 +151,22 @@ class TestOpenUniform:
         np.testing.assert_array_equal(open_uniform(AllOnes(), 3), [self.TOP] * 3)
 
     def test_chunk_uniforms(self, monkeypatch):
-        philox = np.random.Philox
-
         class AllOnes:
             def __init__(self, key, counter):
-                self.state = philox(key=key, counter=counter).state
+                pass
 
             def random_raw(self, size):
                 return np.full(size, 2**64 - 1, dtype=np.uint64)
 
         monkeypatch.setattr(np.random, "Philox", AllOnes)
-        np.testing.assert_array_equal(_chunk_uniforms(1, 0, 2, 3, offset=1),
+        np.testing.assert_array_equal(_chunk_uniforms(1, 0, 2, 3),
                                       np.full((2, 3), self.TOP))
 
     def test_word_uniforms(self, monkeypatch):
         monkeypatch.setattr(corrmax.montecarlo, "_philox_blocks",
                             lambda key, counter: np.full(counter.shape, 2**64 - 1,
                                                          dtype=np.uint64))
-        u = _word_uniforms(1, 0, np.array([0, 5]), np.array([3, 6]))
+        u = _word_uniforms(1, np.array([0, 5]), np.array([3, 6]), 7, 0)
         np.testing.assert_array_equal(u, [self.TOP] * 2)
 
     def test_every_other_word_keeps_its_value(self):
@@ -277,18 +277,18 @@ class TestForkedWorkers:
 
 class TestSampleAr1Chain:
     def test_length_and_determinism(self):
-        x1 = sample_ar1_chain(20, 0.3, 1.0, rep_rng(5, 0))
-        x2 = sample_ar1_chain(20, 0.3, 1.0, rep_rng(5, 0))
+        x1 = sample_ar1_chain(20, 0.3, 1.0, rep_rng(5, 0, 20))
+        x2 = sample_ar1_chain(20, 0.3, 1.0, rep_rng(5, 0, 20))
         np.testing.assert_array_equal(x1, x2)
         assert x1.shape == (20,)
 
     def test_perfect_correlation_constant_chain(self):
-        x = sample_ar1_chain(50, 1.0, 2.0, rep_rng(1, 0))
+        x = sample_ar1_chain(50, 1.0, 2.0, rep_rng(1, 0, 50))
         np.testing.assert_array_equal(x, np.full(50, x[0]))
 
     def test_zero_correlation_lag1(self):
         chains = np.array(
-            [sample_ar1_chain(101, 0.0, 1.0, rep_rng(11, r)) for r in range(1000)]
+            [sample_ar1_chain(101, 0.0, 1.0, rep_rng(11, r, 101)) for r in range(1000)]
         )
         a, b = chains[:, :-1].ravel(), chains[:, 1:].ravel()
         est = np.mean(a * b) / np.sqrt(np.mean(a * a) * np.mean(b * b))
@@ -296,7 +296,7 @@ class TestSampleAr1Chain:
 
     def test_lag1_correlation_rho075(self):
         chains = np.array(
-            [sample_ar1_chain(101, 0.75, 1.0, rep_rng(12, r)) for r in range(1000)]
+            [sample_ar1_chain(101, 0.75, 1.0, rep_rng(12, r, 101)) for r in range(1000)]
         )
         a, b = chains[:, :-1].ravel(), chains[:, 1:].ravel()
         est = np.mean(a * b) / np.sqrt(np.mean(a * a) * np.mean(b * b))
@@ -306,7 +306,7 @@ class TestSampleAr1Chain:
         """Every index keeps variance sigma^2 within 3 standard errors."""
         sigma, reps = 1.3, 4000
         chains = np.array(
-            [sample_ar1_chain(25, 0.6, sigma, rep_rng(2024, r)) for r in range(reps)]
+            [sample_ar1_chain(25, 0.6, sigma, rep_rng(2024, r, 25)) for r in range(reps)]
         )
         v = chains.var(axis=0, ddof=1)
         se = sigma**2 * np.sqrt(2.0 / (reps - 1))
@@ -324,7 +324,7 @@ class TestSampleMaxDistribution:
         cfg = McConfig(seed=77, reps=64)
         [res] = sample_max_sweep(30, [0.4], cfg)
         direct = np.array(
-            [sample_ar1_chain(30, 0.4, 1.0, rep_rng(77, r)).max() for r in range(64)]
+            [sample_ar1_chain(30, 0.4, 1.0, rep_rng(77, r, 30)).max() for r in range(64)]
         )
         np.testing.assert_array_equal(res.samples, direct)
 
@@ -350,7 +350,7 @@ class TestSampleMaxSweep:
         assert len(results) == len(rhos)
         for rho, res in zip(rhos, results):
             direct = np.array(
-                [sample_ar1_chain(n, rho, sigma, rep_rng(seed, r)).max() for r in range(50)]
+                [sample_ar1_chain(n, rho, sigma, rep_rng(seed, r, n)).max() for r in range(50)]
             )
             np.testing.assert_array_equal(res.samples, direct)
 
@@ -364,7 +364,7 @@ class TestSampleMaxSweep:
         rhos = [0.0] + [round(k / 69, 12) for k in range(1, 69)] + [1.0]
         checked = np.arange(reps - 1, -1, -7)
         refs = [
-            np.array([sample_ar1_chain(n, rho, sigma, rep_rng(seed, r)).max()
+            np.array([sample_ar1_chain(n, rho, sigma, rep_rng(seed, r, n)).max()
                       for r in checked])
             for rho in rhos
         ]
@@ -528,7 +528,7 @@ class TestEmpiricalStats:
         assert edges[0] == 0.0 and edges[-1] == 1.0
 
     def test_large_normal_sample(self):
-        u = (rep_rng(99, 0).integers(0, 2**53, size=100_000, dtype=np.uint64)
+        u = (rep_rng(99, 0, 100_000).integers(0, 2**53, size=100_000, dtype=np.uint64)
              + 0.5) * 2.0**-53
         res = empirical_stats(std_normal_quantile(u))
         assert abs(res.mean) < 0.01
@@ -640,11 +640,11 @@ class TestNonIidExperiment:
 
     def test_frozen_deviations_match_per_repetition_streams(self):
         n, seed = 7, 2**64 - 9
-        frozen = rep_rng(seed, 0, stream=1)
+        frozen = rep_rng(seed, 0, 2 * n, stream=2)
         mu = 0.0 + 0.3 * (2.0 * open_uniform(frozen, n) - 1.0)
         sigma = 1.0 + 0.2 * (2.0 * open_uniform(frozen, n) - 1.0)
         maxima = [
-            np.max(mu + sigma * std_normal_quantile(open_uniform(rep_rng(seed, r), n)))
+            np.max(mu + sigma * std_normal_quantile(open_uniform(rep_rng(seed, r, n), n)))
             for r in range(40)
         ]
         ref = empirical_stats(maxima)
@@ -668,7 +668,7 @@ class TestNonIidExperiment:
         self, n, mu, sigma, delta_mu, delta_sigma, workers
     ):
         """Every maximum equals the full evaluation of its repetition's
-        stream 2k (grid point k), over more than one chunk."""
+        streams 3k and 3k + 1 (grid point k), over more than one chunk."""
         self._check_redrawn((3, n), mu, sigma, delta_mu, delta_sigma, workers)
 
     @pytest.mark.parametrize("mode, n, delta_mu, delta_sigma", [
@@ -695,10 +695,11 @@ class TestNonIidExperiment:
         for k, (m, res) in enumerate(zip(grid, results)):
             maxima = []
             for r in range(reps):
-                u = open_uniform(rep_rng(seed, r, stream=2 * k), 3 * m)
+                u = open_uniform(rep_rng(seed, r, 2 * m, stream=3 * k + 1), 2 * m)
                 mu_i = mu + delta_mu * (2.0 * u[:m] - 1.0)
-                sigma_i = sigma + delta_sigma * (2.0 * u[m : 2 * m] - 1.0)
-                maxima.append(np.max(mu_i + sigma_i * std_normal_quantile(u[2 * m :])))
+                sigma_i = sigma + delta_sigma * (2.0 * u[m:] - 1.0)
+                u_q = open_uniform(rep_rng(seed, r, m, stream=3 * k), m)
+                maxima.append(np.max(mu_i + sigma_i * std_normal_quantile(u_q)))
             assert np.array_equal(res.samples, np.array(maxima))
 
     @pytest.mark.parametrize("mode, n, delta_mu, delta_sigma, sparse", [
@@ -710,31 +711,34 @@ class TestNonIidExperiment:
     ])
     def test_words_drawn_per_repetition(self, monkeypatch, mode, n, delta_mu,
                                         delta_sigma, sparse):
-        """After a probe of the first 64 rows at 3n words, a sparse grid
-        point draws n words per repetition, from word 2n, and another 3n."""
+        """After a probe of the first 64 rows, which draws all 3n words, a
+        sparse grid point draws only the n quantile words of stream 0 per
+        repetition, and another also the 2n words of stream 1."""
         calls = []
         chunk_uniforms = corrmax.montecarlo._chunk_uniforms
 
-        def recorded(seed, start, stop, width, stream=0, offset=0):
-            calls.append((start, stop, width, offset))
-            return chunk_uniforms(seed, start, stop, width, stream, offset)
+        def recorded(seed, start, stop, width, stream=0):
+            calls.append((start, stop, width, stream))
+            return chunk_uniforms(seed, start, stop, width, stream)
 
         monkeypatch.setattr(corrmax.montecarlo, "_chunk_uniforms", recorded)
         if mode is not None:
             force_mode(monkeypatch, mode)
         non_iid_experiment((n,), McConfig(seed=3, reps=1100), delta_mu=delta_mu,
                            delta_sigma=delta_sigma)
-        width, offset = (n, 2 * n) if sparse else (3 * n, 0)
-        assert calls == [(0, 64, 3 * n, 0), (0, 1024, width, offset),
-                         (1024, 1100, width, offset)]
+        def chunk(a, b, dense):
+            return [(a, b, n, 0)] + ([(a, b, 2 * n, 1)] if dense else [])
+
+        assert calls == (chunk(0, 64, True) + chunk(0, 1024, not sparse)
+                         + chunk(1024, 1100, not sparse))
 
     def test_frozen_deviations_match_over_chunks(self):
         n, seed, reps = 300, 2**64 - 9, 1100
-        frozen = rep_rng(seed, 0, stream=1)
+        frozen = rep_rng(seed, 0, 2 * n, stream=2)
         mu = 0.0 + 1.0 * (2.0 * open_uniform(frozen, n) - 1.0)
         sigma = 1.0 + 0.5 * (2.0 * open_uniform(frozen, n) - 1.0)
         maxima = [
-            np.max(mu + sigma * std_normal_quantile(open_uniform(rep_rng(seed, r), n)))
+            np.max(mu + sigma * std_normal_quantile(open_uniform(rep_rng(seed, r, n), n)))
             for r in range(reps)
         ]
         [res] = non_iid_experiment((n,), McConfig(seed=seed, reps=reps, workers=2),
