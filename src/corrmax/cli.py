@@ -181,10 +181,11 @@ def _output_dir(args) -> Path:
     through, an existing non-directory is a usage error, and so is an
     ``--out`` prefix that holds a path separator.
     """
-    if args.out and any(sep and sep in args.out for sep in (os.sep, os.altsep)):
+    prefix = getattr(args, "out", None)  # graph paths takes no --out
+    if prefix and any(sep and sep in prefix for sep in (os.sep, os.altsep)):
         raise DomainError(
             f"--out must be a file name prefix without a path separator "
-            f"(got {args.out!r})"
+            f"(got {prefix!r})"
         )
     out = Path(args.outdir if args.outdir is not None
                else os.environ.get(OUTDIR_ENV, "."))
@@ -329,10 +330,6 @@ def _cmd_dist(args):
 
     params = scaling_constants(args.n)
     if args.kind == "gumbel":
-        if args.rho is not None or args.eps_file is not None:
-            option = "--rho" if args.rho is not None else "--eps-file"
-            raise DomainError(
-                f"{option} does not apply to dist gumbel, the uncorrelated limit")
         s, max_abs_eps = 0.0, 0.0
         order = "first"  # any order: with S = 0 they all reduce to Gumbel
     else:
@@ -345,10 +342,6 @@ def _cmd_dist(args):
                 )
             s, max_abs_eps = float(np.sum(eps.entries)), eps.max_abs()
         else:
-            if args.rho is None:
-                raise DomainError(
-                    "--rho or --eps-file required for corrected distributions"
-                )
             # closed form: no n x n matrix for the AR(1) route
             s = ar1_correlation_sum(args.n, args.rho)
             max_abs_eps = args.rho
@@ -407,8 +400,6 @@ def _cmd_mc(args):
             )),
         }
 
-    if args.rho is None:
-        raise DomainError("--rho or --rho-sweep is required")
     [result] = sample_max_sweep(args.n, [args.rho], cfg, args.sigma)
     stats = _stats_dict(result)
     stats.update({"n": args.n, "rho": args.rho, "sigma": args.sigma,
@@ -419,28 +410,28 @@ def _cmd_mc(args):
     }
 
 
-def _cmd_graph(args):
-    graph = load_graph(args.graph_file)
-    stem = Path(args.graph_file).stem
+def _cmd_graph_paths(args):
+    ps = enumerate_paths(load_graph(args.graph_file), cap=args.cap)
+    for i, (length, mean, std) in enumerate(zip(ps.lengths, ps.means, ps.stds)):
+        print(f"path {i}: length {length}, mean {_fmt(mean)}, std {_fmt(std)}: "
+              + " -> ".join(ps.node_sequence(i)))
+    return None  # prints only: no file, no directory
 
-    if args.action == "analyze":
-        cfg = McConfig(seed=args.seed, reps=args.reps, workers=args.workers)
-        analysis = graph_delay_analysis(
-            graph, cfg, order=args.order, cap=args.cap, z_steps=args.z_steps
-        )
-        doc = {**_fields(analysis), "mc": _stats_dict(analysis.mc)}
-        return args.out or f"{stem}_analysis", args.seed, {".json": doc}
 
-    ps = enumerate_paths(graph, cap=args.cap)
-    if args.action == "paths":
-        for i, (length, mean, std) in enumerate(zip(ps.lengths, ps.means, ps.stds)):
-            print(f"path {i}: length {length}, mean {_fmt(mean)}, std {_fmt(std)}: "
-                  + " -> ".join(ps.node_sequence(i)))
-        return None  # prints only: no file, no directory
-
-    cov = path_covariance(ps)
+def _cmd_graph_cov(args):
+    cov = path_covariance(enumerate_paths(load_graph(args.graph_file), cap=args.cap))
     header = [f"path_{j}" for j in range(len(cov))]
-    return args.out or f"{stem}_cov", None, {".csv": (header, cov)}
+    return args.out or f"{Path(args.graph_file).stem}_cov", None, {".csv": (header, cov)}
+
+
+def _cmd_graph_analyze(args):
+    graph = load_graph(args.graph_file)
+    cfg = McConfig(seed=args.seed, reps=args.reps, workers=args.workers)
+    analysis = graph_delay_analysis(
+        graph, cfg, order=args.order, cap=args.cap, z_steps=args.z_steps
+    )
+    doc = {**_fields(analysis), "mc": _stats_dict(analysis.mc)}
+    return args.out or f"{Path(args.graph_file).stem}_analysis", args.seed, {".json": doc}
 
 
 def _cmd_noniid(args):
@@ -460,11 +451,6 @@ def _cmd_noniid(args):
     }
 
 
-def _add_common_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output file prefix")
-    p.add_argument("--outdir", help=f"output directory (or ${OUTDIR_ENV})")
-
-
 _WORKERS_HELP = ("worker processes, clamped to the usable CPUs and to the "
                  "1024-repetition chunks")
 
@@ -477,49 +463,64 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_dist = sub.add_parser("dist", help="tabulate distribution curves")
-    p_dist.add_argument("kind", choices=("gumbel",) + ORDERS)
-    p_dist.add_argument("--n", type=int, required=True,
-                        help="number of correlated variables")
-    correlation = p_dist.add_mutually_exclusive_group()
-    correlation.add_argument("--rho", type=float,
-                             help="AR(1) correlation coefficient in [0, 1)")
-    correlation.add_argument("--eps-file",
-                             help="explicit epsilon/covariance matrix file")
-    p_dist.add_argument("--z-min", type=float, default=-1.0)
-    p_dist.add_argument("--z-max", type=float, default=6.0)
-    p_dist.add_argument("--steps", type=int, default=701)
-    p_dist.add_argument("--clamp", action="store_true",
-                        help="clamp CSV cdf/pdf into range (plotting aid)")
-    _add_common_output(p_dist)
-    p_dist.set_defaults(func=_cmd_dist)
+    outdir = argparse.ArgumentParser(add_help=False)
+    outdir.add_argument("--outdir", help=f"output directory (or ${OUTDIR_ENV})")
+    output = argparse.ArgumentParser(add_help=False, parents=[outdir])
+    output.add_argument("--out", help="output file prefix")
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo maxima of AR(1) chains")
+    curve = argparse.ArgumentParser(add_help=False, parents=[output])
+    curve.add_argument("--n", type=int, required=True,
+                       help="number of correlated variables")
+    curve.add_argument("--z-min", type=float, default=-1.0)
+    curve.add_argument("--z-max", type=float, default=6.0)
+    curve.add_argument("--steps", type=int, default=701)
+    curve.add_argument("--clamp", action="store_true",
+                       help="clamp CSV cdf/pdf into range (plotting aid)")
+    curve.set_defaults(func=_cmd_dist)
+    kinds = sub.add_parser("dist", help="tabulate distribution curves").add_subparsers(
+        dest="kind", required=True)
+    kinds.add_parser("gumbel", parents=[curve])
+    for order in ORDERS:
+        correlation = kinds.add_parser(order, parents=[curve]) \
+            .add_mutually_exclusive_group(required=True)
+        correlation.add_argument("--rho", type=float,
+                                 help="AR(1) correlation coefficient in [0, 1)")
+        correlation.add_argument("--eps-file",
+                                 help="explicit epsilon/covariance matrix file")
+
+    p_mc = sub.add_parser("mc", help="Monte Carlo maxima of AR(1) chains",
+                          parents=[output])
     p_mc.add_argument("--n", type=int, required=True)
-    rho = p_mc.add_mutually_exclusive_group()
+    rho = p_mc.add_mutually_exclusive_group(required=True)
     rho.add_argument("--rho", type=float)
     rho.add_argument("--rho-sweep", help="LO:HI:STEP sweep over rho")
     p_mc.add_argument("--sigma", type=float, default=1.0)
     p_mc.add_argument("--reps", type=int, default=10_000)
     p_mc.add_argument("--seed", type=int, required=True)
     p_mc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    _add_common_output(p_mc)
     p_mc.set_defaults(func=_cmd_mc)
 
-    p_graph = sub.add_parser("graph", help="timing-graph analysis")
-    p_graph.add_argument("action", choices=("paths", "cov", "analyze"))
-    p_graph.add_argument("graph_file")
-    p_graph.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP,
-                         help="maximum number of enumerated paths")
-    p_graph.add_argument("--order", choices=ORDERS, default="second")
-    p_graph.add_argument("--reps", type=int, default=10_000)
-    p_graph.add_argument("--seed", type=int, default=0)
-    p_graph.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    p_graph.add_argument("--z-steps", type=int, default=501)
-    _add_common_output(p_graph)
-    p_graph.set_defaults(func=_cmd_graph)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("graph_file")
+    graph.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP,
+                       help="maximum number of enumerated paths")
+    actions = sub.add_parser("graph", help="timing-graph analysis").add_subparsers(
+        dest="action", required=True)
+    # paths prints only, yet takes --outdir as every command does; there
+    # --out would otherwise read as an abbreviation of it
+    actions.add_parser("paths", parents=[outdir, graph], allow_abbrev=False) \
+        .set_defaults(func=_cmd_graph_paths)
+    actions.add_parser("cov", parents=[output, graph]).set_defaults(func=_cmd_graph_cov)
+    p_an = actions.add_parser("analyze", parents=[output, graph])
+    p_an.add_argument("--order", choices=ORDERS, default="second")
+    p_an.add_argument("--reps", type=int, default=10_000)
+    p_an.add_argument("--seed", type=int, default=0)
+    p_an.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    p_an.add_argument("--z-steps", type=int, default=501)
+    p_an.set_defaults(func=_cmd_graph_analyze)
 
-    p_non = sub.add_parser("noniid", help="non-identical components experiment")
+    p_non = sub.add_parser("noniid", help="non-identical components experiment",
+                           parents=[output])
     p_non.add_argument("--n-grid", required=True,
                        help="comma-separated list of n values")
     p_non.add_argument("--mu", type=float, default=0.0)
@@ -531,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_non.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_non.add_argument("--freeze-deviations", action="store_true",
                        help="draw per-component deviations once per n")
-    _add_common_output(p_non)
     p_non.set_defaults(func=_cmd_noniid)
 
     return parser

@@ -37,6 +37,14 @@ def run(args: list[str]) -> int:
     return main(args)
 
 
+def run_refused(args: list[str], capsys) -> str:
+    """Run ``args``, which argparse must refuse with exit 2; return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestDist:
     def test_gumbel_tabulation(self, tmp_path):
         code = run([
@@ -162,10 +170,13 @@ class TestDist:
         np.testing.assert_array_equal(cdf[far], (z[far] > 0).astype(float))
         np.testing.assert_array_equal(pdf[far], 0.0)
 
-    def test_validation_exit_codes(self, tmp_path):
+    def test_validation_exit_codes(self, tmp_path, capsys):
         base = ["--outdir", str(tmp_path)]
         assert run(["dist", "first", "--n", "100", "--rho", "1.5"] + base) == 2
-        assert run(["dist", "first", "--n", "100"] + base) == 2
+        out = tmp_path / "no_rho"
+        assert "error: one of the arguments --rho --eps-file is required\n" in \
+            run_refused(["dist", "first", "--n", "100", "--outdir", str(out)], capsys)
+        assert not out.exists()
         assert run(["dist", "gumbel", "--n", "1"] + base) == 2
         assert run(["dist", "gumbel", "--n", "100", "--z-min", "5",
                     "--z-max", "1"] + base) == 2
@@ -217,10 +228,13 @@ class TestMc:
         rhos = [float(l.split(",")[0]) for l in lines[1:]]
         assert rhos == [0.2, 0.4, 0.6]
 
-    def test_validation(self, tmp_path):
+    def test_validation(self, tmp_path, capsys):
         base = ["--outdir", str(tmp_path)]
         assert run(["mc", "--n", "10", "--rho", "1.5", "--seed", "1"] + base) == 2
-        assert run(["mc", "--n", "10", "--seed", "1"] + base) == 2
+        out = tmp_path / "no_rho"
+        assert "error: one of the arguments --rho --rho-sweep is required\n" in \
+            run_refused(["mc", "--n", "10", "--seed", "1", "--outdir", str(out)], capsys)
+        assert not out.exists()
         assert run(["mc", "--n", "10", "--rho-sweep", "0.5:0.1:0.1",
                     "--seed", "1"] + base) == 2
 
@@ -262,6 +276,16 @@ class TestGraph:
             4 / np.sqrt(30), 3 / (2 * np.sqrt(6)), 1 / np.sqrt(5),
         ])
         np.testing.assert_allclose(entries, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("out", [[], ["--out", "c"]], ids=["default", "out"])
+    def test_cov_manifest_lists_only_cov_options(self, tmp_path, graphs_dir, out):
+        """The manifest records the options cov takes, none of analyze's."""
+        assert run(["graph", "cov", str(graphs_dir / "diamond.txt"), *out,
+                    "--outdir", str(tmp_path)]) == 0
+        [manifest] = tmp_path.glob("*.manifest.json")
+        params = json.loads(manifest.read_text())["parameters"]
+        assert set(params) == {"action", "cap", "command", "graph_file", "outdir",
+                               *(["out"] if out else [])}
 
     def test_analyze_report(self, tmp_path, graphs_dir):
         code = run([
@@ -476,13 +500,10 @@ class TestOutputPath:
           "--z-max", "1"], "--z-max must exceed --z-min"),
         (["dist", "gumbel", "--n", "100", "--steps", "1"],
          "--steps must be >= 2"),
-        (["dist", "first", "--n", "100"],
-         "--rho or --eps-file required for corrected distributions"),
         (["dist", "first", "--n", "100", "--rho", "1.5"],
          "rho must lie in [0, 1) (got 1.5)"),
         (["mc", "--n", "10", "--rho-sweep", "0.5:1.5:0.5", "--seed", "1"],
          "rho must lie in [0, 1] (got 1.5)"),
-        (["mc", "--n", "10", "--seed", "1"], "--rho or --rho-sweep is required"),
         (["mc", "--n", "10", "--rho", "1.5", "--seed", "1"],
          "rho must lie in [0, 1] (got 1.5)"),
         (["noniid", "--n-grid", "ten", "--seed", "1"],
@@ -560,11 +581,6 @@ class TestOutputPath:
         (["dist", "gumbel", "--n", "36028797018963968"],
          "n must be <= 2**53 (got 36028797018963968)"),
         (["dist", "gumbel", "--n", str(10**400)], f"n must be <= 2**53 (got {10**400})"),
-        (["dist", "gumbel", "--n", "100", "--rho", "0.999"],
-         "--rho does not apply to dist gumbel, the uncorrelated limit"),
-        # refused before the file is opened, so a missing one reads the same
-        (["dist", "gumbel", "--n", "100", "--eps-file", "no_such_eps.txt"],
-         "--eps-file does not apply to dist gumbel, the uncorrelated limit"),
         (["graph", "cov", "GRAPHS/diamond.txt", "--out", "nodir/x"],
          "--out must be a file name prefix without a path separator "
          "(got 'nodir/x')"),
@@ -575,8 +591,8 @@ class TestOutputPath:
         (["graph", "cov", "GRAPHS/diamond.txt", "--out", "x" * 250],
          f"output file name {'x' * 24}... is 264 bytes, over the limit of 255; "
          "choose a shorter --out"),
-    ], ids=["dist_z_range", "dist_steps", "dist_no_rho", "dist_rho_range",
-            "mc_sweep_range", "mc_no_rho", "mc_rho_range", "noniid_grid",
+    ], ids=["dist_z_range", "dist_steps", "dist_rho_range",
+            "mc_sweep_range", "mc_rho_range", "noniid_grid",
             "mc_sweep_fields", "graph_cov_cap", "mc_overflow",
             "graph_paths_overflow", "graph_analyze_overflow", "noniid_mu_nan",
             "noniid_sigma_inf", "noniid_delta_mu_inf", "noniid_delta_sigma_nan",
@@ -586,8 +602,7 @@ class TestOutputPath:
             "dist_steps_cap", "graph_z_steps_cap", "mc_reps_cap", "noniid_reps_cap",
             "graph_reps_cap", "mc_sweep_reps_cap", "dist_z_max_inf",
             "dist_z_span_overflow", "dist_z_min_nan", "dist_n_rounds_p_to_1",
-            "dist_n_overflows_float", "dist_gumbel_rho", "dist_gumbel_eps_file",
-            "out_with_separator", "out_too_long",
+            "dist_n_overflows_float", "out_with_separator", "out_too_long",
             "manifest_name_too_long"])
     def test_usage_error(self, tmp_path, capsys, graphs_dir, args, message):
         subs = {"GRAPHS": str(graphs_dir)}
@@ -608,19 +623,44 @@ class TestOutputPath:
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
-        (["mc", "--n", "10", "--rho", "0.3", "--rho-sweep", "0.1:0.2:0.1", "--seed", "1"],
-         "argument --rho-sweep: not allowed with argument --rho"),
-        (["dist", "first", "--n", "2", "--rho", "0.9", "--eps-file", "EPS"],
-         "argument --eps-file: not allowed with argument --rho"),
-    ], ids=["mc_rho_and_sweep", "dist_rho_and_eps_file"])
-    def test_conflicting_options_exit_2(self, tmp_path, capsys, args, message):
+        pytest.param(["mc", "--n", "10", "--rho", "0.3", "--rho-sweep", "0.1:0.2:0.1",
+                      "--seed", "1"],
+                     "argument --rho-sweep: not allowed with argument --rho",
+                     id="mc_rho_and_sweep"),
+        pytest.param(["dist", "first", "--n", "2", "--rho", "0.9", "--eps-file", "EPS"],
+                     "argument --eps-file: not allowed with argument --rho",
+                     id="dist_rho_and_eps_file"),
+        pytest.param(["dist", "first", "--n", "100"],
+                     "one of the arguments --rho --eps-file is required",
+                     id="dist_no_rho"),
+        pytest.param(["mc", "--n", "10", "--seed", "1"],
+                     "one of the arguments --rho --rho-sweep is required",
+                     id="mc_no_rho"),
+        pytest.param(["dist", "gumbel", "--n", "100", "--rho", "0.999"],
+                     "unrecognized arguments: --rho 0.999", id="dist_gumbel_rho"),
+        # refused before the file is opened, so a missing one reads the same
+        pytest.param(["dist", "gumbel", "--n", "100", "--eps-file", "no_such_eps.txt"],
+                     "unrecognized arguments: --eps-file no_such_eps.txt",
+                     id="dist_gumbel_eps_file"),
+        # only analyze samples; paths and cov take none of its options
+        *[pytest.param(["graph", action, "GRAPHS/diamond.txt", option, value],
+                       f"unrecognized arguments: {option} {value}",
+                       id=f"graph_{action}_{option[2:].replace('-', '_')}")
+          for action in ("paths", "cov")
+          for option, value in (("--order", "first"), ("--reps", "5"), ("--seed", "3"),
+                                ("--workers", "2"), ("--z-steps", "7"))],
+        pytest.param(["graph", "paths", "GRAPHS/diamond.txt", "--out", "x"],
+                     "unrecognized arguments: --out x", id="graph_paths_out"),
+    ])
+    def test_argparse_refusal_exits_2(self, tmp_path, capsys, graphs_dir, args, message):
+        """Options a command does not take, or does not take together, and
+        a missing required one, exit 2 in argparse before any output."""
         eps = tmp_path / "eps.txt"
         eps.write_text("0 0.1\n0.1 0\n")
+        args = [a.replace("EPS", str(eps)).replace("GRAPHS", str(graphs_dir))
+                for a in args]
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            run([a.replace("EPS", str(eps)) for a in args] + ["--outdir", str(out)])
-        assert exc.value.code == 2
-        assert f"error: {message}\n" in capsys.readouterr().err
+        assert f"error: {message}\n" in run_refused(args + ["--outdir", str(out)], capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])

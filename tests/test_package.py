@@ -1,6 +1,7 @@
 """Guards on the package surface and on the README's Python example."""
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import re
@@ -207,6 +208,40 @@ def test_orders_are_looked_up_not_compared():
         if isinstance(operand, ast.Constant) and operand.value in names
     ]
     assert found == []
+
+
+def _leaf_parsers(parser):
+    """The parsers under ``parser``, itself included, that have no
+    sub-commands of their own."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser
+    for action in subs:
+        for child in action.choices.values():
+            yield from _leaf_parsers(child)
+
+
+def _args_read(func: ast.FunctionDef) -> set[str]:
+    """Every ``x`` that ``func`` reads as ``args.x``."""
+    return {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+def test_every_option_has_a_reader():
+    """Each command's parser takes only options its ``func`` reads as
+    ``args.<dest>``; ``--outdir``, which every command takes, is read by
+    ``cli._output_dir``."""
+    from corrmax.cli import build_parser
+    functions = {node.name: node for node in ast.walk(dict(_package_trees())["cli.py"])
+                 if isinstance(node, ast.FunctionDef)}
+    assert "outdir" in _args_read(functions["_output_dir"])
+    leaves = list(_leaf_parsers(build_parser()))
+    assert len(leaves) == 9  # four dist kinds, mc, three graph actions, noniid
+    for leaf in leaves:
+        dests = {a.dest for a in leaf._actions if not isinstance(a, argparse._HelpAction)}
+        reader = functions[leaf.get_default("func").__name__]
+        assert "outdir" in dests, leaf.prog
+        assert dests - {"outdir"} - _args_read(reader) == set(), leaf.prog
 
 
 def test_readme_quick_start_runs():
