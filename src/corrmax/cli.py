@@ -455,20 +455,28 @@ _WORKERS_HELP = ("worker processes, clamped to the usable CPUs and to the "
                  "1024-repetition chunks")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes each option only as spelled in full, never by a
+    prefix; its sub-parsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corrmax",
         description="Correlated Gaussian extremes for path-based SSTA",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    outdir = argparse.ArgumentParser(add_help=False)
+    outdir = _Parser(add_help=False)
     outdir.add_argument("--outdir", help=f"output directory (or ${OUTDIR_ENV})")
-    output = argparse.ArgumentParser(add_help=False, parents=[outdir])
+    output = _Parser(add_help=False, parents=[outdir])
     output.add_argument("--out", help="output file prefix")
 
-    curve = argparse.ArgumentParser(add_help=False, parents=[output])
+    curve = _Parser(add_help=False, parents=[output])
     curve.add_argument("--n", type=int, required=True,
                        help="number of correlated variables")
     curve.add_argument("--z-min", type=float, default=-1.0)
@@ -500,16 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_mc.set_defaults(func=_cmd_mc)
 
-    graph = argparse.ArgumentParser(add_help=False)
+    graph = _Parser(add_help=False)
     graph.add_argument("graph_file")
     graph.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP,
                        help="maximum number of enumerated paths")
     actions = sub.add_parser("graph", help="timing-graph analysis").add_subparsers(
         dest="action", required=True)
-    # paths prints only, yet takes --outdir as every command does; there
-    # --out would otherwise read as an abbreviation of it
-    actions.add_parser("paths", parents=[outdir, graph], allow_abbrev=False) \
-        .set_defaults(func=_cmd_graph_paths)
+    # paths prints only, yet takes --outdir as every command does
+    actions.add_parser("paths", parents=[outdir, graph]).set_defaults(func=_cmd_graph_paths)
     actions.add_parser("cov", parents=[output, graph]).set_defaults(func=_cmd_graph_cov)
     p_an = actions.add_parser("analyze", parents=[output, graph])
     p_an.add_argument("--order", choices=ORDERS, default="second")

@@ -9,31 +9,34 @@ that stream: word w of repetition r is lane w % 4 of the Philox4x64-10
 block at the 256-bit counter (s << 192) + r * ceil(W / 4) + w // 4 + 1,
 and its uniform is (k + 0.5) * 2**-53 of the word's top 53 bits k,
 clamped below 1.  Consecutive repetitions hold consecutive counters, so
-``_chunk_uniforms`` draws a chunk of repetitions as one contiguous run of
-one Philox, keeping the top 53 bits of 64 rows of raw words at a time, and
-converts the chunk to uniforms in one vectorized step.  ``_word_uniforms``
-reads single words by random access, through a vectorized numpy Philox
-that computes the C generator's blocks.  Both readers share one conversion
-of a word's top 53 bits to an open uniform, and their outputs are bitwise
-equal to the reference.  Normal variates are ``ndtri`` of open-interval
-uniforms, the same inverse CDF the analytic layer uses for its scaling
-constants.  The sweep and the DAG sampler overwrite each chunk's uniforms
-with their normals in place, 2**14 elements at a time, so a chunk holds
-one float array of its shape plus temporaries of O(2**14) floats.  A rho-sweep uses
-common random numbers: each chunk's normals are drawn once, and a single AR(1)
-recurrence advances up to 64 rho points at a time on them as one
-(points x chunk) block, with the same per-element operations as one
-chain at a time.  The non-identical experiment evaluates the quantile only
-for the components of a repetition that can still hold its maximum: a
-float upper bound, monotone in the uniform, rules the others out exactly,
-so each maximum has the bits of the full evaluation.  Grid point k reads
-its quantile words from stream 3k, its mean and deviation words from
-stream 3k + 1 and its frozen deviations from stream 3k + 2; where few
-components remain, it reads only the candidates' words of stream 3k + 1,
-by random access (see ``non_iid_experiment``).  A run whose uniform buffer
-or sample array would hold more than ``_MAX_CHUNK_FLOATS`` floats is
-refused before anything is allocated, which also keeps
-r * ceil(W / 4) below 2**52, so no counter carries into its second word.
+``_top_bit_blocks`` draws a run of repetitions as one contiguous run of one
+Philox, keeping the top 53 bits of a block of rows of raw words at a time,
+and ``_chunk_uniforms`` converts a chunk of those blocks to uniforms in one
+vectorized step.  ``_word_uniforms`` reads single words by random access,
+through a vectorized numpy Philox that computes the C generator's blocks.
+Both readers share one conversion of a word's top 53 bits to an open
+uniform, and their outputs are bitwise equal to the reference.  Normal
+variates are ``ndtri`` of open-interval uniforms, the same inverse CDF the
+analytic layer uses for its scaling constants.  The sweep and the DAG
+sampler overwrite each chunk's uniforms with their normals in place, 2**14
+elements at a time, so a chunk holds one float array of its shape plus
+temporaries of O(2**14) floats.  A rho-sweep uses common random numbers:
+each chunk's normals are drawn once, and a single AR(1) recurrence advances
+up to 64 rho points at a time on them as one (points x chunk) block, with
+the same per-element operations as one chain at a time.  The non-identical
+experiment evaluates the quantile only for the components of a repetition
+that can still hold its maximum: float bounds, monotone in the uniform,
+rule the others out exactly, first in each block of rows as the stream is
+read and then against each row's top, so each maximum has the bits of the
+full evaluation and the experiment holds a block of each stream, not a
+chunk.  Grid point k reads its quantile words from stream 3k, its mean and
+deviation words from stream 3k + 1 and its frozen deviations from stream
+3k + 2; where few components remain, it reads only the candidates' words
+of stream 3k + 1, by random access (see ``non_iid_experiment``).  A run
+whose uniform buffer or sample array would hold more than
+``_MAX_CHUNK_FLOATS`` floats is refused before anything is allocated,
+which also keeps r * ceil(W / 4) below 2**52, so no counter carries into
+its second word.
 """
 from __future__ import annotations
 
@@ -60,8 +63,12 @@ __all__ = [
 # Fixed work-unit size so chunking never depends on the worker count.
 _CHUNK_REPS = 1024
 
-# Rows of raw Philox words that _chunk_uniforms converts at once.
+# Rows of raw Philox words that ``_top_bit_blocks`` draws at once.
+# ``non_iid_experiment`` reads as many rows as fill _BLOCK_WORDS words where
+# that is more: it makes a few dozen numpy calls per block, which would
+# outweigh a block of a few hundred words.
 _ROW_BLOCK = 64
+_BLOCK_WORDS = 2**16
 
 # Most rho points that share one block recurrence; caps its buffers at
 # 2 * _RHO_GROUP * _CHUNK_REPS floats per worker whatever the sweep length.
@@ -74,9 +81,10 @@ _RHO_GROUP = 64
 # x 1024 rows and the DAG's nodes x 1024 arrival times.  At n = 5000 a
 # chunk is 39 MiB, and ``mc --n 5000 --reps 1024`` peaks near 77 MiB of RSS
 # (Python 3.11, numpy 2.4).
-# ``non_iid_experiment`` holds an n-wide and a 2n-wide buffer (only the
-# first when it reads by random access or freezes deviations) and a boolean
-# mask of the quantile uniforms.  The same cap bounds a sampler's sample
+# ``non_iid_experiment`` holds one block of n quantile uniforms and, unless
+# it reads by random access or freezes deviations, one of 2n mean and
+# deviation words, with the components it keeps of them; the cap still
+# applies to its 3n-wide rows.  The same cap bounds a sampler's sample
 # array: ``McConfig.reps`` floats, or rho points times reps for a sweep.
 _MAX_CHUNK_FLOATS = 2**27
 
@@ -97,6 +105,10 @@ _Q_MAX = 8.3
 # repetitions, the 2n words 207-228 ms.
 _PROBE_REPS = 64
 _RANDOM_READ_WORDS = 50
+
+# Spacing of the quantile rungs through which ``non_iid_experiment`` bounds
+# a component by its uniform alone.
+_RUNG = 2.0**-8
 
 
 @dataclass(frozen=True)
@@ -145,30 +157,45 @@ def _open_from_top_bits(k: np.ndarray) -> np.ndarray:
     return k
 
 
+def _top_bit_blocks(seed: int, start: int, stop: int, width: int, stream: int = 0,
+                    rows: int = _ROW_BLOCK):
+    """The top 53 bits of the words of repetitions [start, stop) of a stream
+    ``width`` words wide, yielded ``rows`` rows at a time as uint64 arrays
+    of rows x ``width``.
+
+    Repetition r fills the ceil(width / 4) Philox blocks from counter
+    (stream << 192) + r * ceil(width / 4) + 1 on, so the repetitions are one
+    contiguous run of a Philox that starts at repetition ``start``: this is
+    the one place that draws Philox words in order.  A caller that drops
+    each block before asking for the next holds one block of raw words.
+    """
+    words = 4 * -(-width // 4)
+    bitgen = np.random.Philox(key=int(seed),
+                              counter=(int(stream) << 192) + int(start) * (words // 4))
+    for a in range(start, stop, rows):
+        raw = bitgen.random_raw(min(rows, stop - a) * words).reshape(-1, words)
+        # integers(0, 2**53) on a 64-bit word is the word's top 53 bits.
+        raw >>= 11
+        yield raw[:, :width]
+        del raw  # the next row block's words replace these, not join them
+
+
 def _chunk_uniforms(seed: int, start: int, stop: int, width: int,
                     stream: int = 0) -> np.ndarray:
     """Open uniforms of repetitions [start, stop) of a stream ``width``
     words wide, one row each.
 
     Row r - start equals the reference ``open_uniform(rep_rng(seed, r,
-    width, stream), width)`` bit for bit.  Repetition r fills the
-    ceil(width / 4) Philox blocks from counter (stream << 192) +
-    r * ceil(width / 4) + 1 on, so the chunk is one contiguous run of a
-    Philox that starts at repetition ``start``.  Its raw words are read
-    ``_ROW_BLOCK`` rows at a time, keep their top 53 bits, and become
-    uniforms in one vectorized step at the end.
+    width, stream), width)`` bit for bit.  The rows are the blocks of
+    ``_top_bit_blocks``, which become uniforms in one vectorized step at
+    the end.
     """
-    words = 4 * -(-width // 4)
-    bitgen = np.random.Philox(key=int(seed),
-                              counter=(int(stream) << 192) + int(start) * (words // 4))
     u = np.empty((stop - start, width), dtype=float)
-    for a in range(0, stop - start, _ROW_BLOCK):
-        block = u[a : a + _ROW_BLOCK]
-        raw = bitgen.random_raw(len(block) * words).reshape(len(block), words)
-        # integers(0, 2**53) on a 64-bit word is the word's top 53 bits.
-        raw >>= 11
-        block[:] = raw[:, :width]
-        del raw  # the next row block's words replace these, not join them
+    a = 0
+    for bits in _top_bit_blocks(seed, start, stop, width, stream):
+        u[a : a + len(bits)] = bits
+        a += len(bits)
+        del bits  # so the block is freed before the next is drawn
     return _open_from_top_bits(u)
 
 
@@ -455,32 +482,57 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
     Only the components that can still hold a repetition's maximum reach
     the quantile, and the maximum keeps the bits of the full evaluation:
     - Bounds.  Rounding is monotone, so in floats every component has
-      mu_i <= mu_hi = fl(mu + delta_mu) and
-      s_lo = fl(sigma - delta_sigma) <= sigma_i <= s_hi = fl(sigma + delta_sigma).
+      mu_lo = fl(mu - delta_mu) <= mu_i <= mu_hi = fl(mu + delta_mu) and
+      0 < s_lo = fl(sigma - delta_sigma) <= sigma_i <= s_hi = fl(sigma + delta_sigma).
       Hence x_i = fl(mu_i + fl(sigma_i*q_i)) <= U(q_i), where
-      U(q) = fl(mu_hi + fl(s*q)) with s = s_hi for q >= 0 and s_lo below;
-      U never decreases.
-    - Threshold.  Each repetition evaluates x_j for j, the component with
-      the largest quantile uniform, then finds a q_c with U(q_c) < x_j,
-      checked in floats, and sets t = Phi(q_c) - 2e-14.  A uniform u < t
-      has ndtri(u) <= q_c, because |Phi(ndtri(u)) - u| <= 1e-14 (the
-      tested contract of ``std_normal_quantile``) and the computed Phi is
-      far closer than 1e-14 to the true one.  So x_i <= U(q_i) <= U(q_c)
-      < x_j, and component i cannot hold the maximum.
-    - Evaluation.  Every component with u >= t goes through the same
-      expression as a full evaluation, and the row maximum is reduced over
-      those components alone, which leaves its bits unchanged.  Where U(-+8.3), at the ends
-      of the range of ndtri on the open uniforms, is not finite, or the
-      float check fails, t = 0: every component is evaluated, so overflow
-      and nan reach ``empirical_stats`` as before.
+      U(q) = fl(mu_hi + fl(s*q)) with s = s_hi for q >= 0 and s_lo below,
+      and, for any q <= q_i, x_i >= fl(mu_i + fl(sigma_i*q)) >= L(q), where
+      L(q) = fl(mu_lo + fl(s*q)) with s = s_lo for q >= 0 and s_hi below.
+      U and L never decrease.
+    - Rungs.  |Phi(ndtri(u)) - u| <= 1e-14 (the tested contract of
+      ``std_normal_quantile``), and the computed Phi is far closer than
+      1e-14 to the true one.  So for any q, a uniform u < Phi(q) - 2e-14
+      has ndtri(u) < q, and u >= Phi(q) + 2e-14 has ndtri(u) > q.  On rungs
+      q ``_RUNG`` apart on [-8.3, 8.3], ``threshold(x)`` is Phi(q) - 2e-14
+      for the highest rung with U(q) < x, compared in floats, or 0: a
+      component with a smaller u has x_i <= U(q_i) <= U(q) < x.
+      ``quantile_floor(u)`` is the highest rung with Phi(q) + 2e-14 <= u,
+      or -inf: it lies below ndtri(u).
+    - Blocks.  A row's top is its component j with the largest quantile
+      uniform; q is the floor of u_j, so x_j >= b_j = fl(mu_j +
+      fl(sigma_j*q)), or L(q) where the top's mean and deviation words are
+      not at hand.  Each block of rows keeps each row's top and the
+      components with u >= threshold(b_j); every other component stays
+      below x_j.  The rungs make this two table lookups per block instead
+      of a quantile and a Phi of the tops, each a few dozen numpy calls.
+    - Evaluation.  Each row evaluates x_j, and its kept components with
+      u >= threshold(x_j) go through the same expression as a full
+      evaluation: per block where the block holds their words, and where
+      they are read by random access, once the kept components of whole
+      rows are as many as a block holds, and at the end of each chunk.
+      The row maximum is reduced over the top and then those components,
+      in column order; every component left out stays below x_j, so the
+      maximum keeps its bits.  Where U(-+8.3), at the ends of the range of
+      ndtri on the open uniforms, is not finite, every threshold is 0:
+      every component is kept and evaluated, so overflow and nan reach
+      ``empirical_stats`` as before.
     - Reading.  With redrawn deviations, a probe of the first
       ``_PROBE_REPS`` repetitions counts k, the components per repetition
-      that pruning evaluates.  The chunks draw the n quantile words of
-      stream 3k with the C Philox.  Where (k + 1) * ``_RANDOM_READ_WORDS``
-      < 2n, they read the mu and sigma words i and n + i of stream 3k + 1
-      for the evaluated components only, by random access; otherwise they
-      draw all 2n.  Both ways apply the same expressions to the same words,
-      so the choice, made before any chunk is drawn, changes no bit.
+      that pruning evaluates beside the top.  The chunks draw the n
+      quantile words of stream 3k with the C Philox.  Where
+      (k + 1) * ``_RANDOM_READ_WORDS`` < 2n, they read the mu and sigma
+      words i and n + i of stream 3k + 1 for the evaluated components only,
+      by random access, in two reads per evaluation; otherwise they draw all
+      2n alongside the quantile words, block by block.  Frozen deviations
+      come from their one row.  Every way applies the same expressions to
+      the same words, so the choice, made before any chunk is drawn,
+      changes no bit.
+
+    So a grid point holds one block of each stream it draws, of
+    max(``_ROW_BLOCK``, ``_BLOCK_WORDS`` // n) rows, and fewer kept
+    components than two blocks hold: a few per row where pruning works,
+    most of the row where the spread keeps most components in reach of
+    the maximum.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) == 0 or any(n < 1 for n in n_grid):
@@ -502,82 +554,135 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
     _check_width(cfg.reps, (1 if freeze_deviations else 3) * widest)
     if freeze_deviations:
         _check_width(1, 2 * widest)  # the single row of frozen deviations
-    mu_hi, s_lo, s_hi = mu + delta_mu, sigma - delta_sigma, sigma + delta_sigma
+    mu_lo, mu_hi = mu - delta_mu, mu + delta_mu
+    s_lo, s_hi = sigma - delta_sigma, sigma + delta_sigma
 
     def upper(q):  # U(q), an upper bound on every component at quantile q
         return mu_hi + np.where(q >= 0.0, s_hi, s_lo) * q
 
-    # A finite U(+8.3) needs finite mu_hi and s_hi; s_lo lies in (0, sigma].
-    with np.errstate(over="ignore", invalid="ignore"):
-        prunable = bool(np.all(np.isfinite(upper(np.array([-_Q_MAX, _Q_MAX])))))
+    def lower(q):  # L(q), a lower bound on every component at quantile q
+        return mu_lo + np.where(q >= 0.0, s_lo, s_hi) * q
 
-    def threshold(x_j):
-        """Per row, a uniform below which no component can reach x_j."""
-        d = x_j - mu_hi
-        d -= 2.0**-48 * (np.abs(x_j) + abs(mu_hi))  # room for rounding in U
-        q_c = d / np.where(d >= 0.0, s_hi, s_lo)
-        proven = (upper(q_c) < x_j) & prunable
-        return np.where(proven, std_normal_cdf(np.where(proven, q_c, 0.0)) - 2e-14, 0.0)
+    rung_q = np.arange(-_Q_MAX, _Q_MAX, _RUNG)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A finite U(+8.3) needs finite mu_hi and s_hi; s_lo lies in (0, sigma].
+        prunable = bool(np.all(np.isfinite(upper(np.array([-_Q_MAX, _Q_MAX])))))
+        rung_x = upper(rung_q)  # sorted where finite, as U never decreases
+    phi = std_normal_cdf(rung_q)
+    # The running maximum keeps rung_u sorted, at or above each Phi + 2e-14.
+    rung_u = np.maximum.accumulate(phi + 2e-14)
+    rung_t = np.concatenate([[0.0], phi - 2e-14 if prunable else np.zeros_like(phi)])
+    floor_q = np.concatenate([[-np.inf], rung_q])
+
+    def threshold(x):
+        """Per entry, a uniform below which no component reaches x."""
+        return rung_t[np.searchsorted(rung_x, x, side="left")]
+
+    def quantile_floor(u):
+        """Per entry, a float at or below ndtri(u)."""
+        return floor_q[np.searchsorted(rung_u, u, side="right")]
 
     def deviated(u_mu, u_sigma):  # the full evaluation's (mu_i, sigma_i)
         return (mu + delta_mu * (2.0 * u_mu - 1.0),
                 sigma + delta_sigma * (2.0 * u_sigma - 1.0))
 
-    def component(values, rows, cols):  # x of the components (rows, cols)
-        mu_i, sigma_i, u_i = values(rows, cols)
-        return mu_i + sigma_i * std_normal_quantile(u_i)
-
-    def pruned_max(u_q, values):
-        """Row maxima of the top components and the candidates, and the
-        number of candidates."""
-        rows = np.arange(len(u_q))
-        top = u_q.argmax(axis=1)
-        best = component(values, rows, top)
-        candidates = u_q >= threshold(best)[:, None]
-        candidates[rows, top] = False
-        rows, cols = np.divmod(np.flatnonzero(candidates), u_q.shape[1])
-        np.maximum.at(best, rows, component(values, rows, cols))
-        return best, len(rows)
-
     def grid_point(n, point):
+        block_rows = max(_ROW_BLOCK, _BLOCK_WORDS // n)  # the same for both streams
         if freeze_deviations:
             u_frozen = _chunk_uniforms(cfg.seed, 0, 1, 2 * n, 3 * point + 2)[0]
 
-        def read(start, stop, sparse=False):
-            """Quantile uniforms of repetitions [start, stop), and a reader
-            of the (mu_i, sigma_i, u_i) of the components at rows and
-            columns, which gathers from flat row-major arrays."""
-            u_q = _chunk_uniforms(cfg.seed, start, stop, n, 3 * point)
-            flat = u_q.ravel()
-            if freeze_deviations:
-                def mean_words(rows, cols):
-                    return u_frozen[cols], u_frozen[n + cols]
-            elif sparse:
-                def mean_words(rows, cols):  # words i and n + i by random access
-                    return np.split(_word_uniforms(
-                        cfg.seed, np.tile(start + rows, 2),
-                        np.concatenate([cols, n + cols]), 2 * n, 3 * point + 1), 2)
+        def kept(bits, md, a):
+            """The components of one block, its rows numbered from ``a``,
+            that can reach their row's maximum: each row's top, then the
+            others, each set as [rows, columns, quantile uniforms, and the
+            mean and deviation uniforms where the block has them]."""
+            u = _open_from_top_bits(bits.astype(float))
+
+            def words(r, c):  # words c and n + c of rows r, where at hand
+                if md is not None:
+                    return [_open_from_top_bits(md[r, c + i].astype(float)) for i in (0, n)]
+                if freeze_deviations:
+                    return [u_frozen[c], u_frozen[n + c]]
+                return []  # read later, by random access
+
+            rows = np.arange(len(u))
+            top = u.argmax(axis=1)
+            u_top, top_words = u[rows, top], words(rows, top)
+            if top_words:
+                mu_j, sigma_j = deviated(*top_words)
+                bound = mu_j + sigma_j * quantile_floor(u_top)
             else:
-                u_md = _chunk_uniforms(cfg.seed, start, stop, 2 * n, 3 * point + 1).ravel()
+                bound = lower(quantile_floor(u_top))
+            keep = u >= threshold(bound)[:, None]
+            keep[rows, top] = False
+            at = np.flatnonzero(keep)
+            r = np.repeat(rows, np.count_nonzero(keep, axis=1))  # at // n, faster
+            c = at - r * n
+            return ([a + rows, top, u_top, *top_words],
+                    [a + r, c, u.ravel()[at], *words(r, c)])
 
-                def mean_words(rows, cols):  # words i and n + i of each row
-                    at = rows * (2 * n) + cols
-                    return u_md[at], u_md[at + n]
+        def component(start, rows, cols, u, *words):  # x of these components
+            if words:
+                u_mu, u_sigma = words
+            else:  # words i and n + i by random access
+                u_mu, u_sigma = np.split(_word_uniforms(
+                    cfg.seed, np.tile(start + rows, 2), np.concatenate([cols, n + cols]),
+                    2 * n, 3 * point + 1), 2)
+            mu_i, sigma_i = deviated(u_mu, u_sigma)
+            return mu_i + sigma_i * std_normal_quantile(u)
 
-            return u_q, lambda rows, cols: (
-                *deviated(*mean_words(rows, cols)), flat[rows * n + cols])
+        def exact(start, tops, rest):
+            """Row maxima of consecutive whole rows of the chunk at
+            ``start`` from their kept components, and the number of
+            candidates evaluated beside the rows' tops."""
+            tops, rest = (list(map(np.concatenate, zip(*parts))) for parts in (tops, rest))
+            first = tops[0][0]
+            best = component(start, *tops)
+            candidates = rest[2] >= threshold(best)[rest[0] - first]
+            rest = [field[candidates] for field in rest]
+            np.maximum.at(best, rest[0] - first, component(start, *rest))
+            return best, len(rest[0])
 
-        sparse = False
+        def pruned_max(start, stop, dense):
+            """Row maxima of repetitions [start, stop), and the number of
+            candidates evaluated beside the rows' tops.  ``dense`` draws the
+            mean and deviation words with the quantile words; otherwise
+            they come from the frozen row or by random access.  A block
+            whose words are at hand is evaluated at once; for random access,
+            the kept components of whole rows are evaluated together once
+            they are as many as a block holds, and at the end of the chunk,
+            so that two reads serve many blocks."""
+            batched = not (dense or freeze_deviations)
+            q_blocks = _top_bit_blocks(cfg.seed, start, stop, n, 3 * point, block_rows)
+            if dense:
+                md_blocks = _top_bit_blocks(cfg.seed, start, stop, 2 * n, 3 * point + 1,
+                                            block_rows)
+            tops, rest, maxima, evaluated, a = [], [], [], 0, 0
+            for bits in q_blocks:
+                top, others = kept(bits, next(md_blocks) if dense else None, a)
+                tops.append(top)
+                rest.append(others)
+                a += len(bits)
+                full = sum(len(part[0]) for part in rest) >= bits.size
+                del bits  # so the block is freed before the next is drawn
+                if full or not batched or a == stop - start:
+                    best, count = exact(start, tops, rest)
+                    maxima.append(best)
+                    evaluated += count
+                    tops, rest = [], []
+            return np.concatenate(maxima), evaluated
+
+        dense = False
         if not freeze_deviations:
             # The components per repetition that pruning evaluates in a probe
             # of the first rows pick how the chunks read the stream.
             probe = min(cfg.reps, _PROBE_REPS)
             with np.errstate(over="ignore", invalid="ignore"):  # as in _run_chunked
-                k = (probe + pruned_max(*read(0, probe))[1]) / probe
-            sparse = (k + 1) * _RANDOM_READ_WORDS < 2 * n
+                k = (probe + pruned_max(0, probe, True)[1]) / probe
+            dense = (k + 1) * _RANDOM_READ_WORDS >= 2 * n
 
         def fill(start, stop):
-            return pruned_max(*read(start, stop, sparse))[0]
+            return pruned_max(start, stop, dense)[0]
 
         return empirical_stats(_run_chunked((cfg.reps,), cfg.workers, fill))
 

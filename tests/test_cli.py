@@ -663,6 +663,27 @@ class TestOutputPath:
         assert f"error: {message}\n" in run_refused(args + ["--outdir", str(out)], capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, prefix", [
+        (["dist", "gumbel", "--n", "10"], "--ste"),
+        *[(["dist", order, "--n", "10", "--rho", "0.3"], "--z-ma")
+          for order in ("first", "second", "complete")],
+        (["mc", "--n", "10", "--rho", "0.3", "--seed", "1"], "--rep"),
+        (["graph", "paths", "GRAPHS/diamond.txt"], "--ca"),
+        (["graph", "cov", "GRAPHS/diamond.txt"], "--ca"),
+        (["graph", "analyze", "GRAPHS/diamond.txt"], "--z-step"),
+        (["noniid", "--n-grid", "10", "--seed", "1"], "--rep"),
+    ], ids=["dist_gumbel", "dist_first", "dist_second", "dist_complete", "mc",
+            "graph_paths", "graph_cov", "graph_analyze", "noniid"])
+    def test_option_prefix_exits_2(self, tmp_path, capsys, graphs_dir, args, prefix):
+        """Each option is taken only as spelled in full: a prefix of one,
+        which argparse would by default read as its abbreviation, exits 2
+        before any output."""
+        args = [a.replace("GRAPHS", str(graphs_dir)) for a in args]
+        out = tmp_path / "out"
+        err = run_refused(args + [prefix, "5", "--outdir", str(out)], capsys)
+        assert f"error: unrecognized arguments: {prefix} 5\n" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
     def test_outdir_through_a_file_exits_2_before_computing(
         self, tmp_path, capsys, monkeypatch, outdir

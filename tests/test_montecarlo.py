@@ -514,6 +514,23 @@ class TestChunkMemory:
             np.ones(2000), np.full(2000, 0.1), src, src + 1, McConfig(seed=1, reps=1024)))
         assert peak <= self.CHUNK + arrival + 0.25 * self.CHUNK
 
+    @pytest.mark.parametrize("mode", ["sparse", "pruned", "frozen"])
+    def test_noniid_peaks_below_half_a_chunk(self, monkeypatch, mode):
+        """n = 2000 at delta_mu = 0.2, where pruning keeps a few components
+        per row, read 64 rows at a time: a block of raw quantile words and
+        their uniforms (1/16 chunk each), beside which ``pruned`` and the
+        probe of ``sparse`` hold a block of 2n raw mean and deviation words
+        (1/8 chunk); the kept components and the rungs are a few hundred KB.
+        Measured 0.28 chunk (sparse, pruned) and 0.15 (frozen); bound 0.5.
+        Holding the chunk's uniforms, as it once did, is a chunk alone."""
+        non_iid_experiment((30,), McConfig(seed=1, reps=1), delta_mu=0.2)
+        if mode != "frozen":
+            force_mode(monkeypatch, mode)
+        peak = traced_peak(lambda: non_iid_experiment(
+            (2000,), McConfig(seed=1, reps=1024), delta_mu=0.2,
+            freeze_deviations=mode == "frozen"))
+        assert peak <= 0.5 * self.CHUNK
+
 
 class TestEmpiricalStats:
     def test_constant_samples(self):
@@ -653,6 +670,24 @@ class TestNonIidExperiment:
         assert np.array_equal(res.samples, ref.samples)
         assert (res.mean, res.std) == (ref.mean, ref.std)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_frozen_deviations_match_across_blocks_and_chunks(self, workers):
+        """1100 repetitions of n = 300, read and evaluated in blocks of 218
+        rows: five in the first chunk, the last of 152 rows, and one of 76
+        rows in the second.  At this spread a block keeps most of its
+        components."""
+        n, seed, reps = 300, 2**64 - 9, 1100
+        frozen = rep_rng(seed, 0, 2 * n, stream=2)
+        mu = 0.0 + 5.0 * (2.0 * open_uniform(frozen, n) - 1.0)
+        sigma = 1.0 + 0.99 * (2.0 * open_uniform(frozen, n) - 1.0)
+        maxima = [
+            np.max(mu + sigma * std_normal_quantile(open_uniform(rep_rng(seed, r, n), n)))
+            for r in range(reps)
+        ]
+        [res] = non_iid_experiment((n,), McConfig(seed=seed, reps=reps, workers=workers),
+                                   delta_mu=5.0, delta_sigma=0.99, freeze_deviations=True)
+        assert np.array_equal(res.samples, np.array(maxima))
+
     @pytest.mark.parametrize("n, mu, sigma, delta_mu, delta_sigma", [
         (1, 0.0, 1.0, 0.2, 0.0),
         (2, 0.0, 1.0, 0.5, 0.3),
@@ -715,13 +750,13 @@ class TestNonIidExperiment:
         sparse grid point draws only the n quantile words of stream 0 per
         repetition, and another also the 2n words of stream 1."""
         calls = []
-        chunk_uniforms = corrmax.montecarlo._chunk_uniforms
+        top_bit_blocks = corrmax.montecarlo._top_bit_blocks
 
-        def recorded(seed, start, stop, width, stream=0):
+        def recorded(seed, start, stop, width, stream=0, rows=64):
             calls.append((start, stop, width, stream))
-            return chunk_uniforms(seed, start, stop, width, stream)
+            return top_bit_blocks(seed, start, stop, width, stream, rows)
 
-        monkeypatch.setattr(corrmax.montecarlo, "_chunk_uniforms", recorded)
+        monkeypatch.setattr(corrmax.montecarlo, "_top_bit_blocks", recorded)
         if mode is not None:
             force_mode(monkeypatch, mode)
         non_iid_experiment((n,), McConfig(seed=3, reps=1100), delta_mu=delta_mu,

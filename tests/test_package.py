@@ -131,6 +131,28 @@ def test_one_owner_of_parallelism():
         assert owner or name != "montecarlo.py"
 
 
+def _philox_owners(node, owner=None) -> list:
+    """The innermost function around each use of the name ``Philox`` in
+    ``node`` (None at module level)."""
+    owners = []
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else owner
+        if "Philox" in (getattr(child, "attr", None), getattr(child, "id", None)):
+            owners.append(owner)
+        owners += _philox_owners(child, inner)
+    return owners
+
+
+def test_one_function_constructs_the_philox_stream():
+    """The one random-stream primitive: a single package function builds
+    ``np.random.Philox``, and every reader of the stream in order goes
+    through it (``_word_uniforms`` computes blocks by random access)."""
+    owners = [(name, owner) for name, tree in _package_trees()
+              for owner in _philox_owners(tree)]
+    assert len(owners) == 1 and owners[0][0] == "montecarlo.py", owners
+    assert owners[0][1] is not None, owners
+
+
 def _open_mode(call: ast.Call):
     """The mode argument of an ``open(...)`` call; "r" when omitted."""
     if len(call.args) > 1:
