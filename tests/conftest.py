@@ -1,12 +1,13 @@
 """Shared oracles and helpers for the test suite."""
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from corrmax import (
     DimensionMismatch,
@@ -17,6 +18,7 @@ from corrmax import (
     std_normal_quantile,
 )
 from corrmax.cli import _histogram
+from corrmax.montecarlo import _chunk_uniforms
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GRAPHS_DIR = REPO_ROOT / "graphs"
@@ -53,6 +55,127 @@ def exact_iid_max_moments(n: int) -> tuple[float, float]:
     m1, _ = integrate.quad(lambda z: z * dens(z), -12, 12, limit=200)
     m2, _ = integrate.quad(lambda z: z * z * dens(z), -12, 12, limit=200)
     return float(m1), float(np.sqrt(m2 - m1 * m1))
+
+
+def _panels(lo: float, hi: float, panels: int, nodes: int = 16):
+    """Nodes and weights of composite Gauss-Legendre on [lo, hi]."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    half, mid = np.diff(edges)[:, None] / 2.0, (edges[:-1] + edges[1:])[:, None] / 2.0
+    return (mid + half * t).ravel(), (half * w).ravel()
+
+
+def _average_over_spread(spread: float):
+    """Nodes spread * xi and weights of the average over xi ~ U(-1, 1);
+    one node at 0 where there is no spread."""
+    if spread == 0.0:
+        return np.zeros(1), np.ones(1)
+    xi, w = _panels(-1.0, 1.0, 8)
+    return spread * xi, w / 2.0
+
+
+def _max_moments(log_cdf, lo: float, hi: float, panels: int = 64):
+    """Mean and std of a maximum from ``log_cdf(x)``, the log of its CDF F
+    at an array x, on [lo, hi], where F(lo) and 1 - F(hi) are negligible:
+    mean = lo + int (1 - F) and E[(X - lo)^2] = 2 int (x - lo)(1 - F), with
+    1 - F = -expm1(log F) from the upper tail."""
+    x, weight = _panels(lo, hi, panels)
+    tail = -np.expm1(log_cdf(x))
+    m1 = weight @ tail
+    m2 = 2.0 * weight @ ((x - lo) * tail)
+    return float(lo + m1), float(np.sqrt(m2 - m1 * m1))
+
+
+def _support(log_cdf, a: float, b: float) -> tuple[float, float]:
+    """Where, on a scan of [a, b], the CDF rises from below 1e-30 to within
+    1e-18 of 1: an interval for ``_max_moments``."""
+    x = np.linspace(a, b, 101)
+    log_f = log_cdf(x)
+    low, high = np.flatnonzero(log_f < np.log(1e-30)), np.flatnonzero(-log_f < 1e-18)
+    return (x[low[-1]] if low.size else a), (x[high[0]] if high.size else b)
+
+
+def noniid_exact_moments(n: int, mu: float = 0.0, sigma: float = 1.0,
+                         delta_mu: float = 0.0, delta_sigma: float = 0.0):
+    """Exact mean and std of the maximum of ``non_iid_experiment`` with
+    redrawn deviations: its n components are IID copies of
+    X = mu + delta_mu * xi1 + (sigma + delta_sigma * xi2) * Z, with xi1 and
+    xi2 uniform on (-1, 1), so F = G^n with G(x) = E Phi((x - mu_i)/sigma_i),
+    by Gauss-Legendre over (xi1, xi2).  1 - G comes from the upper tail,
+    E Phi((mu_i - x)/sigma_i), and log F = n log1p(-(1 - G))."""
+    (m, wm), (s, ws) = _average_over_spread(delta_mu), _average_over_spread(delta_sigma)
+    means, devs = mu + m[:, None], sigma + s[None, :]
+    weight = (wm[:, None] * ws[None, :]).ravel()
+
+    def log_cdf(x):
+        upper = [special.ndtr((means - v) / devs).ravel() @ weight for v in x]
+        with np.errstate(divide="ignore"):  # log F = -inf where 1 - G is 1
+            return n * np.log1p(-np.array(upper))
+
+    top = sigma + delta_sigma
+    reach = top * -special.ndtri(1e-20 / n)
+    return _max_moments(log_cdf, *_support(log_cdf, mu - delta_mu - 10.0 * top,
+                                           mu + delta_mu + reach))
+
+
+def noniid_frozen_exact_moments(n: int, seed: int, point: int = 0, mu: float = 0.0,
+                                sigma: float = 1.0, delta_mu: float = 0.0,
+                                delta_sigma: float = 0.0):
+    """Exact mean and std of the maximum of ``non_iid_experiment`` with
+    frozen deviations at grid point ``point``: F(x) = prod_i
+    Phi((x - mu_i)/sigma_i) over the frozen row, rebuilt from the reference
+    stream as repetition 0 of stream 3 * point + 2, n mean words and then n
+    deviation words."""
+    rng = rep_rng(seed, 0, 2 * n, stream=3 * point + 2)
+    means = mu + delta_mu * (2.0 * open_uniform(rng, n) - 1.0)
+    devs = sigma + delta_sigma * (2.0 * open_uniform(rng, n) - 1.0)
+
+    def log_cdf(x):
+        return np.array([special.log_ndtr((v - means) / devs).sum() for v in x])
+
+    # n log_ndtr calls per node, so 16 panels: where compared, their moments
+    # agreed with 64 panels' to 1e-12
+    reach = devs * -special.ndtri(1e-20 / n)
+    return _max_moments(log_cdf, *_support(log_cdf, float(np.max(means - 10.0 * devs)),
+                                           float(np.max(means + reach))), panels=16)
+
+
+def noniid_full_maxima(seed: int, reps: int, n: int, block: int, point: int = 0, *,
+                       mu: float = 0.0, sigma: float = 1.0, delta_mu: float = 0.0,
+                       delta_sigma: float = 0.0, frozen: bool = False) -> np.ndarray:
+    """Each repetition's maximum over all n components of
+    ``non_iid_experiment``'s streams, with no stop: statistic i of
+    repetition r reads words i % block of the block's V, mean and deviation
+    (or V and pick) thirds (halves) of repetition (i // block) * 2**27 + r
+    of stream 3 * point, and the frozen row is the reference stream's
+    repetition 0 of stream 3 * point + 2.  Logarithms and expm1 come from
+    ``math``, the picks from a Fisher-Yates dictionary per repetition; the
+    sampler must equal this bit for bit."""
+    thirds = 2 if frozen else 3
+    if frozen:
+        rng = rep_rng(seed, 0, 2 * n, stream=3 * point + 2)
+        means = mu + delta_mu * (2.0 * open_uniform(rng, n) - 1.0)
+        devs = sigma + delta_sigma * (2.0 * open_uniform(rng, n) - 1.0)
+        shuffles = [{} for _ in range(reps)]
+    best, log_u = np.full(reps, -np.inf), np.zeros(reps)
+    for i in range(n):
+        b, j = divmod(i, block)
+        if j == 0:
+            w = _chunk_uniforms(seed, b * 2**27, b * 2**27 + reps, thirds * block, 3 * point)
+        log_u = log_u + np.array([math.log(v) for v in w[:, j]]) / float(n - i)
+        q = -std_normal_quantile(np.minimum([-math.expm1(v) for v in log_u], 1.0 - 2.0**-53))
+        if frozen:
+            picked = []
+            for r, a in enumerate(shuffles):
+                pick = i + min(int(w[r, block + j] * (n - i)), n - i - 1)
+                picked.append(a.get(pick, pick))
+                a[pick] = a.get(i, i)
+            x = means[picked] + devs[picked] * q
+        else:
+            x = ((mu + delta_mu * (2.0 * w[:, block + j] - 1.0))
+                 + (sigma + delta_sigma * (2.0 * w[:, 2 * block + j] - 1.0)) * q)
+        best = np.maximum(best, x)
+    return best
 
 
 def hist_l1_distance(result, pdf_fn) -> float:

@@ -543,12 +543,11 @@ class TestOutputPath:
         (["mc", "--n", "1000000000000000", "--rho", "0.3", "--seed", "1"],
          "stream too wide: a buffer of 1024 x 1000000000000000 uniforms "
          "exceeds the cap of 134217728 floats"),
-        (["noniid", "--n-grid", "10,1000000000000000", "--seed", "1"],
-         "stream too wide: a buffer of 1024 x 3000000000000000 uniforms "
-         "exceeds the cap of 134217728 floats"),
+        (["noniid", "--n-grid", "10,9007199254740993", "--seed", "1"],
+         "n_grid must contain integers in [1, 2**53] (got [10, 9007199254740993])"),
         (["noniid", "--n-grid", "1000000000000000", "--freeze-deviations",
           "--reps", "100", "--seed", "1"],
-         "stream too wide: a buffer of 100 x 1000000000000000 uniforms "
+         "stream too wide: a buffer of 1 x 2000000000000000 uniforms "
          "exceeds the cap of 134217728 floats"),
         (["dist", "first", "--n", "2", "--eps-file", "EPS_NAN"],
          "entries must be finite"),

@@ -1,11 +1,13 @@
 """Tests for the seeded Monte Carlo layer."""
 from __future__ import annotations
 
+import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from corrmax import (
     DimensionMismatch,
@@ -24,11 +26,10 @@ from corrmax.montecarlo import (
     _check_width,
     _chunk_uniforms,
     _ends,
-    _philox_blocks,
-    _word_uniforms,
     _worker_count,
 )
 from corrmax.cli import _MAX_BINS, _histogram, _iqr, _stats_dict
+from corrmax.normal import _ndtri
 from corrmax.timing_graph import load_graph
 from conftest import (
     GRAPHS_DIR,
@@ -36,6 +37,9 @@ from conftest import (
     ecdf_values,
     exact_iid_max_moments,
     iid_max_cdf,
+    noniid_exact_moments,
+    noniid_frozen_exact_moments,
+    noniid_full_maxima,
     open_uniform,
     rep_rng,
     sample_ar1_chain,
@@ -77,7 +81,7 @@ class TestRepRng:
 
 class TestChunkUniforms:
     @pytest.mark.parametrize("seed", [42, 2**64 - 5])
-    @pytest.mark.parametrize("start", [0, 2**20])
+    @pytest.mark.parametrize("start", [0, 2**20, 2**79])  # 2**79: past a 64-bit counter
     @pytest.mark.parametrize("stream", [0, 4])
     def test_rows_equal_per_repetition_streams(self, seed, start, stream):
         for width in (1, 7, 201, 3003):
@@ -108,38 +112,9 @@ class TestChunkUniforms:
                                       longer[start:stop])
 
 
-class TestRandomAccess:
-    @pytest.mark.parametrize("key", [0, 1, 2**63 + 12345, 2**64 - 1, 2**128 - 1])
-    def test_blocks_equal_numpy_philox(self, key):
-        rng = np.random.default_rng(key % 2**32)
-        counters = [int.from_bytes(rng.bytes(32), "little") for _ in range(20)]
-        counters += [2**64 - 1, (2**64 - 1) | (7 << 192)]  # a carry into word 1
-        ref = np.array([np.random.Philox(key=key, counter=c).random_raw(4)
-                        for c in counters]).T
-        # The first block numpy returns is the one at counter + 1.
-        nxt = [(c + 1) % 2**256 for c in counters]
-        counter = np.array([[(c >> (64 * i)) % 2**64 for c in nxt] for i in range(4)],
-                           dtype=np.uint64)
-        np.testing.assert_array_equal(_philox_blocks(key, counter), ref)
-
-    @pytest.mark.parametrize("seed", [42, 2**64 - 5])
-    @pytest.mark.parametrize("stream", [0, 1, 6])
-    def test_words_equal_chunk_uniforms(self, seed, stream):
-        rng = np.random.default_rng(seed % 2**32 + stream)
-        reps = rng.integers(0, 2**40, size=6)
-        width = 3003
-        rows = np.concatenate([_chunk_uniforms(seed, r, r + 1, width, stream)
-                               for r in reps])
-        pick_rows = rng.integers(0, len(reps), size=200)
-        words = rng.integers(0, width, size=200)
-        np.testing.assert_array_equal(
-            _word_uniforms(seed, reps[pick_rows], words, width, stream),
-            rows[pick_rows, words])
-
-
 class TestOpenUniform:
     """The 53-bit word 2**53 - 1, where k + 0.5 rounds to 2**53, gives the
-    uniform 1 - 2**-53 in each reader and in the reference, not 1.0."""
+    uniform 1 - 2**-53 in the reader and in the reference, not 1.0."""
 
     TOP = 1.0 - 2.0**-53
 
@@ -161,13 +136,6 @@ class TestOpenUniform:
         monkeypatch.setattr(np.random, "Philox", AllOnes)
         np.testing.assert_array_equal(_chunk_uniforms(1, 0, 2, 3),
                                       np.full((2, 3), self.TOP))
-
-    def test_word_uniforms(self, monkeypatch):
-        monkeypatch.setattr(corrmax.montecarlo, "_philox_blocks",
-                            lambda key, counter: np.full(counter.shape, 2**64 - 1,
-                                                         dtype=np.uint64))
-        u = _word_uniforms(1, np.array([0, 5]), np.array([3, 6]), 7, 0)
-        np.testing.assert_array_equal(u, [self.TOP] * 2)
 
     def test_every_other_word_keeps_its_value(self):
         k = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 3, 2**53 - 2],
@@ -514,22 +482,23 @@ class TestChunkMemory:
             np.ones(2000), np.full(2000, 0.1), src, src + 1, McConfig(seed=1, reps=1024)))
         assert peak <= self.CHUNK + arrival + 0.25 * self.CHUNK
 
-    @pytest.mark.parametrize("mode", ["sparse", "pruned", "frozen"])
-    def test_noniid_peaks_below_half_a_chunk(self, monkeypatch, mode):
-        """n = 2000 at delta_mu = 0.2, where pruning keeps a few components
-        per row, read 64 rows at a time: a block of raw quantile words and
-        their uniforms (1/16 chunk each), beside which ``pruned`` and the
-        probe of ``sparse`` hold a block of 2n raw mean and deviation words
-        (1/8 chunk); the kept components and the rungs are a few hundred KB.
-        Measured 0.28 chunk (sparse, pruned) and 0.15 (frozen); bound 0.5.
-        Holding the chunk's uniforms, as it once did, is a chunk alone."""
-        non_iid_experiment((30,), McConfig(seed=1, reps=1), delta_mu=0.2)
-        if mode != "frozen":
-            force_mode(monkeypatch, mode)
+    @pytest.mark.parametrize("frozen", [False, True], ids=["redrawn", "frozen"])
+    @pytest.mark.parametrize("n", [2000, 10**6])
+    def test_noniid_peak_per_repetition(self, n, frozen):
+        """1024 repetitions at delta_mu = 0.2 hold, per repetition, a
+        block's words (raw and as uniforms, 3R of each, 2R when frozen)
+        and its log u, 1 - u, quantiles and values (R each); frozen, R = 8
+        and the shuffles' table of 2R positions, keys and values.  Measured
+        630 bytes per repetition (redrawn) and 1,680 (frozen) at both n;
+        bound 1,024 and 2,560.  The frozen row adds 32 bytes per component:
+        its 2n words, raw and as uniforms, then the n means and deviations.
+        Holding the chunk's n quantile uniforms, as the sampler once did,
+        is 8n bytes per repetition."""
+        non_iid_experiment((30,), McConfig(seed=1, reps=1), delta_mu=0.2,
+                           freeze_deviations=frozen)
         peak = traced_peak(lambda: non_iid_experiment(
-            (2000,), McConfig(seed=1, reps=1024), delta_mu=0.2,
-            freeze_deviations=mode == "frozen"))
-        assert peak <= 0.5 * self.CHUNK
+            (n,), McConfig(seed=1, reps=1024), delta_mu=0.2, freeze_deviations=frozen))
+        assert peak <= 1024 * (2560 if frozen else 1024) + (32 * n if frozen else 0)
 
 
 class TestEmpiricalStats:
@@ -605,14 +574,6 @@ class TestEmpiricalStats:
             empirical_stats([0.0, bad, 1.0])
 
 
-def force_mode(monkeypatch, mode):
-    """Make every grid point of ``non_iid_experiment`` with redrawn
-    deviations read one way: ``sparse`` (random access) or ``pruned`` (all
-    3n words drawn)."""
-    random_read_words = {"sparse": 0, "pruned": np.inf}[mode]
-    monkeypatch.setattr(corrmax.montecarlo, "_RANDOM_READ_WORDS", random_read_words)
-
-
 class TestNonIidExperiment:
     def test_validation(self):
         cfg = McConfig(seed=1)
@@ -655,143 +616,102 @@ class TestNonIidExperiment:
         [again] = non_iid_experiment((20,), cfg, delta_mu=0.3, freeze_deviations=True)
         assert np.array_equal(res.samples, again.samples)
 
+    @staticmethod
+    def _check_full(grid, workers, frozen, reps=1100, mu=0.0, sigma=1.0,
+                    delta_mu=0.0, delta_sigma=0.0):
+        """Every maximum equals that of all n components of its
+        repetition's streams (``noniid_full_maxima``), evaluated without
+        the stop, over more than one chunk; grid point k reads its own
+        streams."""
+        seed = 2**64 - 9
+        block = corrmax.montecarlo._FROZEN_BLOCK_STATS if frozen else \
+            corrmax.montecarlo._BLOCK_STATS
+        results = non_iid_experiment(
+            grid, McConfig(seed=seed, reps=reps, workers=workers), mu=mu, sigma=sigma,
+            delta_mu=delta_mu, delta_sigma=delta_sigma, freeze_deviations=frozen)
+        for k, (n, res) in enumerate(zip(grid, results)):
+            full = noniid_full_maxima(seed, reps, n, block, k, mu=mu, sigma=sigma,
+                                      delta_mu=delta_mu, delta_sigma=delta_sigma,
+                                      frozen=frozen)
+            np.testing.assert_array_equal(res.samples, full)
+
     def test_frozen_deviations_match_per_repetition_streams(self):
-        n, seed = 7, 2**64 - 9
-        frozen = rep_rng(seed, 0, 2 * n, stream=2)
-        mu = 0.0 + 0.3 * (2.0 * open_uniform(frozen, n) - 1.0)
-        sigma = 1.0 + 0.2 * (2.0 * open_uniform(frozen, n) - 1.0)
-        maxima = [
-            np.max(mu + sigma * std_normal_quantile(open_uniform(rep_rng(seed, r, n), n)))
-            for r in range(40)
-        ]
-        ref = empirical_stats(maxima)
-        [res] = non_iid_experiment((n,), McConfig(seed=seed, reps=40), delta_mu=0.3,
-                                   delta_sigma=0.2, freeze_deviations=True)
-        assert np.array_equal(res.samples, ref.samples)
-        assert (res.mean, res.std) == (ref.mean, ref.std)
+        self._check_full((7,), 1, True, reps=40, delta_mu=0.3, delta_sigma=0.2)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_frozen_deviations_match_across_blocks_and_chunks(self, workers):
-        """1100 repetitions of n = 300, read and evaluated in blocks of 218
-        rows: five in the first chunk, the last of 152 rows, and one of 76
-        rows in the second.  At this spread a block keeps most of its
-        components."""
-        n, seed, reps = 300, 2**64 - 9, 1100
-        frozen = rep_rng(seed, 0, 2 * n, stream=2)
-        mu = 0.0 + 5.0 * (2.0 * open_uniform(frozen, n) - 1.0)
-        sigma = 1.0 + 0.99 * (2.0 * open_uniform(frozen, n) - 1.0)
-        maxima = [
-            np.max(mu + sigma * std_normal_quantile(open_uniform(rep_rng(seed, r, n), n)))
-            for r in range(reps)
-        ]
-        [res] = non_iid_experiment((n,), McConfig(seed=seed, reps=reps, workers=workers),
-                                   delta_mu=5.0, delta_sigma=0.99, freeze_deviations=True)
-        assert np.array_equal(res.samples, np.array(maxima))
+        """n = 300 at a spread where most repetitions run through many
+        blocks of the shuffles, in two chunks."""
+        self._check_full((300,), workers, True, delta_mu=5.0, delta_sigma=0.99)
 
     @pytest.mark.parametrize("n, mu, sigma, delta_mu, delta_sigma", [
         (1, 0.0, 1.0, 0.2, 0.0),
         (2, 0.0, 1.0, 0.5, 0.3),
         (40, 0.0, 1.0, 5.0, 0.5),  # most components can hold the maximum
         (40, 0.0, 1.0, 0.2, 0.99),  # sigma - delta_sigma near 0
-        (40, -3e5, 1e-3, 2e-4, 5e-4),  # mu_hi - x_j cancels to a few ulps
-        (5, 0.0, 1.0, 0.2, 0.0),  # all 3n words drawn, then pruned
-        (1000, 0.0, 1.0, 0.2, 0.0),  # mu and sigma words read by random access
-        (1000, 0.0, 1.0, 5.0, 0.99),  # most components stay candidates
+        (40, -3e5, 1e-3, 2e-4, 5e-4),  # the bound and the maximum a few ulps apart
+        (5, 0.0, 1.0, 0.2, 0.0),  # one block past n
+        (1000, 0.0, 1.0, 0.2, 0.0),  # rows stop after a block or two
+        (1000, 0.0, 1.0, 5.0, 0.99),  # rows run through tens of blocks
     ])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_redrawn_deviations_match_per_repetition_streams(
         self, n, mu, sigma, delta_mu, delta_sigma, workers
     ):
-        """Every maximum equals the full evaluation of its repetition's
-        streams 3k and 3k + 1 (grid point k), over more than one chunk."""
-        self._check_redrawn((3, n), mu, sigma, delta_mu, delta_sigma, workers)
+        self._check_full((3, n), workers, False, mu=mu, sigma=sigma,
+                         delta_mu=delta_mu, delta_sigma=delta_sigma)
 
-    @pytest.mark.parametrize("mode, n, delta_mu, delta_sigma", [
-        ("sparse", 5, 0.5, 0.3),  # the quantile third starts inside a block
-        ("sparse", 1000, 1.0, 0.5),
-        ("pruned", 1000, 0.2, 0.0),
-    ])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_mode_matches_per_repetition_streams(
-        self, monkeypatch, mode, n, delta_mu, delta_sigma, workers
-    ):
-        """Each way of reading keeps the bits, also where the probe would
-        pick the other."""
-        force_mode(monkeypatch, mode)
-        self._check_redrawn((n,), 0.0, 1.0, delta_mu, delta_sigma, workers)
+    @pytest.mark.parametrize("frozen", [False, True], ids=["redrawn", "frozen"])
+    @pytest.mark.parametrize("n", [1000, 10**6])
+    def test_words_drawn_per_repetition(self, monkeypatch, frozen, n):
+        """At delta_mu = 0.2 a repetition needs about 3 order statistics,
+        and each block draws 3R words (2R frozen) for the span of the rows
+        still running.  Measured 29 words per repetition (18 frozen) at
+        n = 1000, where the full evaluation drew 3n (n frozen); bound four
+        blocks' words at both n.  The frozen row is one draw of 2n."""
+        draws = []
+        chunk_uniforms = corrmax.montecarlo._chunk_uniforms
 
-    @staticmethod
-    def _check_redrawn(grid, mu, sigma, delta_mu, delta_sigma, workers):
-        seed, reps = 2**64 - 9, 1100
-        results = non_iid_experiment(
-            grid, McConfig(seed=seed, reps=reps, workers=workers), mu=mu,
-            sigma=sigma, delta_mu=delta_mu, delta_sigma=delta_sigma,
-        )
-        for k, (m, res) in enumerate(zip(grid, results)):
-            maxima = []
-            for r in range(reps):
-                u = open_uniform(rep_rng(seed, r, 2 * m, stream=3 * k + 1), 2 * m)
-                mu_i = mu + delta_mu * (2.0 * u[:m] - 1.0)
-                sigma_i = sigma + delta_sigma * (2.0 * u[m:] - 1.0)
-                u_q = open_uniform(rep_rng(seed, r, m, stream=3 * k), m)
-                maxima.append(np.max(mu_i + sigma_i * std_normal_quantile(u_q)))
-            assert np.array_equal(res.samples, np.array(maxima))
+        def recorded(seed, start, stop, width, stream=0):
+            draws.append((stop - start) * width)
+            return chunk_uniforms(seed, start, stop, width, stream)
 
-    @pytest.mark.parametrize("mode, n, delta_mu, delta_sigma, sparse", [
-        ("sparse", 50, 0.2, 0.0, True),
-        ("pruned", 50, 0.2, 0.0, False),
-        (None, 1000, 0.2, 0.0, True),  # the benchmark's regime
-        (None, 10, 0.2, 0.0, False),  # 2n words cost less than a random read
-        (None, 1000, 5.0, 0.99, False),  # most components stay candidates
-    ])
-    def test_words_drawn_per_repetition(self, monkeypatch, mode, n, delta_mu,
-                                        delta_sigma, sparse):
-        """After a probe of the first 64 rows, which draws all 3n words, a
-        sparse grid point draws only the n quantile words of stream 0 per
-        repetition, and another also the 2n words of stream 1."""
-        calls = []
-        top_bit_blocks = corrmax.montecarlo._top_bit_blocks
-
-        def recorded(seed, start, stop, width, stream=0, rows=64):
-            calls.append((start, stop, width, stream))
-            return top_bit_blocks(seed, start, stop, width, stream, rows)
-
-        monkeypatch.setattr(corrmax.montecarlo, "_top_bit_blocks", recorded)
-        if mode is not None:
-            force_mode(monkeypatch, mode)
-        non_iid_experiment((n,), McConfig(seed=3, reps=1100), delta_mu=delta_mu,
-                           delta_sigma=delta_sigma)
-        def chunk(a, b, dense):
-            return [(a, b, n, 0)] + ([(a, b, 2 * n, 1)] if dense else [])
-
-        assert calls == (chunk(0, 64, True) + chunk(0, 1024, not sparse)
-                         + chunk(1024, 1100, not sparse))
+        monkeypatch.setattr(corrmax.montecarlo, "_chunk_uniforms", recorded)
+        non_iid_experiment((n,), McConfig(seed=3, reps=2048), delta_mu=0.2,
+                           freeze_deviations=frozen)
+        block = (2 * corrmax.montecarlo._FROZEN_BLOCK_STATS if frozen
+                 else 3 * corrmax.montecarlo._BLOCK_STATS)
+        assert sum(draws) - (2 * n if frozen else 0) <= 4 * block * 2048
 
     def test_frozen_deviations_match_over_chunks(self):
-        n, seed, reps = 300, 2**64 - 9, 1100
-        frozen = rep_rng(seed, 0, 2 * n, stream=2)
-        mu = 0.0 + 1.0 * (2.0 * open_uniform(frozen, n) - 1.0)
-        sigma = 1.0 + 0.5 * (2.0 * open_uniform(frozen, n) - 1.0)
-        maxima = [
-            np.max(mu + sigma * std_normal_quantile(open_uniform(rep_rng(seed, r, n), n)))
-            for r in range(reps)
-        ]
-        [res] = non_iid_experiment((n,), McConfig(seed=seed, reps=reps, workers=2),
-                                   delta_mu=1.0, delta_sigma=0.5, freeze_deviations=True)
-        assert np.array_equal(res.samples, np.array(maxima))
+        self._check_full((300,), 2, True, delta_mu=1.0, delta_sigma=0.5)
 
     def test_quantile_runs_only_on_candidates(self, monkeypatch):
-        """Components that cannot hold the maximum never reach the quantile."""
+        """The quantile sees a block of order statistics per running row,
+        not the 1000 components."""
         sizes = []
 
         def counted(p):
             sizes.append(np.size(p))
-            return std_normal_quantile(p)
+            return _ndtri(p)
 
-        monkeypatch.setattr(corrmax.montecarlo, "std_normal_quantile", counted)
+        monkeypatch.setattr(corrmax.montecarlo, "_ndtri", counted)
         cfg = McConfig(seed=1, reps=1024)
         non_iid_experiment((1000,), cfg, delta_mu=0.2)
         assert 0 < sum(sizes) < 10 * cfg.reps
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["redrawn", "frozen"])
+    def test_one_component_per_repetition_at_n_1(self, monkeypatch, frozen):
+        sizes = []
+
+        def counted(p):
+            sizes.append(np.size(p))
+            return _ndtri(p)
+
+        monkeypatch.setattr(corrmax.montecarlo, "_ndtri", counted)
+        non_iid_experiment((1,), McConfig(seed=4, reps=2500), delta_mu=0.3,
+                           freeze_deviations=frozen)
+        assert sum(sizes) == 2500
 
     def test_workers_do_not_change_results(self):
         base = non_iid_experiment(
@@ -801,6 +721,88 @@ class TestNonIidExperiment:
             (30,), McConfig(seed=66, reps=3000, workers=6), delta_sigma=0.1
         )
         assert np.array_equal(base[0].samples, par[0].samples)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["redrawn", "frozen"])
+    @pytest.mark.parametrize("n", [10, 1000, 10**5])
+    @pytest.mark.parametrize("delta_mu, delta_sigma", [(0.0, 0.0), (0.2, 0.1), (5.0, 0.99)])
+    def test_mean_within_4_se_of_the_exact_law(self, n, delta_mu, delta_sigma, frozen):
+        """10,000 repetitions at one seed: each of these 18 checks fails a
+        correct sampler with probability 6.3e-5 (|Z| > 4), about 1.1e-3
+        for the whole set."""
+        seed = 31
+        [res] = non_iid_experiment((n,), McConfig(seed=seed, reps=10_000), delta_mu=delta_mu,
+                                   delta_sigma=delta_sigma, freeze_deviations=frozen)
+        if frozen:
+            mean, _ = noniid_frozen_exact_moments(n, seed, delta_mu=delta_mu,
+                                                  delta_sigma=delta_sigma)
+        else:
+            mean, _ = noniid_exact_moments(n, delta_mu=delta_mu, delta_sigma=delta_sigma)
+        assert abs(res.mean - mean) <= 4.0 * res.stderr
+
+    def test_the_largest_n(self):
+        """n = 2**53, far past any row of n words: a repetition still needs
+        a few order statistics, and the mean lies within 4 SE of the exact
+        law (a false alarm has probability 6.3e-5)."""
+        [res] = non_iid_experiment((2**53,), McConfig(seed=23, reps=2000), delta_mu=0.2)
+        mean, _ = noniid_exact_moments(2**53, delta_mu=0.2)
+        assert abs(res.mean - mean) <= 4.0 * res.stderr
+
+    @pytest.mark.parametrize("n", [1, 10, 1000])
+    def test_no_spread_ecdf_in_the_dkw_band_of_the_iid_law(self, n):
+        """At delta_mu = delta_sigma = 0 the maximum's law is Phi^n; the
+        band's confidence is 1 - 1e-4 per n."""
+        [res] = non_iid_experiment((n,), McConfig(seed=17, reps=10_000))
+        z = np.sort(res.samples)
+        cdf = iid_max_cdf(z, n)
+        above = np.arange(1, z.size + 1) / z.size - cdf
+        below = cdf - np.arange(z.size) / z.size
+        assert max(above.max(), below.max()) <= dkw_band_halfwidth(z.size, 1.0 - 1e-4)
+
+
+class TestNonIidExactLaw:
+    """The oracles ``noniid_exact_moments`` and ``noniid_frozen_exact_moments``
+    against independent ones."""
+
+    @pytest.mark.parametrize("n", [1, 10, 1000])
+    def test_no_spread_is_the_iid_law(self, n):
+        expected = exact_iid_max_moments(n)
+        for got in (noniid_exact_moments(n), noniid_frozen_exact_moments(n, seed=5)):
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_no_deviation_spread_equals_nested_quadrature(self, n):
+        """delta_mu = 0.2: 1 - G(x) = (1/2) int Phi(0.2 xi - x) dxi by
+        ``quad``, and the moments of G^n by ``quad`` over [-5, 12]."""
+        def tail(x):
+            return integrate.quad(lambda xi: special.ndtr(0.2 * xi - x), -1.0, 1.0,
+                                  epsabs=0.0, epsrel=1e-13)[0] / 2.0
+
+        def survival(x):
+            return -math.expm1(n * math.log1p(-tail(x)))
+
+        quad = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+        m1 = integrate.quad(survival, -5.0, 12.0, **quad)[0]
+        m2 = 2.0 * integrate.quad(lambda x: (x + 5.0) * survival(x), -5.0, 12.0, **quad)[0]
+        expected = (-5.0 + m1, math.sqrt(m2 - m1 * m1))
+        np.testing.assert_allclose(noniid_exact_moments(n, delta_mu=0.2), expected,
+                                   rtol=0.0, atol=1e-9)
+
+    def test_frozen_law_is_the_product_over_the_frozen_row(self):
+        """n = 3: the moments of prod_i Phi((x - mu_i)/sigma_i) by ``quad``,
+        with the row read from repetition 0 of stream 2 as three mean
+        words, then three deviation words."""
+        u = open_uniform(rep_rng(8, 0, 6, stream=2), 6)
+        mu_i, sigma_i = 0.5 * (2.0 * u[:3] - 1.0), 1.0 + 0.4 * (2.0 * u[3:] - 1.0)
+
+        def survival(x):
+            return 1.0 - np.prod(special.ndtr((x - mu_i) / sigma_i))
+
+        quad = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+        m1 = integrate.quad(survival, -10.0, 12.0, **quad)[0]
+        m2 = 2.0 * integrate.quad(lambda x: (x + 10.0) * survival(x), -10.0, 12.0, **quad)[0]
+        got = noniid_frozen_exact_moments(3, seed=8, delta_mu=0.5, delta_sigma=0.4)
+        np.testing.assert_allclose(got, (-10.0 + m1, math.sqrt(m2 - m1 * m1)),
+                                   rtol=0.0, atol=1e-9)
 
 
 class TestHelpers:

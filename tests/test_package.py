@@ -145,12 +145,35 @@ def _philox_owners(node, owner=None) -> list:
 
 def test_one_function_constructs_the_philox_stream():
     """The one random-stream primitive: a single package function builds
-    ``np.random.Philox``, and every reader of the stream in order goes
-    through it (``_word_uniforms`` computes blocks by random access)."""
+    ``np.random.Philox``, and every reader of the stream goes through it."""
     owners = [(name, owner) for name, tree in _package_trees()
               for owner in _philox_owners(tree)]
     assert len(owners) == 1 and owners[0][0] == "montecarlo.py", owners
     assert owners[0][1] is not None, owners
+
+
+# numpy's float loops of these may use SIMD code that rounds otherwise than
+# the C library's functions.
+_NUMPY_TRANSCENDENTALS = {
+    "exp", "exp2", "expm1", "log", "log1p", "log2", "log10", "logaddexp",
+    "logaddexp2", "power", "float_power", "cbrt", "sin", "cos", "tan", "arcsin",
+    "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh", "arcsinh", "arccosh",
+    "arctanh",
+}
+
+
+def test_sample_bits_rest_on_the_c_library_only():
+    """``montecarlo.py`` takes its logarithms and exponentials from
+    ``math`` or ``normal._log``, never from a numpy float ufunc, so that
+    the samples' bits depend on the C library and not on numpy's loops."""
+    tree = dict(_package_trees())["montecarlo.py"]
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                for alias in node.names}
+    assert not (used | imported) & _NUMPY_TRANSCENDENTALS
 
 
 def _open_mode(call: ast.Call):
