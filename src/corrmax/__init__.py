@@ -33,9 +33,7 @@ from .gumbel import (
     EULER_MASCHERONI,
     GumbelMoments,
     GumbelParams,
-    gumbel_cdf,
     gumbel_moments,
-    gumbel_pdf,
     scaling_constants,
 )
 from .corrections import (

@@ -329,25 +329,22 @@ def _cmd_dist(args):
         raise DomainError(f"--steps must be <= {_MAX_GRID_POINTS}")
 
     params = scaling_constants(args.n)
-    if args.kind == "gumbel":
-        s, max_abs_eps = 0.0, 0.0
-        order = "first"  # any order: with S = 0 they all reduce to Gumbel
-    else:
-        order = args.kind
-        if args.eps_file is not None:
-            eps = _load_epsilon(args.eps_file)
-            if eps.n != args.n:
-                raise DimensionMismatch(
-                    f"--eps-file matrix is {eps.n}x{eps.n}, but --n is {args.n}"
-                )
-            s, max_abs_eps = float(np.sum(eps.entries)), eps.max_abs()
-        else:
-            # closed form: no n x n matrix for the AR(1) route
-            s = ar1_correlation_sum(args.n, args.rho)
-            max_abs_eps = args.rho
+    # The gumbel kind's parser takes neither --eps-file nor --rho.
+    s = max_abs_eps = 0.0
+    if getattr(args, "eps_file", None) is not None:
+        eps = _load_epsilon(args.eps_file)
+        if eps.n != args.n:
+            raise DimensionMismatch(
+                f"--eps-file matrix is {eps.n}x{eps.n}, but --n is {args.n}"
+            )
+        s, max_abs_eps = float(np.sum(eps.entries)), eps.max_abs()
+    elif getattr(args, "rho", None) is not None:
+        # O(1) in n: no n x n matrix for the AR(1) route
+        s = ar1_correlation_sum(args.n, args.rho)
+        max_abs_eps = args.rho
 
     z = np.linspace(args.z_min, args.z_max, args.steps)
-    cdf, pdf = corrected_law(z, params, s, order)
+    cdf, pdf = corrected_law(z, params, s, args.kind)
     report = validity_check(z, cdf, pdf, max_abs_eps)
     if args.clamp:
         cdf = np.clip(cdf, 0.0, 1.0)
@@ -357,7 +354,7 @@ def _cmd_dist(args):
         ".csv": (("z", "cdf", "pdf"), zip(z, cdf, pdf)),
         ".json": {
             "kind": args.kind,
-            "order": order,
+            "order": args.kind,
             **_fields(params),
             "s": s,
             "clamped": bool(args.clamp),

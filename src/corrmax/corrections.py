@@ -5,18 +5,19 @@ every correction only through the double sum S = sum_{i != j} eps_ij.  With
 
     x(z) = phi_kernel(z)^2 * S / (4*pi)
 
-the corrected CDFs for the maximum of N weakly correlated standard normals
-are
+the CDFs for the maximum of N weakly correlated standard normals are the
+Gumbel limit and its corrections of each order
 
+    gumbel:   Psi_N(z)                 (no correction; S is not read)
     first:    Psi_N(z) * (1 + x)
     second:   Psi_N(z) * (1 + x + x^2/2)
     complete: Psi_N(z) * exp(x)        (resummed exponential series)
 
 and each PDF is the exact z-derivative of its CDF, using
-d(phi^2)/dz = -2 z phi^2.  One table, ``_LAWS``, maps each order to the
+d(phi^2)/dz = -2 z phi^2.  One table, ``_LAWS``, maps each law to the
 function that turns the shared terms (z, w = e^(-(z-alpha)/beta),
 Psi_N = e^(-w), x, w/beta) into its (cdf, pdf); ``corrected_law`` validates
-once, builds those terms once and looks the order up, so a law is one row.
+once, builds those terms once and looks the law up, so a law is one row.
 Outside the weak-correlation regime these expressions may leave [0, 1] or
 lose monotonicity; they are returned unclamped and ``validity_check``
 reports where that happens.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .gumbel import GumbelParams, _tail_weight
+from .gumbel import GumbelParams
 
 __all__ = [
     "EpsilonMatrix",
@@ -102,14 +103,17 @@ class ValidityReport:
 
 
 def ar1_correlation_sum(n: int, rho: float) -> float:
-    """Closed form of sum_{i != j} rho^|i-j| without building the matrix.
+    """S = sum_{i != j} rho^|i-j| = 2 sum_{d=1}^{n-1} (n - d) rho^d to a few
+    ulp, in O(1) memory.  With q = rho, eps = 1 - q and x = (n - 1) eps:
 
-    With q = rho and partial geometric sums over lag d = 1..n-1:
-
-        S = 2 * [ n*(q - q^n)/(1 - q) - q*(1 - n q^(n-1) + (n-1) q^n)/(1-q)^2 ]
-
-    Equals the sum over the explicit n x n matrix up to roundoff but runs
-    in O(1) memory, which matters for large n.
+    * where n q^(n-1) <= 1, the closed form
+          2 [n (q - q^n)/eps - q (1 - n q^(n-1) + (n-1) q^n)/eps^2];
+      elsewhere its bracket cancels, but q > 1/2, so eps is exact, and
+    * where x >= 1, (2 q/eps) [(n - 1) - q (1 - q^(n-1))/eps], whose
+      bracket keeps over a third of n - 1;
+    * where x < 1, the binomial expansion of (1 - eps)^d,
+          n (n - 1) [1 + sum_{k>=1} (-eps)^k 2 C(n+1, k+2) / (n (n - 1))],
+      each term at most x/4 times the last, with the opposite sign.
     """
     if int(n) != n or n < 1:
         raise DomainError(f"n must be an integer >= 1 (got {n!r})")
@@ -117,11 +121,25 @@ def ar1_correlation_sum(n: int, rho: float) -> float:
         raise DomainError(f"rho must lie in [0, 1) (got {rho})")
     if rho == 0.0 or n == 1:
         return 0.0
-    q = float(rho)
-    qn = q**n
-    geo = (q - qn) / (1.0 - q)
-    weighted = q * (1.0 - n * qn / q + (n - 1) * qn) / (1.0 - q) ** 2
-    return float(2.0 * (n * geo - weighted))
+    n, q = int(n), float(rho)
+    if n * q ** (n - 1) <= 1.0:
+        qn = q**n
+        geo = (q - qn) / (1.0 - q)
+        weighted = q * (1.0 - n * qn / q + (n - 1) * qn) / (1.0 - q) ** 2
+        return float(2.0 * (n * geo - weighted))
+    eps = 1.0 - q
+    if (n - 1) * eps >= 1.0:
+        return 2.0 * q / eps * ((n - 1) - q * (1.0 - q ** (n - 1)) / eps)
+    total, term, k = 1.0, -eps * (n + 1) / 3.0, 1
+    while total + term != total:
+        total += term
+        term *= -eps * (n - 1 - k) / (k + 3)
+        k += 1
+    return n * (n - 1) * total
+
+
+def _gumbel(z, w, psi, x, wb):
+    return psi, psi * wb
 
 
 def _first(z, w, psi, x, wb):
@@ -138,26 +156,32 @@ def _complete(z, w, psi, x, wb):
     return cdf, cdf * (wb - 2.0 * z * x)
 
 
-# order -> (cdf, pdf) from the shared terms z (clipped to [-40, 40]), w,
-# Psi_N = e^(-w), x, w/beta.
-_LAWS = {"first": _first, "second": _second, "complete": _complete}
-ORDERS = tuple(_LAWS)
+# law -> (cdf, pdf) from the shared terms z (clipped to [-40, 40]), w,
+# Psi_N = e^(-w), x, w/beta.  The Gumbel limit reads no x; the orders after
+# it are its corrections.
+_LAWS = {"gumbel": _gumbel, "first": _first, "second": _second, "complete": _complete}
+ORDERS = tuple(_LAWS)[1:]
 
 
 def corrected_law(z, p: GumbelParams, s: float, order: str):
-    """``(cdf, pdf)`` of the chosen order on ``z``; both reduce to the
-    Gumbel law at S = 0, and the pdf is the exact z-derivative of the cdf.
+    """``(cdf, pdf)`` on ``z`` of the law named ``order``: ``"gumbel"``,
+    which ignores ``s``, or one of ``ORDERS``, each of which reduces to the
+    Gumbel law at S = 0.  The pdf is the exact z-derivative of the cdf.
 
     Values are intentionally not clamped: excursions outside [0, 1] or
     below 0 indicate breakdown of the weak-correlation expansion and are
     surfaced by ``validity_check``.
     """
-    if order not in ORDERS:
-        raise DomainError(f"order must be one of {ORDERS} (got {order!r})")
+    if order not in _LAWS:
+        raise DomainError(f"order must be one of {tuple(_LAWS)} (got {order!r})")
     arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("z must be finite")
-    w = _tail_weight(arr, p)
+    # Below (z - alpha)/beta = -40, Psi_N = e^(-w) is exactly 0: clipping
+    # there keeps w finite.  A tiny beta may still overflow t to +inf.
+    with np.errstate(over="ignore"):
+        t = (arr - p.alpha) / p.beta
+    w = np.exp(-np.maximum(t, -40.0))
     # x is exactly 0 beyond |z| = 27.3, so the z^2 and 2 z x terms read z
     # clipped to [-40, 40]: the same values, and no overflow to inf * 0.
     z_x = np.clip(arr, -40.0, 40.0)

@@ -7,6 +7,10 @@ The location/scale constants are
 and the CDF of the maximum converges to
 
     Psi_N(z) = exp(-e^(-(z - alpha)/beta)).
+
+This module holds the constants and the law's moments; the law's CDF and
+PDF are the ``"gumbel"`` row of ``corrections.corrected_law``, the law with
+no correction.
 """
 from __future__ import annotations
 
@@ -22,16 +26,10 @@ __all__ = [
     "GumbelParams",
     "GumbelMoments",
     "scaling_constants",
-    "gumbel_cdf",
-    "gumbel_pdf",
     "gumbel_moments",
 ]
 
 EULER_MASCHERONI = 0.5772156649015329
-
-# Below (z - alpha)/beta = -40 the CDF underflows to exactly 0; clipping the
-# exponent there avoids overflow in exp() without changing any result.
-_TAIL_CLIP = -40.0
 
 
 @dataclass(frozen=True)
@@ -75,31 +73,6 @@ def scaling_constants(n: int) -> GumbelParams:
     alpha = std_normal_quantile(1.0 - 1.0 / n)
     beta = np.sqrt(2.0 * np.pi) / (n * phi_kernel(alpha))
     return GumbelParams(n=n, alpha=alpha, beta=float(beta))
-
-
-def _tail_weight(z, p: GumbelParams):
-    """w = e^(-t), t = (z - alpha)/beta clipped below at _TAIL_CLIP, so that
-    Psi_N = e^(-w).  NaN is rejected; +-inf, given or reached by t
-    overflowing, passes through as a limit."""
-    arr = np.asarray(z, dtype=float)
-    if np.any(np.isnan(arr)):
-        raise DomainError("z must not be NaN")
-    with np.errstate(over="ignore"):
-        t = (arr - p.alpha) / p.beta
-    return np.exp(-np.maximum(t, _TAIL_CLIP))
-
-
-def gumbel_cdf(z, p: GumbelParams):
-    """Gumbel CDF exp(-e^(-(z - alpha)/beta))."""
-    out = np.exp(-_tail_weight(z, p))
-    return float(out) if np.isscalar(z) else out
-
-
-def gumbel_pdf(z, p: GumbelParams):
-    """Gumbel density (1/beta) exp(-e^(-t) - t), t = (z - alpha)/beta."""
-    w = _tail_weight(z, p)
-    out = (w / p.beta) * np.exp(-w)
-    return float(out) if np.isscalar(z) else out
 
 
 def gumbel_moments(p: GumbelParams) -> GumbelMoments:

@@ -1,6 +1,7 @@
 """Shared oracles and helpers for the test suite."""
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from pathlib import Path
@@ -13,6 +14,7 @@ from corrmax import (
     DimensionMismatch,
     DomainError,
     EpsilonMatrix,
+    corrected_law,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -187,6 +189,17 @@ def hist_l1_distance(result, pdf_fn) -> float:
     return float(np.sum(np.abs(dens - pdf_fn(centers)) * widths))
 
 
+def gumbel_cdf(z, p):
+    """CDF of the Gumbel limit: the ``"gumbel"`` row of ``corrected_law``,
+    which ``test_gumbel.py`` checks against ``scipy.stats.gumbel_r``."""
+    return corrected_law(z, p, 0.0, "gumbel")[0]
+
+
+def gumbel_pdf(z, p):
+    """PDF of the Gumbel limit, as ``gumbel_cdf``."""
+    return corrected_law(z, p, 0.0, "gumbel")[1]
+
+
 def central_diff(f, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return (f(z + h) - f(z - h)) / (2.0 * h)
 
@@ -237,6 +250,17 @@ def path_moments_reference(ps) -> tuple[np.ndarray, np.ndarray]:
 # Oracle-scale limit for the explicit multivariate expansion; it exists to
 # validate the theory, not to evaluate high-dimensional densities.
 _EXPANSION_MAX_DIM = 8
+
+
+def ar1_sum_60_digits(n: int, rho: float) -> float:
+    """sum_{i != j} rho^|i-j| by the closed form in 60-digit decimal
+    arithmetic, from the exact value of the float ``rho``.  The form's
+    cancellation as rho -> 1 costs about log10(2 n / x^2) digits, with
+    x = (n - 1)(1 - rho): at n = 10^12 and x = 10^-3, 19 of them."""
+    with decimal.localcontext(prec=60):
+        q = decimal.Decimal(rho)
+        return float(2 * (n * (q - q**n) / (1 - q)
+                          - q * (1 - n * q ** (n - 1) + (n - 1) * q**n) / (1 - q) ** 2))
 
 
 def ar1_epsilon(n: int, rho: float) -> EpsilonMatrix:

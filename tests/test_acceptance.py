@@ -16,8 +16,6 @@ from corrmax import (
     corrected_law,
     EpsilonMatrix,
     enumerate_paths,
-    gumbel_cdf,
-    gumbel_pdf,
     load_graph,
     non_iid_experiment,
     parse_graph,
@@ -35,6 +33,8 @@ from conftest import (
     char_fn_identity_check,
     correlated_pdf_first_order,
     correlation_sum,
+    gumbel_cdf,
+    gumbel_pdf,
     hist_l1_distance,
 )
 

@@ -78,6 +78,14 @@ class TestDist:
         assert (tmp_path / "a.csv").read_bytes() == \
                (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("kind", ["gumbel", "first", "second", "complete"])
+    def test_sidecar_order_is_the_kind(self, tmp_path, kind):
+        rho = [] if kind == "gumbel" else ["--rho", "0.3"]
+        assert run(["dist", kind, "--n", "50", *rho, "--steps", "11", "--out", "d",
+                    "--outdir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "d.json").read_text())
+        assert doc["order"] == doc["kind"] == kind
+
     def test_second_order_sidecar_and_clamp(self, tmp_path):
         code = run([
             "dist", "second", "--n", "100", "--rho", "0.5", "--out", "s",

@@ -1,6 +1,8 @@
 """Tests for the corrected distributions of correlated Gaussian maxima."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,19 +13,20 @@ from corrmax import (
     EpsilonMatrix,
     McConfig,
     corrected_law,
-    gumbel_cdf,
-    gumbel_pdf,
     sample_max_sweep,
     scaling_constants,
     validity_check,
 )
 from conftest import (
     ar1_epsilon,
+    ar1_sum_60_digits,
     central_diff,
     char_fn_identity_check,
     correlated_pdf_first_order,
     correlation_sum,
     ecdf_values,
+    gumbel_cdf,
+    gumbel_pdf,
     hist_l1_distance,
 )
 
@@ -97,6 +100,40 @@ class TestCorrelationSum:
         assert ar1_correlation_sum(n, rho) == pytest.approx(
             direct, rel=1e-12, abs=1e-12
         )
+
+    @pytest.mark.parametrize("rho", [0.3, 0.9, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8,
+                                     1 - 1e-10, 1 - 1e-12])
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])
+    def test_ar1_sum_matches_fsum(self, n, rho):
+        """Accurate as rho -> 1, where the closed form alone cancels: at
+        n = 100, rho = 1 - 1e-10 it gave S < 0."""
+        exact = math.fsum(2.0 * (n - d) * rho**d for d in range(1, n))
+        assert ar1_correlation_sum(n, rho) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 2.0, 20.0, 60.0])
+    @pytest.mark.parametrize("n", [10**6, 10**12])
+    def test_ar1_sum_matches_60_digits_at_large_n(self, n, x):
+        """Each of the three forms, at x = (n-1)(1-rho) on both sides of
+        its switches, where a wrong form would lose digits: up to
+        log10(n) of them."""
+        rho = 1.0 - x / (n - 1)
+        assert ar1_correlation_sum(n, rho) == pytest.approx(
+            ar1_sum_60_digits(n, rho), rel=1e-14, abs=0)
+
+    def test_ar1_sum_monotone_and_bounded_at_a_million(self):
+        """Nondecreasing in rho and within [0, n (n - 1)], also on the
+        floats on both sides of each switch between forms: x = (n-1)(1-rho)
+        = 1 and n rho^(n-1) = 1."""
+        n = 10**6
+        switches = [1.0 - 1.0 / (n - 1), n ** (-1.0 / (n - 1))]
+        rhos = np.unique(np.concatenate([
+            np.linspace(0.0, 1.0, 1001, endpoint=False),
+            1.0 - np.logspace(-15, -0.5, 1001),
+            *[r + np.spacing(r) * np.arange(-3, 4) for r in switches],
+        ]))
+        s = np.array([ar1_correlation_sum(n, float(r)) for r in rhos])
+        assert np.all(s >= 0.0) and np.all(s <= n * (n - 1.0))
+        assert np.all(np.diff(s) >= 0.0)
 
     def test_ar1_closed_form_validation(self):
         with pytest.raises(DomainError):
@@ -231,13 +268,15 @@ class TestCorrectedPdf:
 
 
 def reference_law(z, p, s, order):
-    """Each order's (cdf, pdf), written out as separate expressions with
+    """Each law's (cdf, pdf), written out as separate expressions with
     the Gumbel tail clip at (z - alpha)/beta = -40."""
     z = np.asarray(z, dtype=float)
     w = np.exp(-np.maximum((z - p.alpha) / p.beta, -40.0))
     psi = np.exp(-w)
     x = np.exp(-z * z) * (float(s) / (4.0 * np.pi))
     wb = w / p.beta
+    if order == "gumbel":
+        return psi, psi * wb
     if order == "first":
         return psi * (1.0 + x), psi * (wb * (1.0 + x) - 2.0 * z * x)
     if order == "second":
@@ -247,7 +286,7 @@ def reference_law(z, p, s, order):
 
 
 class TestCorrectedLaw:
-    @pytest.mark.parametrize("order", ["first", "second", "complete"])
+    @pytest.mark.parametrize("order", ["gumbel", "first", "second", "complete"])
     @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000, 10**5, 10**9])
     def test_bits_match_the_written_out_expressions(self, n, order):
         """Bit for bit, over a grid reaching past the tail clip and

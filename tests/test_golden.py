@@ -41,6 +41,10 @@ RUNS = {
                       *_REPS],
     **{f"analyze_{g.stem}": ["graph", "analyze", str(g), "--seed", "1", "--z-steps",
                              "101", *_REPS] for g in GRAPH_FILES},
+    # the default order is second; the other two go through the same law table
+    **{f"analyze_block8_{order}": ["graph", "analyze", str(GRAPHS / "block8.txt"),
+                                   "--order", order, "--seed", "1", "--z-steps", "101",
+                                   *_REPS] for order in ("first", "complete")},
     **{f"cov_{g.stem}": ["graph", "cov", str(g)] for g in GRAPH_FILES},
 }
 

@@ -5,18 +5,17 @@ import re
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from corrmax import (
     DomainError,
     EULER_MASCHERONI,
     GumbelParams,
-    gumbel_cdf,
+    corrected_law,
     gumbel_moments,
-    gumbel_pdf,
     scaling_constants,
 )
-from conftest import bisect_quantile, central_diff, iid_max_cdf
+from conftest import bisect_quantile, central_diff, gumbel_cdf, gumbel_pdf, iid_max_cdf
 
 
 class TestScalingConstants:
@@ -61,6 +60,34 @@ class TestScalingConstants:
             GumbelParams(n=10, alpha=float("nan"), beta=1.0)
 
 
+class TestGumbelLaw:
+    """The ``"gumbel"`` row of ``corrected_law``, which conftest's
+    ``gumbel_cdf`` and ``gumbel_pdf`` read, against scipy's ``gumbel_r``."""
+
+    @pytest.mark.parametrize("n", [2, 100, 10**6, 2**53])
+    def test_matches_scipy_gumbel_r(self, n):
+        p = scaling_constants(n)
+        z = np.linspace(p.alpha - 5.0 * p.beta, p.alpha + 30.0 * p.beta, 2001)
+        ref = stats.gumbel_r(loc=p.alpha, scale=p.beta)
+        np.testing.assert_allclose(gumbel_cdf(z, p), ref.cdf(z), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gumbel_pdf(z, p), ref.pdf(z), rtol=1e-12, atol=0)
+
+    def test_ignores_s(self):
+        p = scaling_constants(100)
+        z = np.linspace(p.alpha - 2.0, p.alpha + 4.0, 101)
+        cdf, pdf = corrected_law(z, p, 0.0, "gumbel")
+        for s in (-12.5, 5.0, 250.0):
+            got_cdf, got_pdf = corrected_law(z, p, s, "gumbel")
+            assert got_cdf.tobytes() == cdf.tobytes()
+            assert got_pdf.tobytes() == pdf.tobytes()
+
+    @pytest.mark.parametrize("z", [float("nan"), float("inf"), float("-inf"),
+                                   np.array([0.0, np.nan, 1.0])])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(DomainError, match="^z must be finite$"):
+            corrected_law(z, scaling_constants(100), 0.0, "gumbel")
+
+
 class TestGumbelCdf:
     def test_at_alpha(self):
         p = scaling_constants(100)
@@ -68,7 +95,6 @@ class TestGumbelCdf:
 
     def test_upper_limit(self):
         p = scaling_constants(100)
-        assert gumbel_cdf(float("inf"), p) == 1.0
         assert gumbel_cdf(1e6, p) == 1.0
 
     def test_inner_exponential_halving(self):
@@ -84,13 +110,6 @@ class TestGumbelCdf:
     def test_deep_lower_tail_exact_zero(self):
         p = scaling_constants(100)
         assert gumbel_cdf(p.alpha - 41.0 * p.beta, p) == 0.0
-        assert gumbel_cdf(float("-inf"), p) == 0.0
-
-    @pytest.mark.parametrize("law", [gumbel_cdf, gumbel_pdf])
-    @pytest.mark.parametrize("z", [float("nan"), np.array([0.0, np.nan, 1.0])])
-    def test_nan_rejected(self, law, z):
-        with pytest.raises(DomainError, match="^z must not be NaN$"):
-            law(z, scaling_constants(100))
 
 
 class TestGumbelPdf:

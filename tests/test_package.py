@@ -14,10 +14,6 @@ from conftest import REPO_ROOT
 
 PACKAGE_DIR = REPO_ROOT / "src" / "corrmax"
 
-# Public without a caller in the package: the paper's limit law.
-NO_CALLER_NEEDED = {"gumbel_cdf", "gumbel_pdf"}
-
-
 def _package_trees():
     return [(path.name, ast.parse(path.read_text()))
             for path in sorted(PACKAGE_DIR.glob("*.py"))]
@@ -66,9 +62,8 @@ def test_every_public_name_is_used_in_the_package():
     """Every exported name, and every public method or property of an
     exported class, has a caller outside ``__init__.py``."""
     exported = _exported_names()
-    assert NO_CALLER_NEEDED <= exported
     names, attributes = _referenced_names()
-    assert exported - names - attributes - NO_CALLER_NEEDED == set()
+    assert exported - names - attributes == set()
     # A member is reached as ``x.member``; a local of the same name is no use.
     assert _public_members(exported) - attributes == set()
 
@@ -241,9 +236,9 @@ def test_diagnostics_read_their_callers_values():
 
 
 def test_orders_are_looked_up_not_compared():
-    """The orders are rows of ``corrections._LAWS``: no comparison in the
-    package, ``==`` or ``in`` a tuple alike, involves an order's name."""
-    names = {"first", "second", "complete"}
+    """The laws are rows of ``corrections._LAWS``: no comparison in the
+    package, ``==`` or ``in`` a tuple alike, involves a law's name."""
+    names = {"gumbel", "first", "second", "complete"}
     found = [
         f"{name}:{node.lineno}"
         for name, tree in _package_trees()
