@@ -33,6 +33,7 @@ import mmap
 import os
 import signal
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -385,40 +386,24 @@ def _log_uniforms(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reveal(entries: np.ndarray, n: int, rows: np.ndarray, k: int, u: np.ndarray):
+def _reveal(swaps: list[dict], n: int, k: int, u: np.ndarray) -> np.ndarray:
     """Positions k, ..., k + m - 1 of Fisher-Yates shuffles of range(n), one
-    per entry of ``rows`` (ascending), and the shuffles' new ``entries``.
-
-    Position i of row r holds i unless the sorted ``entries``, which end
-    above every real one, list (r * n + i) * n + v for its value v: 63 bits
-    at 1024 rows and n <= 2**26, as the frozen row's cap ensures.  Position
+    per dict of ``swaps`` from each moved position to its value: position
     k + s swaps with the position j that column s of ``u`` picks from
-    [k + s, n), and the value at j is revealed.  The swaps run in order on
-    a table of each row's m positions and m picks, each on the first column
-    holding its position.  Positions below k + m are never read again, so
-    only the picks past them that own their column are written back.
-    """
+    [k + s, n), and the value at j is revealed.  Position k + s is never
+    read again, so it leaves its dict."""
     m = u.shape[1]
     spans = np.arange(n - k, n - k - m, -1)
-    head = np.arange(k, k + m)
-    picks = head + np.minimum((u * spans).astype(np.int64), spans - 1)
-    pos = np.hstack([np.broadcast_to(head, picks.shape), picks])
-    keys = (rows[:, None] * n + pos) * n
-    at = np.searchsorted(entries, keys)
-    value = entries[at] - keys
-    listed = value < n
-    table = np.where(listed, value, pos)
-    col = (pos[:, None, :] == picks[:, :, None]).argmax(axis=2)
-    out, r = np.empty_like(picks), np.arange(len(rows))
-    for s in range(m):
-        out[:, s] = table[r, col[:, s]]
-        table[r, col[:, s]] = table[:, s]
-    keep = (col == m + np.arange(m)) & (picks >= k + m)
-    listed, new = keep & listed[:, m:], keep & ~listed[:, m:]
-    written = keys[:, m:] + table[:, m:]
-    entries[at[:, m:][listed]] = written[listed]
-    written = np.sort(written[new])
-    return out, np.insert(entries, np.searchsorted(entries, written), written)
+    picks = np.arange(k, k + m) + np.minimum((u * spans).astype(np.int64), spans - 1)
+    out = []
+    for a, row in zip(swaps, picks.tolist()):
+        for i, j in enumerate(row, k):
+            if j == i:
+                out.append(a.pop(i, i))
+            else:
+                out.append(a.get(j, j))
+                a[j] = a.pop(i, i)
+    return np.array(out, dtype=np.int64).reshape(picks.shape)
 
 
 def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
@@ -461,8 +446,9 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
     delta_mu = 0.2, 63 at n = 1000, delta_mu = 5, delta_sigma = 0.99.  At
     delta_mu far above sigma * sqrt(2 log n), every component can hold the
     maximum and k tends to n; at n = 1000 that takes 2-3 times as long as
-    the full evaluation (BENCH_31.json).  A chunk holds O(R) floats, and when frozen
-    O(k) entries, per repetition, and the frozen row of 2n words.
+    the full evaluation (BENCH_31.json).  A chunk holds O(R) floats per
+    repetition; frozen, also the row of 2n words and a dictionary per
+    repetition of under 100 bytes per revealed component (68 at 64, 95 at 8,192).
     """
     n_grid = [int(n) for n in n_grid]
     # n <= 2**53 keeps n - k exact and the block counters unique.
@@ -480,6 +466,11 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
         raise DomainError(
             f"mu, sigma, delta_mu and delta_sigma must be finite "
             f"(got {mu}, {sigma}, {delta_mu}, {delta_sigma})"
+        )
+    if len(n_grid) * cfg.reps > _MAX_CHUNK_FLOATS:
+        raise DomainError(
+            f"reps too large for the grid: {len(n_grid)} points x {cfg.reps} "
+            f"reps exceed the cap of {_MAX_CHUNK_FLOATS} floats"
         )
     if freeze_deviations:
         _check_width(1, 2 * max(n_grid))  # the single row of frozen deviations
@@ -506,7 +497,7 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
             rows = np.arange(stop - start)  # the rows still running, ascending
             best = np.full(rows.size, -np.inf)  # their running maxima
             log_u = np.zeros((rows.size, 1))  # and their last log u
-            entries = np.array([np.iinfo(np.int64).max])  # of the shuffles, if frozen
+            swaps = [{} for _ in range(rows.size)] if freeze_deviations else []
             for b, k in enumerate(range(0, n, R)):
                 m = min(R, n - k)
                 first = b * _MAX_CHUNK_FLOATS + start  # reps <= 2**27, McConfig's cap
@@ -519,7 +510,7 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
                 t = np.fromiter(map(math.expm1, log_u.ravel().tolist()), float, log_u.size)
                 q = -_ndtri(np.minimum(-t, 1.0 - 2.0**-53)).reshape(log_u.shape)
                 if freeze_deviations:
-                    picked, entries = _reveal(entries, n, rows, k, w[:, R : R + m])
+                    picked = _reveal(swaps, n, k, w[:, R : R + m])
                     x = mu_i[picked] + sigma_i[picked] * q
                 else:
                     mu_j, sigma_j = deviated(w[:, R : R + m], w[:, 2 * R : 2 * R + m])
@@ -530,6 +521,7 @@ def non_iid_experiment(n_grid, cfg: McConfig, *, mu: float = 0.0,
                 go = ~(bound < best) & (best < np.inf)
                 out[rows[~go]] = best[~go]
                 rows, best, log_u = rows[go], best[go], log_u[go, -1:]
+                swaps = list(compress(swaps, go))
                 if not rows.size:
                     break
             out[rows] = best

@@ -23,6 +23,7 @@ overflowing path is a ``DomainError`` (exit 2).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -42,7 +43,7 @@ from .errors import (
     PathExplosionError,
 )
 from .gumbel import GumbelParams, gumbel_moments, scaling_constants
-from .montecarlo import McConfig, McResult, sample_dag_max
+from .montecarlo import _MAX_CHUNK_FLOATS, McConfig, McResult, sample_dag_max
 from .normal import std_normal_cdf, std_normal_pdf
 
 __all__ = [
@@ -297,6 +298,12 @@ def path_covariance(ps: PathSet) -> np.ndarray:
     a path with zero total variance correlates with nothing and keeps a
     unit diagonal by convention.
     """
+    if ps.n_paths**2 > _MAX_CHUNK_FLOATS:  # before anything P x P is allocated
+        raise DomainError(
+            f"path covariance too large: {ps.n_paths} x {ps.n_paths} entries exceed the "
+            f"cap of {_MAX_CHUNK_FLOATS} floats; keep --cap at most "
+            f"{math.isqrt(_MAX_CHUNK_FLOATS)}"
+        )
     sigmas = np.array([e.sigma for e in ps.graph.edges] + [0.0])
     weights = np.zeros((ps.n_paths, len(sigmas)))
     np.put_along_axis(weights, ps._index, sigmas[ps._index], axis=1)

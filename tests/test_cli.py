@@ -454,6 +454,14 @@ class TestGraph:
         assert run(["graph", "paths", str(f), "--cap", "10",
                     "--outdir", str(tmp_path)]) == 4
 
+    def test_paths_past_the_covariance_cap_still_list(self, tmp_path, capsys):
+        """``graph paths`` builds no matrix, so 16,384 paths still list."""
+        f = tmp_path / "cascade15.txt"
+        f.write_text(cascade_text(15, seed=15))
+        assert run(["graph", "paths", str(f), "--cap", "20000",
+                    "--outdir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.count("\n") == 2**14
+
 
 class TestNonIid:
     def test_curve_output(self, tmp_path):
@@ -577,6 +585,18 @@ class TestOutputPath:
           "--seed", "1"],
          "reps too large for the sweep: 9901 rho points x 20000 reps exceed "
          "the cap of 134217728 floats"),
+        # 2 grid points x (2**26 + 1) reps cross the cap; neither does alone
+        (["noniid", "--n-grid", "10,10", "--reps", "67108865", "--seed", "1"],
+         "reps too large for the grid: 2 points x 67108865 reps exceed the cap "
+         "of 134217728 floats"),
+        # 16,384 paths: a 2 GiB covariance, refused before it is allocated
+        (["graph", "cov", "CASCADE15", "--cap", "20000"],
+         "path covariance too large: 16384 x 16384 entries exceed the cap of "
+         "134217728 floats; keep --cap at most 11585"),
+        (["graph", "analyze", "CASCADE15", "--cap", "20000", "--reps", "100",
+          "--seed", "1"],
+         "path covariance too large: 16384 x 16384 entries exceed the cap of "
+         "134217728 floats; keep --cap at most 11585"),
         (["dist", "first", "--n", "10", "--rho", "0.1", "--z-max", "inf"],
          "--z-min and --z-max must be finite with a finite span (got -1.0, inf)"),
         (["dist", "first", "--n", "10", "--rho", "0.1", "--z-min", "-1e308",
@@ -607,7 +627,9 @@ class TestOutputPath:
             "noniid_sigma_zero", "mc_too_wide", "noniid_too_wide",
             "noniid_frozen_too_wide", "dist_eps_non_finite", "dist_cov_non_square",
             "dist_steps_cap", "graph_z_steps_cap", "mc_reps_cap", "noniid_reps_cap",
-            "graph_reps_cap", "mc_sweep_reps_cap", "dist_z_max_inf",
+            "graph_reps_cap", "mc_sweep_reps_cap", "noniid_grid_reps_cap",
+            "graph_cov_covariance_cap", "graph_analyze_covariance_cap",
+            "dist_z_max_inf",
             "dist_z_span_overflow", "dist_z_min_nan", "dist_n_rounds_p_to_1",
             "dist_n_overflows_float", "out_with_separator", "out_too_long",
             "manifest_name_too_long"])
@@ -618,6 +640,7 @@ class TestOutputPath:
             "NEARMAX": "a b 8e307 0.1\nb c 8e307 0.1\n",  # its MC mean overflows
             "EPS_NAN": "0 nan\nnan 0\n",
             "COV_2X3": "1 0.2 0.1\n0.2 1 0.3\n",
+            "CASCADE15": cascade_text(15, seed=15),
         }.items():
             path = tmp_path / f"{name.lower()}.txt"
             path.write_text(text)

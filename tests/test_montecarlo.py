@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate, special
 
 from corrmax import (
@@ -26,6 +28,7 @@ from corrmax.montecarlo import (
     _check_width,
     _chunk_uniforms,
     _ends,
+    _reveal,
     _worker_count,
 )
 from corrmax.cli import _MAX_BINS, _histogram, _iqr, _stats_dict
@@ -487,11 +490,12 @@ class TestChunkMemory:
     def test_noniid_peak_per_repetition(self, n, frozen):
         """1024 repetitions at delta_mu = 0.2 hold, per repetition, a
         block's words (raw and as uniforms, 3R of each, 2R when frozen)
-        and its log u, 1 - u, quantiles and values (R each); frozen, R = 8
-        and the shuffles' table of 2R positions, keys and values.  Measured
-        630 bytes per repetition (redrawn) and 1,680 (frozen) at both n;
-        bound 1,024 and 2,560.  The frozen row adds 32 bytes per component:
-        its 2n words, raw and as uniforms, then the n means and deviations.
+        and its log u, 1 - u, quantiles and values (R each); frozen, R = 8,
+        the R picks and the shuffle's dictionary of swapped positions.
+        Measured 630 bytes per repetition (redrawn) at both n, and 1,276
+        (frozen) at n = 2000 and 1,303 at n = 10**6; bound 1,024 and 2,560.
+        The frozen row adds 32 bytes per component: its 2n words, raw and
+        as uniforms, then the n means and deviations.
         Holding the chunk's n quantile uniforms, as the sampler once did,
         is 8n bytes per repetition."""
         non_iid_experiment((30,), McConfig(seed=1, reps=1), delta_mu=0.2,
@@ -584,6 +588,31 @@ class TestNonIidExperiment:
         with pytest.raises(DomainError):
             non_iid_experiment((10,), cfg, delta_mu=-0.1)
 
+    def test_grid_of_more_samples_than_the_float_cap_refused(self, monkeypatch):
+        """Two points x (2**26 + 1) reps: refused before the frozen row or
+        any block is drawn."""
+        def drawn(*args):
+            raise AssertionError("drew uniforms")
+
+        monkeypatch.setattr(corrmax.montecarlo, "_chunk_uniforms", drawn)
+        with pytest.raises(DomainError, match=r"reps too large for the grid: 2 points x "
+                           r"67108865 reps exceed the cap of 134217728 floats"):
+            non_iid_experiment((10, 10), McConfig(seed=1, reps=2**26 + 1),
+                               freeze_deviations=True)
+
+    def test_one_point_at_the_reps_cap_accepted(self, monkeypatch):
+        """One point at McConfig's 2**27 reps passes the grid's check; a
+        stand-in for the chunked sampler records the sample array asked for."""
+        shapes = []
+
+        def chunked(shape, workers, fill):
+            shapes.append(shape)
+            return np.zeros(1)
+
+        monkeypatch.setattr(corrmax.montecarlo, "_run_chunked", chunked)
+        non_iid_experiment((10,), McConfig(seed=1, reps=2**27))
+        assert shapes == [(2**27,)]
+
     def test_iid_baseline_matches_exact_law(self):
         grid = (10, 100, 1000)
         results = non_iid_experiment(grid, McConfig(seed=101, reps=10_000))
@@ -643,6 +672,32 @@ class TestNonIidExperiment:
         """n = 300 at a spread where most repetitions run through many
         blocks of the shuffles, in two chunks."""
         self._check_full((300,), workers, True, delta_mu=5.0, delta_sigma=0.99)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_frozen_deviations_deep_into_the_shuffles(self, workers):
+        """n = 20 at delta_mu = 100: nearly every repetition reveals all
+        three blocks of 8, and picks of later blocks land on positions that
+        earlier blocks swapped."""
+        self._check_full((20,), workers, True, delta_mu=100.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 8), st.integers(1, 4), st.data())
+    def test_reveal_is_a_dense_fisher_yates(self, n, block, rows, data):
+        """Blocks of ``_reveal`` from k = 0 to n reveal, per row, the
+        permutation that a list-based Fisher-Yates makes of the same pick
+        uniforms."""
+        u = data.draw(arrays(float, (rows, n),
+                             elements=st.floats(0.0, 1.0, exclude_max=True)))
+        swaps = [{} for _ in range(rows)]
+        revealed = np.hstack([_reveal(swaps, n, k, u[:, k : k + block])
+                              for k in range(0, n, block)])
+        for row, picks in zip(revealed.tolist(), u.tolist()):
+            dense = list(range(n))
+            for i, v in enumerate(picks):
+                j = i + min(int(v * (n - i)), n - i - 1)
+                dense[i], dense[j] = dense[j], dense[i]
+            assert row == dense
+            assert sorted(row) == list(range(n))
 
     @pytest.mark.parametrize("n, mu, sigma, delta_mu, delta_sigma", [
         (1, 0.0, 1.0, 0.2, 0.0),

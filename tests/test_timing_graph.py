@@ -25,7 +25,8 @@ from corrmax import (
     sample_dag_max,
     std_normal_quantile,
 )
-from corrmax.montecarlo import _chunk_uniforms
+from corrmax.montecarlo import _MAX_CHUNK_FLOATS, _chunk_uniforms
+from corrmax.timing_graph import DEFAULT_PATH_CAP
 from conftest import cascade64_text, cascade_text, path_moments_reference
 
 # Unit-diagonal covariance of the four paths of the shared-edge example
@@ -283,6 +284,19 @@ class TestPathCovariance:
             assert np.all(pc >= 0.0) and np.all(pc <= 1.0)
             np.testing.assert_array_equal(np.diag(pc), 1.0)
             assert np.linalg.eigvalsh(pc)[0] > -1e-10
+
+    def test_more_entries_than_the_float_cap_refused(self):
+        """isqrt(2**27) + 1 = 11,586 copies of one path: refused before the
+        1 GiB matrix, or its P x E weights, is allocated."""
+        g = parse_graph("a b 1 0.1\nb c 1 0.1\n")
+        ps = PathSet(graph=g, paths=((0, 1),) * 11_586)
+        with pytest.raises(DomainError, match="11586 x 11586 entries exceed the cap "
+                           "of 134217728 floats; keep --cap at most 11585"):
+            path_covariance(ps)
+
+    def test_default_cap_fits_the_float_cap(self):
+        """10,000 paths make a 763 MiB covariance, inside the cap."""
+        assert DEFAULT_PATH_CAP**2 <= _MAX_CHUNK_FLOATS
 
     def test_heterogeneous_shared_edge(self):
         g = parse_graph(
