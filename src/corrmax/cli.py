@@ -27,7 +27,6 @@ import os
 import sys
 import warnings
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +70,27 @@ _MAX_SWEEP_POINTS = 10_000
 # Longest file name, in bytes, that common file systems accept.
 _NAME_MAX = 255
 
-# Rows of a symmetric matrix that ``_dump_symmetric`` formats as one block.
-_BLOCK = 32
+# ``_write_json`` formats a top-level matrix in blocks of rows that hold
+# about this many entries, or one row where a row holds more.  Formatting a
+# block holds under 256 bytes per entry at once.
+_BLOCK_ENTRIES = 1 << 14
+
+# What json writes between two entries of a row of a top-level matrix.
+_ENTRY_SEP = ",\n      "
+
+# 10**(16 - e) for the decimal exponents e = -1 .. -4 of [1e-4, 1): exact
+# doubles, which scale x to 17 digits before the point.
+_SCALE = np.array([1e17, 1e18, 1e19, 1e20])
+
+# 10**0 .. 10**17 as int64.
+_POW10 = 10 ** np.arange(18)
+
+# Four ASCII digits per uint32, "0000" .. "9999".
+_DIGITS = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                               indexing="ij"), axis=-1).view(np.uint32).ravel()
+
+# Row s keeps bytes s .. 31 of a 32-byte row.
+_TAILS = (np.arange(32) >= np.arange(33)[:, None]).view(np.uint64)
 
 # Above this many Freedman-Diaconis bins (a near-constant sample beside one
 # outlier asks for tens of millions) the histogram uses Sturges.
@@ -99,57 +117,136 @@ def _plain(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _is_symmetric(a: np.ndarray) -> bool:
-    """Whether ``a`` is a square, finite float64 matrix equal to its
-    transpose bit for bit, so that 0.0 and -0.0 differ."""
-    return (a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype == np.float64
-            and bool(np.isfinite(a).all())
-            and np.array_equal(a.view(np.int64), a.T.view(np.int64)))
+def _split(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of doubles into halves of at most 26 bits each."""
+    c = y * 134217729.0  # 2**27 + 1
+    high = c - (c - y)
+    return high, y - high
 
 
-def _dump_symmetric(a: np.ndarray, fh, indent: str) -> None:
-    """Write to ``fh`` the bytes json writes with ``indent=2`` for a
-    nonempty matrix for which ``_is_symmetric`` holds, nested at ``indent``,
-    calling ``float.__repr__`` once per entry on or above the diagonal
-    blocks.
+def _shortest_digits(x: np.ndarray):
+    """For doubles ``x`` in [1e-4, 1): ``(q, k, zeros, ambiguous)``, where
+    ``float.__repr__`` writes x as "0.", ``zeros`` zeros and the k digits of
+    the integer q, unless ``ambiguous`` is set.
 
-    Rows go in blocks of ``_BLOCK``.  Row i of the block that starts at row
-    r0 formats ``a[i, r0:]``.  Its entries in each later column block wait
-    as one comma-joined string (a float repr holds no comma) until that
-    block's rows split them into their columns 0 .. r0 - 1, and each row
-    frees its split strings once written.  At most about P²/4 entries wait
-    at once, as short strings: less memory than one P×P float64 array.
+    With 10**e <= x < 10**(e + 1), v = x * 10**(16 - e) lies in [1e16, 1e17).
+    repr writes the fewest digits k for which the nearest k-digit rounding
+    of v, q * 10**(17 - k), lies strictly within half an ulp of x,
+    h = 2**(ex - 54) * 10**(16 - e) in units of v where 2**(ex - 1) <= x <
+    2**ex (Steele and White, "How to print floating-point numbers
+    accurately", PLDI 1990).  Every step is exact:
+
+    * x >= 0.1 compares x with fl(0.1), and so on down to 1e-4: each such
+      double lies just above its power of ten, with no double in between.
+    * v = hi + lo exactly, by Dekker's two-product (Numer. Math. 18, 1971);
+      v = d + f with d an integer and |f| <= 1/2.
+    * v +- h is an odd number times 2**(ex - 38 - e), a power of two
+      below 1, so never an integer: the integers strictly within h of v are
+      a .. b, and k digits suffice when a multiple of 10**(17 - k) lies
+      among them.
+    * q never carries to 10**k: x lies below fl(10**(e + 1)), the double
+      nearest 10**(e + 1), so 10**(e + 1) is more than h from v.
+
+    ``ambiguous`` marks the two cases this rule does not decide: a power
+    of two, whose rounding interval is narrower below x than above, and a
+    rounding exactly halfway between two k-digit candidates.
     """
-    p = len(a)
-    inner = indent + "  "
-    entry_sep = ",\n" + inner + "  "
-    waiting = [[] for _ in range(0, p, _BLOCK)]  # per block, one string per earlier row
-    fh.write("[\n" + inner)
-    for b, r0 in enumerate(range(0, p, _BLOCK)):
-        r1 = min(r0 + _BLOCK, p)
-        left = list(zip(*[t.split(",") for t in waiting[b]])) or [()] * (r1 - r0)
-        waiting[b] = None
-        left.reverse()  # popped in row order
-        for i in range(r0, r1):
-            reprs = list(map(float.__repr__, a[i, r0:].tolist()))
-            for later, c0 in enumerate(range(r1 - r0, p - r0, _BLOCK), start=b + 1):
-                waiting[later].append(",".join(reprs[c0:c0 + _BLOCK]))
-            fh.write((",\n" + inner if i else "") + "[\n" + inner + "  "
-                     + entry_sep.join(chain(left.pop(), reprs))
-                     + "\n" + inner + "]")
-    fh.write("\n" + indent + "]")
+    zeros = (x < 0.1).view(np.int8) + (x < 0.01).view(np.int8) + (x < 0.001).view(np.int8)
+    scale = _SCALE.take(zeros)
+    hi = x * scale
+    xh, xl = _split(x)
+    sh, sl = _split(scale)
+    lo = ((xh * sh - hi) + xh * sl + xl * sh) + xl * sl
+    r = np.rint(lo)
+    f = lo - r
+    d = hi.astype(np.int64) + r.astype(np.int64)
+    power = (x.view(np.int64) & 0x7FF0000000000000).view(np.float64)  # 2**(ex - 1)
+    h = power * scale * 2.0**-53
+    a = d + np.ceil(f - h).astype(np.int64)
+    b = d + np.floor(f + h).astype(np.int64)
+    k = np.full(len(x), 17)
+    live = np.flatnonzero(b // 10 * 10 >= a)
+    for digits in range(16, 0, -1):  # the live entries fit in this many digits
+        k[live] = digits
+        t = 10 ** (18 - digits)
+        live = live[np.flatnonzero(b[live] // t * t >= a[live])]
+    t = _POW10[17 - k]
+    q = (2 * d + t - (f < 0)) // (2 * t)  # floor((2v + t) / 2t), ties aside
+    # exact, as |q t - d| < h + 1/2 < 12
+    ambiguous = (x == power) | (2 * np.abs((q * t - d) - f) == t)
+    return q, k, zeros, ambiguous
+
+
+def _float_text(x: np.ndarray) -> tuple[str, np.ndarray]:
+    """``"".join(repr(v) + _ENTRY_SEP for v in x.tolist())`` for a finite
+    1-D float64 array, and the length of each entry's part of it.
+
+    ``_shortest_digits`` gives the digits of every entry in [1e-4, 1), and
+    0.0 and 1.0 are written directly.  ``float.__repr__`` writes the others:
+    values outside [1e-4, 1), -0.0, and what ``_shortest_digits`` leaves
+    ambiguous.  Each entry fills a row of 32 bytes, its text ending at byte
+    24 and the separator after it, and the text is each row's tail.
+    """
+    n = len(x)
+    q = np.zeros(n, np.int64)  # 0.0 and 1.0: a point and one digit, 0
+    start = np.full(n, 21)
+    lead = np.full(n, ord("0"), np.uint8)
+    lead[x == 1.0] = ord("1")
+    in_range = (x >= 1e-4) & (x < 1.0)
+    main = np.flatnonzero(in_range)
+    digits, k, zeros, ambiguous = _shortest_digits(x[main])
+    q[main] = digits
+    start[main] = 22 - zeros - k
+    slow = np.flatnonzero(~in_range & (x != 1.0) & ((x != 0.0) | np.signbit(x)))
+    slow = np.concatenate([slow, main[ambiguous]])
+
+    rows = np.empty((n, 4), np.uint64)
+    rows[:, 3] = np.frombuffer(_ENTRY_SEP.encode(), np.uint64)
+    words = rows.view(np.uint32)
+    for column in range(5, 0, -1):  # q's digits, zero-padded, end at byte 24
+        rest = q // 10_000
+        words[:, column] = _DIGITS[q - rest * 10_000]
+        q = rest
+    text = rows.view(np.uint8)
+    at = np.arange(0, 32 * n, 32) + start
+    text.ravel()[at] = lead
+    text.ravel()[at + 1] = ord(".")
+    if slow.size:
+        values = x[slow].tolist()
+        reprs = np.frombuffer(("%24r" * len(values) % tuple(values)).encode(), np.uint8)
+        reprs = reprs.reshape(-1, 24)
+        text[slow, :24] = reprs
+        start[slow] = np.count_nonzero(reprs == ord(" "), axis=1)
+    return str(text[_TAILS[start].view(bool)], "ascii"), 32 - start
+
+
+def _dump_matrix(a: np.ndarray, fh) -> None:
+    """Write to ``fh`` the bytes json writes with ``indent=2`` for a
+    nonempty, finite 2-D float64 top-level value, ``_float_text`` formatting
+    a block of rows of about ``_BLOCK_ENTRIES`` entries at a time."""
+    width = a.shape[1]
+    step = max(1, _BLOCK_ENTRIES // width)
+    sep = "[\n    [\n      "
+    for r0 in range(0, len(a), step):
+        text, lengths = _float_text(a[r0:r0 + step].ravel())
+        begin = 0
+        for end in np.cumsum(lengths)[width - 1::width].tolist():
+            fh.write(sep)
+            fh.write(text[begin:end - len(_ENTRY_SEP)])
+            sep, begin = "\n    ],\n    [\n      ", end
+    fh.write("\n    ]\n  ]")
 
 
 def _write_json(path: Path, doc: dict) -> None:
     """Write ``doc`` as ``json.dump(doc, indent=2, sort_keys=True)`` does,
     with arrays and dataclass instances read through ``_plain``.
 
-    Keys must be ``str``.  A nonempty top-level value for which
-    ``_is_symmetric`` holds (a path covariance) is written by
-    ``_dump_symmetric``, which formats each off-diagonal pair once and needs
-    less extra memory than the array itself; json writes every other value.
-    json escapes each newline within a string, so every newline it writes
-    starts a line and takes the top level's indent.
+    Keys must be ``str``.  ``_dump_matrix`` writes each nonempty, finite,
+    2-D float64 top-level value (a path covariance), a block of rows at a
+    time, without a list of P**2 Python floats or their strings; json
+    writes every other value.  json escapes each newline within a string,
+    so every newline it writes starts a line and takes the top level's
+    indent.
     """
     if not all(isinstance(k, str) for k in doc):
         raise TypeError("JSON object keys must be str")
@@ -159,8 +256,9 @@ def _write_json(path: Path, doc: dict) -> None:
             fh.write(sep + json.dumps(key) + ": ")
             sep = ",\n  "
             value = doc[key]
-            if isinstance(value, np.ndarray) and value.size and _is_symmetric(value):
-                _dump_symmetric(value, fh, "  ")
+            if (isinstance(value, np.ndarray) and value.ndim == 2 and value.size
+                    and value.dtype == np.float64 and np.isfinite(value).all()):
+                _dump_matrix(value, fh)
             else:
                 fh.write(json.dumps(value, indent=2, sort_keys=True, default=_plain)
                          .replace("\n", "\n  "))

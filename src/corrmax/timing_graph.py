@@ -305,6 +305,12 @@ def path_covariance(ps: PathSet) -> np.ndarray:
             f"{math.isqrt(_MAX_CHUNK_FLOATS)}"
         )
     sigmas = np.array([e.sigma for e in ps.graph.edges] + [0.0])
+    if ps.n_paths * len(sigmas) > _MAX_CHUNK_FLOATS:  # before the P x (E + 1) weights
+        raise DomainError(
+            f"path covariance too large: {ps.n_paths} paths x {len(sigmas)} weights "
+            f"each exceed the cap of {_MAX_CHUNK_FLOATS} floats; keep --cap at most "
+            f"{_MAX_CHUNK_FLOATS // len(sigmas)}"
+        )
     weights = np.zeros((ps.n_paths, len(sigmas)))
     np.put_along_axis(weights, ps._index, sigmas[ps._index], axis=1)
     weights = weights[:, :-1]  # drop the padding edge

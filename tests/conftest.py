@@ -4,6 +4,7 @@ from __future__ import annotations
 import decimal
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -393,3 +394,13 @@ def dkw_band_halfwidth(n_samples: int, confidence: float = 0.99) -> float:
     if not (0.0 < confidence < 1.0):
         raise DomainError("confidence must lie in (0, 1)")
     return float(np.sqrt(np.log(2.0 / (1.0 - confidence)) / (2.0 * n_samples)))
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

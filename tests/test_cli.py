@@ -17,6 +17,7 @@ from corrmax import (
     enumerate_paths,
     load_graph,
     non_iid_experiment,
+    parse_graph,
     path_covariance,
     sample_max_sweep,
     scaling_constants,
@@ -24,13 +25,15 @@ from corrmax import (
 )
 import corrmax.cli
 from corrmax.cli import (
-    _BLOCK,
+    _BLOCK_ENTRIES,
+    _ENTRY_SEP,
     _attach_negative_values,
-    _is_symmetric,
+    _float_text,
+    _shortest_digits,
     _write_json,
     main,
 )
-from conftest import cascade64_text, cascade_text
+from conftest import cascade64_text, cascade_text, traced_peak
 
 
 def run(args: list[str]) -> int:
@@ -597,6 +600,10 @@ class TestOutputPath:
           "--seed", "1"],
          "path covariance too large: 16384 x 16384 entries exceed the cap of "
          "134217728 floats; keep --cap at most 11585"),
+        # 10,000 paths fit the matrix cap, but not their 20,001 edge weights each
+        (["graph", "cov", "PARALLEL"],
+         "path covariance too large: 10000 paths x 20001 weights each exceed the "
+         "cap of 134217728 floats; keep --cap at most 6710"),
         (["dist", "first", "--n", "10", "--rho", "0.1", "--z-max", "inf"],
          "--z-min and --z-max must be finite with a finite span (got -1.0, inf)"),
         (["dist", "first", "--n", "10", "--rho", "0.1", "--z-min", "-1e308",
@@ -629,7 +636,7 @@ class TestOutputPath:
             "dist_steps_cap", "graph_z_steps_cap", "mc_reps_cap", "noniid_reps_cap",
             "graph_reps_cap", "mc_sweep_reps_cap", "noniid_grid_reps_cap",
             "graph_cov_covariance_cap", "graph_analyze_covariance_cap",
-            "dist_z_max_inf",
+            "graph_cov_weights_cap", "dist_z_max_inf",
             "dist_z_span_overflow", "dist_z_min_nan", "dist_n_rounds_p_to_1",
             "dist_n_overflows_float", "out_with_separator", "out_too_long",
             "manifest_name_too_long"])
@@ -641,6 +648,7 @@ class TestOutputPath:
             "EPS_NAN": "0 nan\nnan 0\n",
             "COV_2X3": "1 0.2 0.1\n0.2 1 0.3\n",
             "CASCADE15": cascade_text(15, seed=15),
+            "PARALLEL": "".join(f"a m{i} 1 0.1\nm{i} b 1 0.1\n" for i in range(10_000)),
         }.items():
             path = tmp_path / f"{name.lower()}.txt"
             path.write_text(text)
@@ -814,25 +822,31 @@ _ARRAYS = arrays(
 
 
 @st.composite
-def _symmetric(draw):
-    """A matrix A + A.T, bitwise symmetric, from empty to past two of the
-    writer's row blocks, with a few mirrored pairs set: an equal pair keeps
-    it symmetric, while a 0.0/-0.0 pair, NaN or an infinity sends it down
-    the row path."""
-    n = draw(st.integers(0, 2 * _BLOCK + 5))
+def _matrix(draw):
+    """A matrix of entries in [0, 1], from empty to three of the writer's
+    row blocks: uniform doubles, ones rounded to 1 - 17 decimals, k / 2**m,
+    0.0 and 1.0, with a few entries from ``_FLOATS`` set.  -0.0 or a value
+    outside [0, 1] goes to ``float.__repr__``; NaN or an infinity sends
+    the matrix to json."""
+    shape = draw(st.tuples(st.integers(0, 6),
+                           st.integers(0, 9) | st.just(_BLOCK_ENTRIES // 2 + 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
-    a = a + a.T
-    pairs = _FLOATS.map(lambda x: (x, x)) | st.sampled_from([(0.0, -0.0), (-0.0, 0.0)])
-    if n:
-        index = st.integers(0, n - 1)
-        for i, j, (x, y) in draw(st.lists(st.tuples(index, index, pairs), max_size=3)):
-            a[i, j], a[j, i] = x, y
+    scale = 10.0 ** rng.integers(1, 18, shape)
+    a = np.choose(rng.integers(0, 4, shape), [
+        rng.random(shape),
+        np.round(rng.random(shape) * scale) / scale,
+        rng.integers(0, 2**20, shape) / 2.0 ** rng.integers(0, 20, shape) % 1.0,
+        rng.integers(0, 2, shape).astype(np.float64),
+    ])
+    if a.size:
+        index = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+        for ij, x in draw(st.lists(st.tuples(index, _FLOATS), max_size=3)):
+            a[ij] = x
     return a
 
 
 _DOCS = st.recursive(
-    _SCALARS | _ARRAYS | _symmetric() | st.lists(_FLOATS, min_size=1),
+    _SCALARS | _ARRAYS | _matrix() | st.lists(_FLOATS, min_size=1),
     lambda children: st.lists(children) | st.lists(children).map(tuple)
     | st.dictionaries(st.text(), children),
     max_leaves=30,
@@ -853,22 +867,29 @@ def _as_lists(doc):
 class TestJsonWriter:
     @settings(deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(doc=st.dictionaries(st.text(), _symmetric() | _DOCS, max_size=3))
+    @given(doc=st.dictionaries(st.text(), _matrix() | _DOCS, max_size=3))
     def test_bytes_equal_stdlib_indented_dump(self, tmp_path, doc):
         path = tmp_path / "doc.json"
         _write_json(path, doc)
         expected = json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == expected.encode()
 
-    def test_symmetric_branch_takes_only_bitwise_symmetric_finite_float64(self):
-        a = np.arange(9.0).reshape(3, 3)
-        a = a + a.T
-        assert _is_symmetric(a)
-        signed_zero, nan = a.copy(), a.copy()
-        signed_zero[0, 1], signed_zero[1, 0] = 0.0, -0.0
-        nan[2, 2] = np.nan
-        for other in (signed_zero, nan, a[:2], a.astype(np.float32)):
-            assert not _is_symmetric(other)
+    def test_matrix_path_takes_only_nonempty_finite_2d_float64(self, tmp_path,
+                                                                monkeypatch):
+        """Symmetric or not: a matrix with -0.0 and entries outside [0, 1]
+        goes to ``_dump_matrix``; every other value to json."""
+        dump, taken = corrmax.cli._dump_matrix, []
+        monkeypatch.setattr(corrmax.cli, "_dump_matrix",
+                            lambda a, fh: taken.append(a) or dump(a, fh))
+        a = np.array([[0.5, -0.0, 7.0], [1e-300, 1.0, 0.25]])
+        nan = a.copy()
+        nan[1, 2] = np.nan
+        doc = {"matrix": a, "row": a[0], "cube": a[None], "float32": a.astype(np.float32),
+               "nan": nan, "empty": np.empty((0, 3)), "list": a.tolist()}
+        path = tmp_path / "doc.json"
+        _write_json(path, doc)
+        assert len(taken) == 1 and taken[0] is a
+        assert path.read_text() == json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("report", [
         validity_check([0.0, 1.0, 2.0], [0.2, 0.1, 1.5], [1.0, -1.0, 0.5], 0.4),
@@ -908,7 +929,8 @@ class TestJsonWriter:
             text = path.read_text()
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("stages", [7, 9], ids=["64_paths", "256_paths"])
+    @pytest.mark.parametrize("stages", [7, 9, 11],
+                             ids=["64_paths", "256_paths", "1024_paths"])
     def test_report_covariance_reads_back_bit_for_bit(self, tmp_path, stages):
         """The analyze report's covariance, written a row block at a time,
         parses back to the in-process matrix entry for entry."""
@@ -919,3 +941,61 @@ class TestJsonWriter:
         written = np.array(json.loads((tmp_path / "r.json").read_text())["covariance"])
         expected = path_covariance(enumerate_paths(load_graph(graph)))
         assert written.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_matrix_peak_is_one_block(self, tmp_path):
+        """The 1024-path covariance, 8 MiB of float64, is written a block of
+        ``_BLOCK_ENTRIES`` entries at a time, at under 256 bytes per entry:
+        4 MiB.  Measured 3.4 MiB; when the strings of P**2 / 4 entries
+        waited for their rows, the peak was 6.45 MiB."""
+        cov = path_covariance(enumerate_paths(parse_graph(cascade_text(11, seed=11))))
+        peak = traced_peak(lambda: _write_json(tmp_path / "r.json", {"covariance": cov}))
+        assert peak <= 256 * _BLOCK_ENTRIES
+
+
+def _reprs(x: np.ndarray) -> str:
+    return "".join(repr(v) + _ENTRY_SEP for v in x.tolist())
+
+
+class TestFloatText:
+    """``_float_text`` writes what ``float.__repr__`` writes, entry for entry."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(1e-4, 1, exclude_max=True), min_size=1))
+    def test_equals_repr_on_the_unit_interval(self, values):
+        x = np.array(values)
+        text, lengths = _float_text(x)
+        assert text == _reprs(x)
+        assert lengths.tolist() == [len(repr(v) + _ENTRY_SEP) for v in values]
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1))
+    def test_equals_repr_on_finite_bit_patterns(self, bits):
+        x = np.array(bits, np.int64).view(np.float64)
+        x = x[np.isfinite(x)]
+        assert _float_text(x)[0] == _reprs(x)
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(2.0 ** -np.arange(1, 15), id="powers_of_two"),
+        pytest.param(np.ravel([[np.nextafter(p, 0.0), p, np.nextafter(p, 2.0)]
+                               for p in (1e-4, 1e-3, 0.01, 0.1, 1.0)]),
+                     id="neighbours_of_powers_of_ten"),
+        pytest.param(np.ravel([np.round(np.random.default_rng(d).random(200), d)
+                               for d in range(1, 17)]), id="rounded_decimals"),
+        # odd j / 2**m from 0.1 and from 0.5 up: 16- and 17-digit ties among them
+        pytest.param(np.ravel([(np.floor(lo * 2.0**m / 2) * 2 + 1 + 2 * np.arange(300))
+                               / 2.0**m for lo in (0.1, 0.5) for m in range(14, 54)]),
+                     id="halfway"),
+        pytest.param(np.array([0.0, -0.0, 5e-324, 1.0]), id="zeros_and_one"),
+    ])
+    def test_edge_cases_equal_repr(self, x):
+        assert _float_text(x)[0] == _reprs(x)
+
+    def test_powers_of_two_and_halfway_digits_are_ambiguous(self):
+        """A power of two has an interval narrower below it; j / 2**17 with
+        odd j in [2**16, 2**17) lies halfway between two 16-digit numbers,
+        both within half an ulp of it.  float.__repr__ writes both kinds."""
+        powers = 2.0 ** -np.arange(1, 14)
+        halfway = np.arange(2**16 + 1, 2**17, 2) / 2.0**17
+        assert _shortest_digits(powers)[3].all()
+        assert _shortest_digits(halfway)[3].all()
+        assert not _shortest_digits(np.nextafter(halfway, 0.0))[3].any()

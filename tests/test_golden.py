@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from corrmax.cli import _versions, main
+from conftest import cascade_text
 
 GOLDEN = Path(__file__).with_name("golden.json")
 GRAPHS = Path(__file__).resolve().parents[1] / "graphs"
@@ -46,11 +47,21 @@ RUNS = {
                                    "--order", order, "--seed", "1", "--z-steps", "101",
                                    *_REPS] for order in ("first", "complete")},
     **{f"cov_{g.stem}": ["graph", "cov", str(g)] for g in GRAPH_FILES},
+    # 256 paths: a report whose covariance spans four of the writer's row blocks
+    "analyze_cascade256": ["graph", "analyze", "CASCADE256", "--seed", "1",
+                           "--z-steps", "101", *_REPS],
 }
 
 
 def data_file_hashes(args: list[str], outdir: Path) -> dict[str, str]:
-    """Run the CLI in process into ``outdir``; the SHA-256 of each data file."""
+    """Run the CLI in process into ``outdir``; the SHA-256 of each data file.
+    ``CASCADE256`` names ``cascade_text(9, seed=21)``, written beside
+    ``outdir``."""
+    if "CASCADE256" in args:
+        graph = outdir.parent / f"{outdir.name}_cascade256.txt"
+        graph.parent.mkdir(parents=True, exist_ok=True)
+        graph.write_text(cascade_text(9, seed=21))
+        args = [str(graph) if a == "CASCADE256" else a for a in args]
     assert main(args + ["--out", "x", "--outdir", str(outdir)]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(outdir.iterdir()) if not p.name.endswith(".manifest.json")}

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from conftest import (
     open_uniform,
     rep_rng,
     sample_ar1_chain,
+    traced_peak,
 )
 
 
@@ -440,16 +440,6 @@ class TestSampleDagMax:
     def test_rejects_unequal_lengths(self, mu, sigma, src, dst):
         with pytest.raises(DimensionMismatch):
             sample_dag_max(mu, sigma, src, dst, McConfig(seed=1, reps=10))
-
-
-def traced_peak(run) -> int:
-    """Peak bytes that tracemalloc sees allocated while ``run()`` runs."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestChunkMemory:

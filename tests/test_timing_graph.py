@@ -294,6 +294,16 @@ class TestPathCovariance:
                            "of 134217728 floats; keep --cap at most 11585"):
             path_covariance(ps)
 
+    def test_more_weights_than_the_float_cap_refused(self):
+        """10,000 parallel two-edge paths: a 763 MiB covariance inside the
+        cap, but 10,000 x 20,001 weights (1.5 GiB) refused before they are
+        allocated."""
+        g = parse_graph("".join(f"a m{i} 1 0.1\nm{i} b 1 0.1\n" for i in range(10_000)))
+        ps = PathSet(graph=g, paths=tuple((2 * i, 2 * i + 1) for i in range(10_000)))
+        with pytest.raises(DomainError, match="10000 paths x 20001 weights each exceed "
+                           "the cap of 134217728 floats; keep --cap at most 6710"):
+            path_covariance(ps)
+
     def test_default_cap_fits_the_float_cap(self):
         """10,000 paths make a 763 MiB covariance, inside the cap."""
         assert DEFAULT_PATH_CAP**2 <= _MAX_CHUNK_FLOATS
